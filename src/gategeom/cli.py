@@ -292,16 +292,15 @@ def _mc(region: vol.Region, samples: int, seed: int, threads: int | None) -> vol
 
 
 @volume.command("pe")
-@click.option("--resolution", type=int, default=300, show_default=True)
 @_volume_options("closed,quadrature", "closed, quadrature, mc")
-def volume_pe(resolution, methods, samples, seed, threads, as_json):
+def volume_pe(methods, samples, seed, threads, as_json):
     """Mass of the perfect-entangler wedge."""
     results = {}
     for m in _parse_methods(methods, ("closed", "quadrature", "mc")):
         if m == "mc":
             results[m] = _mc(vol.Region("pe"), samples, seed, threads)
         else:
-            results[m] = vol.pe_volume(m, resolution=resolution)
+            results[m] = vol.pe_volume(m)
     _volume_report(results, {}, as_json)
 
 
@@ -310,7 +309,10 @@ def volume_pe(resolution, methods, samples, seed, threads, as_json):
 @click.option("--center", help="cube center c1,c2,c3 (pi notation ok)")
 @click.option("--side", required=True, help="cube side length (pi notation ok)")
 @click.option("--clip", type=click.Choice(["none", "chamber"]), default="none", show_default=True)
-@click.option("--order", type=int, default=20, show_default=True, help="quadrature order")
+@click.option(
+    "--order", type=int, default=20, show_default=True,
+    help="Gauss-Legendre nodes per axis per block (both clip modes)",
+)
 @_volume_options("closed,quadrature", "closed, quadrature, mc")
 def volume_cube(gate, center, side, clip, order, methods, samples, seed, threads, as_json):
     """Mass of a coordinate cube.

@@ -1,26 +1,60 @@
-"""Deterministic quadrature over the chamber and over coordinate boxes.
+"""Deterministic quadrature over regions of coordinate space.
 
-Two engines live here.  The first handles regions bounded by the chamber
-walls themselves (the whole chamber, or the perfect-entangler wedge):
-each region is written as a short list of iterated blocks with variable
-limits, inside which the density is smooth, and composite Simpson is
-applied axis by axis.  The second handles axis-aligned boxes, where the
-absolute value of the reflected density has interior creases; every axis
-is split at the crease positions so Gauss-Legendre sees only analytic
-pieces.
+Every integral here runs through one engine, :func:`_integrate`.  A
+region is a list of blocks with affine limits, cut so that the integrand
+is analytic inside each block, and tensor Gauss-Legendre places
+``order`` nodes per axis in every block.  Convergence is spectral, and
+``order`` (nodes per axis per block) is the only accuracy parameter.
+
+A block is one row of 12 floats::
+
+    x0, x1,  a0, a1, b0, b1,  p0, p1, p2, q0, q1, q2
+
+meaning x in [x0, x1], y in [a0 + a1 x, b0 + b1 x] and
+z in [p0 + p1 x + p2 y, q0 + q1 x + q2 y].  The generators below write
+the chamber, the perfect-entangler wedge, chamber-clipped boxes (and so
+histogram bins) and crease-split boxes of the reflected density as such
+lists.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
 from functools import lru_cache
-from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import ValidationError
-from .geometry import _chamber_sine_product, weyl_density
+from .geometry import weyl_density
 
 _PI = np.pi
+_EPS = 1e-12
+
+#: Default Gauss-Legendre order for the chamber and the wedge, whose
+#: blocks are few and large; exact to about 1e-15.
+REGION_ORDER = 12
+
+# Nodes per vectorised pass; bounds the temporaries at a few megabytes.
+_NODES_PER_PASS = 1 << 16
+
+# 0 <= z <= y <= x for x <= pi/2, and y <= pi - x beyond.
+_CHAMBER = np.array(
+    [
+        [0.0, _PI / 2, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0],
+        [_PI / 2, _PI, 0.0, 0.0, _PI, -1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0],
+    ]
+)
+
+# The wedge is cut by the planes c1 + c2 = pi/2, c1 - c2 = pi/2 and
+# c2 + c3 = pi/2; splitting c1 at pi/2 and c2 at pi/4 leaves blocks whose
+# limits are single affine functions.
+_PE_WEDGE = np.array(
+    [
+        [_PI / 4, _PI / 2, _PI / 2, -1.0, _PI / 4, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0],
+        [_PI / 4, _PI / 2, _PI / 4, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, _PI / 2, 0.0, -1.0],
+        [_PI / 2, 3 * _PI / 4, -_PI / 2, 1.0, _PI / 4, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0],
+        [_PI / 2, 3 * _PI / 4, _PI / 4, 0.0, _PI, -1.0, 0.0, 0.0, 0.0, _PI / 2, 0.0, -1.0],
+    ]
+)
 
 
 @lru_cache(maxsize=32)
@@ -32,361 +66,193 @@ def _gauss_legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
     return x, w
 
 
-@lru_cache(maxsize=32)
-def _simpson_unit(subintervals: int) -> tuple[np.ndarray, np.ndarray]:
-    """Composite Simpson nodes and weights on [0, 1]."""
-    n = int(subintervals)
-    if n < 2 or n % 2:
-        raise ValidationError(f"resolution must be a positive even integer, got {n}")
-    nodes = np.linspace(0.0, 1.0, n + 1)
-    w = np.ones(n + 1)
-    w[1:-1:2] = 4.0
-    w[2:-1:2] = 2.0
-    w /= 3.0 * n
-    nodes.setflags(write=False)
-    w.setflags(write=False)
-    return nodes, w
+def _nodes(lo, hi, t, w):
+    """Map unit nodes onto [lo, hi] along a new trailing axis."""
+    mid, rad = (lo + hi)[..., None] / 2.0, (hi - lo)[..., None] / 2.0
+    return mid + rad * t, rad * w
 
 
-@dataclass(frozen=True)
-class IteratedBlock:
-    """One iterated-integration cell: x outer, then y(x), then z(x, y).
+def _integrate(fn, blocks, order: int, groups=None, n_groups: int = 0):
+    """Tensor Gauss-Legendre integral of ``fn(c)`` over a list of blocks.
 
-    The limit callables must broadcast over numpy arrays and must keep
-    ``lo <= hi`` throughout the block (degenerate zero-width edges are
-    fine).
+    ``fn`` maps (..., 3) coordinates to values.  Returns the total, or,
+    when ``groups`` gives a non-negative integer per block, the sum of
+    each group as an array of length at least ``n_groups``.
     """
-
-    x_lo: float
-    x_hi: float
-    y_lo: Callable[[np.ndarray], np.ndarray]
-    y_hi: Callable[[np.ndarray], np.ndarray]
-    z_lo: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    z_hi: Callable[[np.ndarray, np.ndarray], np.ndarray]
-
-
-def _zero(*args):
-    return np.zeros(np.broadcast(*args).shape)
-
-
-def chamber_blocks() -> list[IteratedBlock]:
-    """The chamber as two iterated blocks split at c1 = pi/2."""
-    return [
-        IteratedBlock(0.0, _PI / 2, _zero, lambda x: x, _zero, lambda x, y: y + 0 * x),
-        IteratedBlock(_PI / 2, _PI, _zero, lambda x: _PI - x, _zero, lambda x, y: y + 0 * x),
-    ]
-
-
-def perfect_entangler_blocks() -> list[IteratedBlock]:
-    """The perfect-entangler wedge as four iterated blocks.
-
-    The wedge is cut by the planes c1 + c2 = pi/2, c1 - c2 = pi/2 and
-    c2 + c3 = pi/2; splitting c1 at pi/2 and c2 at pi/4 leaves blocks
-    whose limits are single affine functions.
-    """
-    return [
-        IteratedBlock(
-            _PI / 4, _PI / 2,
-            lambda x: _PI / 2 - x, lambda x: np.full_like(x, _PI / 4),
-            _zero, lambda x, y: y + 0 * x,
-        ),
-        IteratedBlock(
-            _PI / 4, _PI / 2,
-            lambda x: np.full_like(x, _PI / 4), lambda x: x,
-            _zero, lambda x, y: _PI / 2 - y + 0 * x,
-        ),
-        IteratedBlock(
-            _PI / 2, 3 * _PI / 4,
-            lambda x: x - _PI / 2, lambda x: np.full_like(x, _PI / 4),
-            _zero, lambda x, y: y + 0 * x,
-        ),
-        IteratedBlock(
-            _PI / 2, 3 * _PI / 4,
-            lambda x: np.full_like(x, _PI / 4), lambda x: _PI - x,
-            _zero, lambda x, y: _PI / 2 - y + 0 * x,
-        ),
-    ]
+    t, w = _gauss_legendre(order)
+    blocks = np.asarray(blocks, dtype=float).reshape(-1, 12)
+    sums = np.empty(len(blocks))
+    step = max(1, _NODES_PER_PASS // order**3)
+    for s in range(0, len(blocks), step):
+        x0, x1, a0, a1, b0, b1, p0, p1, p2, q0, q1, q2 = blocks[s : s + step].T[:, :, None]
+        x, wx = _nodes(x0[:, 0], x1[:, 0], t, w)  # (B, N)
+        y, wy = _nodes(a0 + a1 * x, b0 + b1 * x, t, w)  # (B, N, N)
+        z, wz = _nodes(  # (B, N, N, N)
+            (p0 + p1 * x)[..., None] + p2[..., None] * y,
+            (q0 + q1 * x)[..., None] + q2[..., None] * y,
+            t,
+            w,
+        )
+        c = np.empty(z.shape + (3,))
+        c[..., 0] = x[:, :, None, None]
+        c[..., 1] = y[..., None]
+        c[..., 2] = z
+        inner = np.einsum("bijk,bijk->bij", wz, fn(c))
+        sums[s : s + step] = np.einsum("bi,bij,bij->b", wx, wy, inner)
+    if groups is None:
+        return float(sums.sum())
+    return np.bincount(groups, weights=sums, minlength=n_groups)
 
 
-def _integrate_block(fn, block: IteratedBlock, resolution: int, chunk: int = 8) -> float:
-    t, wt = _simpson_unit(resolution)
-    xs = block.x_lo + (block.x_hi - block.x_lo) * t
-    wx = (block.x_hi - block.x_lo) * wt
-    total = 0.0
-    for start in range(0, xs.size, chunk):
-        X = xs[start : start + chunk]
-        ylo, yhi = block.y_lo(X), block.y_hi(X)
-        Y = ylo[:, None] + (yhi - ylo)[:, None] * t[None, :]
-        WY = (yhi - ylo)[:, None] * wt[None, :]
-        zlo = block.z_lo(X[:, None], Y)
-        zhi = block.z_hi(X[:, None], Y)
-        Z = zlo[..., None] + (zhi - zlo)[..., None] * t
-        WZ = (zhi - zlo)[..., None] * wt
-        C = np.empty(Z.shape + (3,))
-        C[..., 0] = X[:, None, None]
-        C[..., 1] = Y[..., None]
-        C[..., 2] = Z
-        inner = np.einsum("mjk,mjk->mj", WZ, fn(C))
-        total += float(np.einsum("m,mj,mj->", wx[start : start + chunk], WY, inner))
-    return total
-
-
-def integrate_blocks(
-    fn, blocks: Sequence[IteratedBlock], resolution: int, richardson: bool = False
-) -> float:
-    """Iterated-Simpson integral of ``fn(c)`` over a list of blocks.
-
-    ``resolution`` is the number of Simpson subintervals per axis (even).
-    With ``richardson=True`` a half-resolution pass is combined with the
-    full one to cancel the leading error term; resolution must then be
-    divisible by four.
-    """
-    value = sum(_integrate_block(fn, b, resolution) for b in blocks)
-    if not richardson:
-        return value
-    if resolution % 4:
-        raise ValidationError("richardson extrapolation needs resolution divisible by 4")
-    coarse = sum(_integrate_block(fn, b, resolution // 2) for b in blocks)
-    return (16.0 * value - coarse) / 15.0
-
-
-def integrate_over_chamber(fn=None, resolution: int = 150, richardson: bool = False) -> float:
+def integrate_over_chamber(fn=None, order: int = REGION_ORDER) -> float:
     """Integral over the chamber; defaults to the density (so ~1.0)."""
-    return integrate_blocks(fn or weyl_density, chamber_blocks(), resolution, richardson)
+    return _integrate(fn or weyl_density, _CHAMBER, order)
 
 
-def integrate_pe_region(fn=None, resolution: int = 150, richardson: bool = False) -> float:
+def integrate_pe_region(fn=None, order: int = REGION_ORDER) -> float:
     """Integral over the perfect-entangler wedge; defaults to its mass."""
-    return integrate_blocks(
-        fn or weyl_density, perfect_entangler_blocks(), resolution, richardson
-    )
+    return _integrate(fn or weyl_density, _PE_WEDGE, order)
 
 
 # ---------------------------------------------------------------------------
-# Boxes: |density| with crease-aligned splitting.
+# Boxes.
 
 
-def _split_points(lo: float, hi: float, candidates) -> np.ndarray:
-    """Sorted piece boundaries: lo, hi and the candidates strictly inside."""
-    pts = [lo, hi]
-    for p in np.atleast_1d(np.asarray(candidates, dtype=float)).ravel():
-        if lo + 1e-12 < p < hi - 1e-12:
-            pts.append(float(p))
-    pts = np.array(sorted(pts))
-    keep = np.concatenate([[True], np.diff(pts) > 1e-12])
-    return pts[keep]
+def _split_points(lo: float, hi: float, candidates) -> list[float]:
+    """Sorted piece edges: lo, hi and the candidates strictly inside."""
+    pts = [lo]
+    for p in sorted(float(c) for c in candidates if lo + _EPS < c < hi - _EPS):
+        if p - pts[-1] > _EPS:
+            pts.append(p)
+    pts.append(hi)
+    return pts
+
+
+def _traces(v: float, lo: float, hi: float) -> list[tuple[float, float]]:
+    """``(m pi, sign)`` of every line ``sign * v + m pi`` strictly inside (lo, hi)."""
+    out = []
+    for sign in (1.0, -1.0):
+        for m in range(math.floor((lo - sign * v) / _PI), math.ceil((hi - sign * v) / _PI) + 1):
+            if lo + _EPS < sign * v + m * _PI < hi - _EPS:
+                out.append((m * _PI, sign))
+    return out
 
 
 def _shifted(vals, lo: float, hi: float) -> list[float]:
-    """All points v + m*pi (and -v + m*pi) that can fall inside [lo, hi]."""
-    out = []
-    for v in np.atleast_1d(vals):
-        for sign in (1.0, -1.0):
-            m0 = int(np.floor((lo - sign * v) / _PI)) - 1
-            m1 = int(np.ceil((hi - sign * v) / _PI)) + 1
-            out.extend(sign * v + m * _PI for m in range(m0, m1 + 1))
-    return out
+    """All points +-v + m pi strictly inside (lo, hi)."""
+    return [sign * v + off for v in vals for off, sign in _traces(v, lo, hi)]
+
+
+def _check_box(lo, hi) -> tuple[np.ndarray, np.ndarray]:
+    lo = np.asarray(lo, dtype=float)
+    hi = np.asarray(hi, dtype=float)
+    if lo.shape != (3,) or hi.shape != (3,):
+        raise ValidationError("box corners must be length-3 coordinate triples")
+    if np.any(hi < lo):
+        raise ValidationError("box upper corner must dominate the lower corner")
+    return lo, hi
+
+
+def _crease_blocks(lo, hi) -> list[list[float]]:
+    """An axis-aligned box cut along every crease of the reflected density.
+
+    The signed density changes sign only across the planes
+    c_i = +-c_j + m pi.  The z edges of a piece are the box faces and the
+    traces z = +-x + m pi and z = +-y + m pi; the y edges are the faces,
+    the traces y = +-x + m pi, the points where a z trace enters or
+    leaves the z range (y = +-z_end + m pi) and where two z traces cross
+    (y = m pi / 2); x is cut at the images of all of those.  No edge then
+    meets another inside a piece, so membership and order, classified at
+    the piece centre, hold throughout, every limit is affine and the
+    density keeps one sign inside every block.
+    """
+    (x0, y0, z0), (x1, y1, z1) = (float(v) for v in lo), (float(v) for v in hi)
+    xs = _split_points(x0, x1, _shifted([y0, y1, z0, z1, 0.0, _PI / 2], x0, x1))
+    y_cuts = [(v, 0.0) for v in _split_points(y0, y1, _shifted([z0, z1, 0.0, _PI / 2], y0, y1))]
+    rows = []
+    for xa, xb in zip(xs[:-1], xs[1:]):
+        xm = 0.5 * (xa + xb)
+        y_edges = sorted(y_cuts + _traces(xm, y0, y1), key=lambda e: e[0] + e[1] * xm)
+        zx = [(z0, 0.0, 0.0), (z1, 0.0, 0.0)] + [(off, s, 0.0) for off, s in _traces(xm, z0, z1)]
+        for (a0, a1), (b0, b1) in zip(y_edges[:-1], y_edges[1:]):
+            ym = 0.5 * (a0 + b0 + (a1 + b1) * xm)
+            z_edges = sorted(
+                zx + [(off, 0.0, s) for off, s in _traces(ym, z0, z1)],
+                key=lambda e: e[0] + e[1] * xm + e[2] * ym,
+            )
+            for zlo, zhi in zip(z_edges[:-1], z_edges[1:]):
+                rows.append([xa, xb, a0, a1, b0, b1, *zlo, *zhi])
+    return rows
 
 
 def box_integral_abs_density(lo, hi, order: int = 20) -> float:
     """Integral of the absolute reflected density over an axis-aligned box.
 
     ``lo`` and ``hi`` are length-3 corner coordinates (c1, c2, c3 axes).
-    The signed density is analytic; its absolute value creases exactly on
-    the planes c_i = +-c_j + m pi.  Each axis of the iterated integral is
-    split wherever a crease (or a crease of the inner partial integrals)
-    can occur, so every Gauss-Legendre panel sees an analytic integrand
-    and convergence is spectral in ``order``.
+    The box is cut along every crease of |density| (see
+    :func:`_crease_blocks`), so every block sees an analytic integrand and
+    convergence is spectral in ``order``.
     """
-    lo = np.asarray(lo, dtype=float)
-    hi = np.asarray(hi, dtype=float)
-    if lo.shape != (3,) or hi.shape != (3,):
-        raise ValidationError("box corners must be length-3 coordinate triples")
-    if np.any(hi < lo):
-        raise ValidationError("box upper corner must dominate the lower corner")
-    if np.any(hi == lo):
-        return 0.0
-    (x0, y0, z0), (x1, y1, z1) = lo, hi
-    gx, gw = _gauss_legendre(order)
-
-    def gl_nodes(a, b):
-        a, b = np.asarray(a), np.asarray(b)
-        mid, rad = (a + b) / 2.0, (b - a) / 2.0
-        return mid[..., None] + rad[..., None] * gx, rad[..., None] * gw
-
-    # Splitting rationale, axis by axis.  The signed density changes sign
-    # only across the planes c_i = +-c_j + m pi.  Pieces of the inner (z)
-    # axis are bounded by those planes' traces, z = +-x + m pi and
-    # z = +-y + m pi; the middle (y) axis must split wherever a trace
-    # enters or leaves the z-interval (y = +-z_end + m pi), wherever a
-    # z-free factor flips (y = +-x + m pi), and wherever two moving traces
-    # cross each other (y = m pi / 2); the outer (x) axis splits at the
-    # images of all of those (x = +-y_end, +-z_end + m pi and m pi / 2).
-    x_cuts = _split_points(
-        x0, x1, _shifted([y0, y1, z0, z1], x0, x1) + _shifted([0.0, _PI / 2], x0, x1)
-    )
-    total = 0.0
-    for xa, xb in zip(x_cuts[:-1], x_cuts[1:]):
-        X = 0.5 * (xa + xb) + 0.5 * (xb - xa) * gx
-        WX = 0.5 * (xb - xa) * gw
-        for x, wxv in zip(X, WX):
-            y_cuts = _split_points(
-                y0, y1, _shifted([x, z0, z1], y0, y1) + _shifted([0.0, _PI / 2], y0, y1)
-            )
-            fx = 0.0
-            for ya, yb in zip(y_cuts[:-1], y_cuts[1:]):
-                Y = 0.5 * (ya + yb) + 0.5 * (yb - ya) * gx
-                WY = 0.5 * (yb - ya) * gw
-                # z-piece boundaries on this y-piece: trace membership and
-                # ordering cannot change inside it, so classify and sort at
-                # the midpoint, then let the moving ones follow y (clipped,
-                # which at worst produces zero-width pieces at the ends).
-                ymid = 0.5 * (ya + yb)
-                cands = [(p, None) for p in _shifted([x], z0, z1)]
-                for sign in (1.0, -1.0):
-                    m0 = int(np.floor((z0 - sign * ymid) / _PI)) - 1
-                    m1 = int(np.ceil((z1 - sign * ymid) / _PI)) + 1
-                    cands.extend(
-                        (sign * ymid + m * _PI, (sign, m * _PI)) for m in range(m0, m1 + 1)
-                    )
-                bounds = [np.full(Y.shape, z0)]
-                for val, spec in sorted(cands, key=lambda t: t[0]):
-                    if not (z0 + 1e-12 < val < z1 - 1e-12):
-                        continue
-                    if spec is None:
-                        bounds.append(np.full(Y.shape, val))
-                    else:
-                        sign, off = spec
-                        bounds.append(np.clip(sign * Y + off, z0, z1))
-                bounds.append(np.full(Y.shape, z1))
-                piece_lo = np.stack(bounds[:-1], axis=-1)  # (J, P)
-                piece_hi = np.stack(bounds[1:], axis=-1)
-                Z, WZ = gl_nodes(piece_lo, piece_hi)  # (J, P, K)
-                C = np.empty(Z.shape + (3,))
-                C[..., 0] = x
-                C[..., 1] = Y[:, None, None]
-                C[..., 2] = Z
-                # The signed density as a pure sine product: free of the
-                # cancellation that makes the cosine form lose relative
-                # accuracy near the corners, where the result is ~c^6.
-                dens = (48.0 / _PI) * _chamber_sine_product(C)
-                signed = np.einsum("jpk,jpk->jp", WZ, dens)
-                fx += float(WY @ np.abs(signed).sum(axis=-1))
-            total += wxv * fx
-    return total
+    lo, hi = _check_box(lo, hi)
+    return _integrate(weyl_density, _crease_blocks(lo, hi), order)
 
 
-# ---------------------------------------------------------------------------
-# Chamber-clipped boxes and histogram-bin masses.
+def _clipped_blocks(lo, hi) -> list[list[float]]:
+    """The chamber cut by an axis-aligned box, as blocks with affine limits.
 
-
-def _clip_block(block: IteratedBlock, lo, hi) -> list[IteratedBlock]:
-    """Intersect an iterated block with an axis-aligned box.
-
-    The y and z limits become min/max composites, which kinks the partial
-    integrals in x wherever a box face meets a wall; x is split at every
-    such candidate so Simpson never straddles a crease.
+    In the chamber 0 <= z <= y <= cap(x) = min(x, pi - x), so inside the
+    box y runs from max(by0, 0) to min(by1, cap(x)) and z from
+    max(bz0, 0) to min(bz1, y).  Cutting x at pi/2 and wherever cap(x)
+    meets a y or z face, and y at the z faces, leaves a single affine
+    branch for each min and max on every piece.
     """
-    (bx0, by0, bz0), (bx1, by1, bz1) = lo, hi
-    x_lo, x_hi = max(block.x_lo, bx0), min(block.x_hi, bx1)
-    if x_hi <= x_lo:
+    (bx0, by0, bz0), (bx1, by1, bz1) = (float(v) for v in lo), (float(v) for v in hi)
+    x0, x1 = max(bx0, 0.0), min(bx1, _PI)
+    y0, z0 = max(by0, 0.0), max(bz0, 0.0)
+    if x1 <= x0 or by1 <= max(y0, z0) or bz1 <= z0:
         return []
-
-    def y_lo(x):
-        return np.clip(block.y_lo(x), by0, by1)
-
-    def y_hi(x):
-        return np.clip(block.y_hi(x), by0, by1)
-
-    def z_lo(x, y):
-        return np.clip(block.z_lo(x, y), bz0, bz1)
-
-    def z_hi(x, y):
-        return np.clip(block.z_hi(x, y), bz0, bz1)
-
-    # Wall/face crossing candidates: chamber walls here are y = x, y = pi - x,
-    # z = y; faces are the six box planes.  Solve each wall-face pair for x.
-    cand = []
-    for v in (by0, by1, bz0, bz1):
-        cand.extend([v, _PI - v])
-    cuts = _split_points(x_lo, x_hi, cand)
-    return [
-        IteratedBlock(float(a), float(b), y_lo, y_hi, z_lo, z_hi)
-        for a, b in zip(cuts[:-1], cuts[1:])
-    ]
+    faces = (by0, by1, bz0, bz1)
+    xs = _split_points(x0, x1, [_PI / 2, *faces, *(_PI - v for v in faces)])
+    ys = _split_points(y0, by1, [bz0, bz1])
+    rows = []
+    for xa, xb in zip(xs[:-1], xs[1:]):
+        xm = 0.5 * (xa + xb)
+        cap = (0.0, 1.0) if xm < _PI / 2 else (_PI, -1.0)
+        cap_mid = cap[0] + cap[1] * xm
+        for ya, yb in zip(ys[:-1], ys[1:]):
+            if ya >= cap_mid or yb <= z0:
+                continue
+            y_hi = (yb, 0.0) if yb <= cap_mid else cap
+            z_hi = (0.0, 0.0, 1.0) if yb <= bz1 else (bz1, 0.0, 0.0)
+            rows.append([xa, xb, ya, 0.0, *y_hi, z0, 0.0, 0.0, *z_hi])
+    return rows
 
 
-def box_integral_chamber_clipped(lo, hi, resolution: int = 80) -> float:
+def box_integral_chamber_clipped(lo, hi, order: int = 20) -> float:
     """Mass of the chamber density inside box-and-chamber intersection."""
-    lo = np.asarray(lo, dtype=float)
-    hi = np.asarray(hi, dtype=float)
-    if lo.shape != (3,) or hi.shape != (3,):
-        raise ValidationError("box corners must be length-3 coordinate triples")
-    if np.any(hi < lo):
-        raise ValidationError("box upper corner must dominate the lower corner")
-    # Pre-split into y-strips at the box z-faces: once a strip lies wholly
-    # below, inside, or above [bz0, bz1], the clipped z-limit min(y, bz.)
-    # is a single smooth branch and Simpson keeps its full order.
-    y_edges = _split_points(lo[1], hi[1], [lo[2], hi[2]])
-    blocks = []
-    for ya, yb in zip(y_edges[:-1], y_edges[1:]):
-        sub_lo = np.array([lo[0], ya, lo[2]])
-        sub_hi = np.array([hi[0], yb, hi[2]])
-        for b in chamber_blocks():
-            blocks.extend(_clip_block(b, sub_lo, sub_hi))
-    return sum(_integrate_block(weyl_density, b, resolution) for b in blocks)
+    lo, hi = _check_box(lo, hi)
+    return _integrate(weyl_density, _clipped_blocks(lo, hi), order)
 
 
 def bin_probabilities(bins: tuple[int, int, int] = (30, 30, 30), order: int = 8) -> np.ndarray:
     """Exact chamber-density mass of each cell of a regular coordinate grid.
 
-    The grid covers [0, pi] x [0, pi/2] x [0, pi/2].  Cells are integrated
-    with Gauss-Legendre panels laid out so that every wall crossing falls
-    on a panel edge; the result sums to 1 up to quadrature error.
-
-    Requires bins[0] even and bins[1] == bins[2] == 2 * (bins[0] // 2)
-    ... in practice the default (30, 30, 30) grid, whose edge set is the
-    multiples of pi/60, is what the distribution checks use.
+    The grid covers [0, pi] x [0, pi/2] x [0, pi/2] and must be cubic with
+    an even side count (the distribution checks use the default), so that
+    c1 = pi/2 is a cell edge.  Each cell is the chamber clipped to a box;
+    the result sums to 1 up to quadrature error.
     """
     n1, n2, n3 = bins
     if n1 % 2 or n2 != n1 or n3 != n1:
         raise ValidationError("bin grid must be cubic with an even side count")
     e1 = np.linspace(0.0, _PI, n1 + 1)
     e2 = np.linspace(0.0, _PI / 2, n2 + 1)
-    gx, gw = _gauss_legendre(order)
-    half = 0.5 * (gx + 1.0)  # nodes on [0, 1]
-    hw = 0.5 * gw
-
-    out = np.zeros((n1, n2, n3))
-    width1 = e1[1] - e1[0]
-    width2 = e2[1] - e2[0]
-    # Two half-panels per c1 bin: the wall y = min(x, pi - x) crosses bin
-    # interiors only at odd multiples of pi/60, which are half-panel edges.
+    rows, groups = [], []
     for i in range(n1):
-        for hp in range(2):
-            a = e1[i] + 0.5 * hp * width1
-            X = a + 0.5 * width1 * half  # (K,)
-            WX = 0.5 * width1 * hw
-            ycap = np.minimum(X, _PI - X)  # (K,)
-            for j in range(n2):
-                ylo = np.minimum(e2[j], ycap)
-                yhi = np.minimum(e2[j + 1], ycap)
-                if np.all(yhi - ylo <= 1e-15):
-                    continue
-                Y = ylo[:, None] + (yhi - ylo)[:, None] * half[None, :]  # (K, K)
-                WY = (yhi - ylo)[:, None] * hw[None, :]
-                for k in range(j + 1):
-                    zlo = np.minimum(e2[k], Y)
-                    zhi = np.minimum(e2[k + 1], Y)
-                    dz = zhi - zlo
-                    if np.all(dz <= 1e-15):
-                        continue
-                    Z = zlo[..., None] + dz[..., None] * half  # (K, K, K)
-                    WZ = dz[..., None] * hw
-                    C = np.empty(Z.shape + (3,))
-                    C[..., 0] = X[:, None, None]
-                    C[..., 1] = Y[..., None]
-                    C[..., 2] = Z
-                    val = np.einsum("m,mj,mjk->", WX, WY, WZ * weyl_density(C))
-                    out[i, j, k] += float(val)
-    return out
+        for j in range(n2):
+            for k in range(j + 1):  # z <= y in the chamber
+                cell = _clipped_blocks((e1[i], e2[j], e2[k]), (e1[i + 1], e2[j + 1], e2[k + 1]))
+                rows += cell
+                groups += [(i * n2 + j) * n3 + k] * len(cell)
+    out = _integrate(weyl_density, rows, order, np.array(groups, dtype=np.intp), n1 * n2 * n3)
+    return out.reshape(n1, n2, n3)

@@ -2,7 +2,7 @@
 itself, each pitting two independent routes against each other.
 
 ``quick`` keeps the whole battery within a few seconds; ``full`` adds
-the large-sample distribution tests and high-resolution quadrature.
+the large-sample distribution tests.
 Constants are looked up through their modules at call time, so a
 deliberately corrupted constant is caught rather than baked in.
 """
@@ -72,15 +72,13 @@ def _chamber_interior_points(rng, n: int, margin: float = 0.02) -> np.ndarray:
 
 
 def _check_chamber_normalization(seed, full):
-    res = 200 if full else 80
-    v = quad.integrate_over_chamber(resolution=res)
+    v = quad.integrate_over_chamber()
     dev = abs(v - 1.0)
     return dev < 1e-6, f"chamber mass {v:.12f}, |dev| {dev:.2e}"
 
 
 def _check_pe_quadrature(seed, full):
-    res = 300 if full else 100
-    v = quad.integrate_pe_region(resolution=res)
+    v = quad.integrate_pe_region()
     dev = abs(v - vol.PE_VOLUME_CLOSED)
     return dev < 1e-5, f"wedge mass {v:.12f} vs closed {vol.PE_VOLUME_CLOSED:.12f}"
 

@@ -27,6 +27,7 @@ from .errors import RangeError, ValidationError
 from .gates import NAMED_GATE_POINTS
 from .geometry import weyl_density
 from .quadrature import (
+    REGION_ORDER,
     box_integral_abs_density,
     box_integral_chamber_clipped,
     integrate_pe_region,
@@ -38,18 +39,6 @@ PE_VOLUME_CLOSED = 8.0 / (3.0 * np.pi)
 #: Midpoint of the chamber edge joining the cnot and swap points; the
 #: seventh coordinate point with its own cube closed form.
 CNOT_SWAP_MIDPOINT = (np.pi / 2, np.pi / 4, np.pi / 4)
-
-#: Leading small-side exponent of the cube mass at each closed-form centre.
-CUBE_SMALL_SIDE_EXPONENTS = {
-    "identity": 9,
-    "swap": 9,
-    "sqrt-swap": 6,
-    "b-gate": 3,
-    "cnot": 5,
-    "cphase": 5,
-    "dcnot": 5,
-    "cnot-swap-midpoint": 4,
-}
 
 
 @dataclass(frozen=True)
@@ -84,21 +73,20 @@ def is_perfect_entangler(c, tol: float = 1e-9):
     return bool(ok) if ok.ndim == 0 else ok
 
 
-def pe_volume(
-    method: str = "closed",
-    resolution: int = 300,
-    samples: int = 1_000_000,
-    seed: int = 0,
-) -> VolumeResult:
-    """Mass of the perfect-entangler wedge by the requested route."""
+def pe_volume(method: str = "closed", samples: int = 1_000_000, seed: int = 0) -> VolumeResult:
+    """Mass of the perfect-entangler wedge by the requested route.
+
+    The quadrature value uses four nodes per axis more than the default
+    order; its error estimate is the change from the default order,
+    floored at 1e-14 relative so that the reported digits do not hang on
+    summation order.
+    """
     if method == "closed":
         return VolumeResult(PE_VOLUME_CLOSED, "closed")
     if method == "quadrature":
-        fine = integrate_pe_region(resolution=resolution)
-        half = max(resolution // 2, 2)
-        half += half % 2
-        coarse = integrate_pe_region(resolution=half)
-        return VolumeResult(fine, "quadrature", abs(fine - coarse) / 15.0)
+        fine = integrate_pe_region(order=REGION_ORDER + 4)
+        error = max(abs(fine - integrate_pe_region()), 1e-14 * abs(fine))
+        return VolumeResult(fine, "quadrature", error)
     if method == "mc":
         return region_volume_mc(Region("pe"), samples=samples, seed=seed)
     raise ValidationError(f"unknown method {method!r}; use closed, quadrature or mc")
@@ -252,7 +240,8 @@ def cube_volume_quadrature(center, side: float, order: int = 20, clip: str = "no
 
     ``clip="none"`` integrates |density| over the full cube (the closed
     forms' convention); ``clip="chamber"`` keeps only the part inside the
-    fundamental cell.
+    fundamental cell.  ``order`` is the number of Gauss-Legendre nodes per
+    axis per block in either mode.
     """
     center = np.asarray(center, dtype=float)
     if center.shape != (3,):
@@ -264,7 +253,7 @@ def cube_volume_quadrature(center, side: float, order: int = 20, clip: str = "no
     if clip == "none":
         return box_integral_abs_density(lo, hi, order=order)
     if clip == "chamber":
-        return box_integral_chamber_clipped(lo, hi)
+        return box_integral_chamber_clipped(lo, hi, order=order)
     raise ValidationError(f"unknown clip mode {clip!r}; use none or chamber")
 
 

@@ -83,7 +83,7 @@ def oracle_sample():
 
 def test_criterion_01_pe_mass_by_quadrature(capsys):
     t0 = time.perf_counter()
-    value = integrate_pe_region(resolution=300)
+    value = integrate_pe_region()
     elapsed = time.perf_counter() - t0
     dev = abs(value - 8.0 / (3.0 * np.pi))
     report(
@@ -112,7 +112,7 @@ def test_criterion_02_pe_mass_by_sampling(capsys, oracle_sample):
 
 
 def test_criterion_03_chamber_density_normalised(capsys):
-    value = integrate_over_chamber(resolution=200)
+    value = integrate_over_chamber()
     dev = abs(value - 1.0)
     report(capsys, 3, dev <= 1e-6, f"chamber mass {value:.10f}, |dev| {dev:.2e} (tol 1e-6)")
 

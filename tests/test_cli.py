@@ -104,7 +104,7 @@ class TestGoldenOutputs:
         assert result.output == self.golden("canonicalize_cnot.json")
 
     def test_volume_pe(self, runner):
-        result = runner.invoke(cli, ["volume", "pe", "--resolution", "120", "--json"])
+        result = runner.invoke(cli, ["volume", "pe", "--json"])
         assert result.exit_code == 0
         assert result.output == self.golden("volume_pe.json")
 
@@ -221,6 +221,23 @@ class TestVolumeCommands:
         centre = np.full(3, np.pi / 4)
         expected = box_integral_chamber_clipped(centre - 0.2, centre + 0.2)
         assert payload["quadrature"] == pytest.approx(expected, rel=1e-12)
+
+    def test_cube_chamber_clip_honours_order(self, runner):
+        def quadrature(order):
+            result = runner.invoke(
+                cli,
+                [
+                    "volume", "cube", "--center", "pi/4,pi/4,pi/4", "--side", "0.4",
+                    "--clip", "chamber", "--methods", "quadrature",
+                    "--order", str(order), "--json",
+                ],
+            )
+            assert result.exit_code == 0
+            return json.loads(result.output)["quadrature"]
+
+        coarse, fine, finer = quadrature(2), quadrature(20), quadrature(30)
+        assert abs(coarse - fine) > 1e-6
+        assert fine == pytest.approx(finer, rel=0, abs=1e-13)
 
     def test_cube_closed_refuses_chamber_clip(self, runner):
         result = runner.invoke(

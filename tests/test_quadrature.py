@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.spatial import ConvexHull
 
 from gategeom.errors import ValidationError
@@ -29,13 +31,7 @@ def _one(c):
 
 class TestChamberIntegrals:
     def test_density_normalised(self):
-        assert integrate_over_chamber(resolution=150) == pytest.approx(1.0, abs=1e-6)
-
-    def test_richardson_sharpens_normalisation(self):
-        plain = integrate_over_chamber(resolution=100)
-        extrapolated = integrate_over_chamber(resolution=100, richardson=True)
-        assert abs(extrapolated - 1.0) < 1e-9
-        assert abs(extrapolated - 1.0) < abs(plain - 1.0)
+        assert integrate_over_chamber() == pytest.approx(1.0, abs=1e-6)
 
     def test_coordinate_volume_is_tetrahedral(self):
         # Edge-vector determinant oracle for the chamber tetrahedron with
@@ -48,34 +44,20 @@ class TestChamberIntegrals:
             ]
         )
         oracle = abs(np.linalg.det(edges)) / 6.0
-        assert integrate_over_chamber(_one, resolution=100) == pytest.approx(
-            oracle, rel=1e-12
-        )
-
-    def test_odd_resolution_rejected(self):
-        with pytest.raises(ValidationError):
-            integrate_over_chamber(resolution=151)
-
-    def test_richardson_needs_divisible_by_four(self):
-        with pytest.raises(ValidationError):
-            integrate_over_chamber(resolution=150, richardson=True)
+        assert integrate_over_chamber(_one) == pytest.approx(oracle, rel=1e-12)
 
 
 class TestPerfectEntanglerIntegrals:
     def test_mass(self):
-        assert integrate_pe_region(resolution=150) == pytest.approx(
-            8.0 / (3.0 * np.pi), abs=1e-6
-        )
+        assert integrate_pe_region() == pytest.approx(8.0 / (3.0 * np.pi), abs=1e-6)
 
     def test_coordinate_volume_matches_convex_hull(self):
         hull = ConvexHull(PE_VERTICES)
-        assert integrate_pe_region(_one, resolution=100) == pytest.approx(
-            hull.volume, abs=1e-9
-        )
+        assert integrate_pe_region(_one) == pytest.approx(hull.volume, abs=1e-9)
 
     def test_wedge_is_half_the_chamber_by_volume(self):
-        assert integrate_pe_region(_one, resolution=100) == pytest.approx(
-            integrate_over_chamber(_one, resolution=100) / 2.0, rel=1e-12
+        assert integrate_pe_region(_one) == pytest.approx(
+            integrate_over_chamber(_one) / 2.0, rel=1e-12
         )
 
 
@@ -118,11 +100,40 @@ class TestBoxIntegrals:
         fine = box_integral_abs_density(lo, hi, order=30)
         assert coarse == pytest.approx(fine, abs=1e-12)
 
+    def test_box_holding_the_chamber_clips_to_one(self):
+        whole = box_integral_chamber_clipped([-0.5, -0.2, -0.3], [3.5, 2.0, 1.7])
+        assert whole == pytest.approx(1.0, abs=1e-13)
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        # Corners near the chamber, so that most clipped boxes are not empty.
+        lo=st.tuples(st.floats(-0.5, 2.8), st.floats(-0.5, 1.2), st.floats(-0.5, 1.2)),
+        side=st.tuples(*[st.floats(0.05, 2.0)] * 3),
+        axis=st.integers(0, 2),
+        at=st.floats(0.05, 0.95),
+    )
+    def test_split_box_masses_add_up(self, lo, side, axis, at):
+        lo = np.array(lo)
+        hi = lo + np.array(side)
+        cut = lo[axis] + at * side[axis]
+        lower_hi, upper_lo = hi.copy(), lo.copy()
+        lower_hi[axis] = upper_lo[axis] = cut
+        for mass in (box_integral_abs_density, box_integral_chamber_clipped):
+            whole = mass(lo, hi)
+            assert mass(lo, lower_hi) + mass(upper_lo, hi) == pytest.approx(
+                whole, rel=1e-12, abs=1e-15
+            )
+
     def test_corner_validation(self):
         with pytest.raises(ValidationError):
             box_integral_chamber_clipped([0.0, 0.0], [1.0, 1.0])
         with pytest.raises(ValidationError):
             box_integral_chamber_clipped([0.5, 0.5, 0.5], [0.4, 0.6, 0.6])
+
+
+@pytest.fixture(scope="module")
+def bins():
+    return bin_probabilities()
 
 
 class TestBinProbabilities:
@@ -144,6 +155,28 @@ class TestBinProbabilities:
         assert abs(centre[0] - np.pi / 2) < np.pi / 30
         assert abs(centre[1] - np.pi / 4) < np.pi / 60
         assert k == 0
+
+    @pytest.mark.parametrize(
+        "cell",
+        [
+            (15, 10, 4),  # interior
+            (3, 6, 2),  # crossed by the wall c2 = c1
+            (26, 7, 3),  # crossed by the wall c2 = pi - c1
+            (3, 6, 6),  # crossed by c2 = c1 and cut by c3 = c2
+            (14, 29, 29),  # the apex below c1 = pi/2: c2 = c1 and c3 = c2
+            (15, 29, 0),  # the apex above c1 = pi/2, on the c3 = 0 face
+            (3, 20, 5),  # above the wall c2 = c1: empty
+            (10, 3, 5),  # above the wall c3 = c2: empty
+        ],
+    )
+    def test_cells_match_clipped_boxes(self, bins, cell):
+        i, j, k = cell
+        e1 = np.linspace(0.0, np.pi, 31)
+        e2 = np.linspace(0.0, np.pi / 2, 31)
+        box = box_integral_chamber_clipped(
+            [e1[i], e2[j], e2[k]], [e1[i + 1], e2[j + 1], e2[k + 1]]
+        )
+        assert box == pytest.approx(bins[i, j, k], rel=0, abs=1e-15)
 
     def test_grid_validation(self):
         with pytest.raises(ValidationError):
