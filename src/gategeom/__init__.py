@@ -82,7 +82,6 @@ from .sampling import (
     sample_invariants,
     summarize_samples,
 )
-from .verify import CheckResult, run_checks
 from .volumes import (
     PE_VOLUME_CLOSED,
     Region,
@@ -101,6 +100,16 @@ from .volumes import (
 )
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    # verify needs scipy, so it is imported on first use of its names.
+    if name in ("CheckResult", "run_checks"):
+        from . import verify
+
+        return getattr(verify, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "CHAMBER_TOL",

@@ -35,7 +35,6 @@ from .sampling import (
     sample_gates,
     summarize_samples,
 )
-from .verify import run_checks
 from . import volumes as vol
 
 _FMT = "%.12g"
@@ -511,6 +510,8 @@ def _write_rows(output: str, header: str, rows) -> None:
 @click.pass_context
 def verify(ctx, level, seed, only, as_json):
     """Run the self-verification battery; nonzero exit on any failure."""
+    from .verify import run_checks
+
     results = run_checks(level, seed=seed, names=list(only) or None)
     if not results:
         click.echo("error: no checks match the given names", err=True)

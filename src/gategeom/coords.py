@@ -166,16 +166,3 @@ class FullCoords:
             + self.b2.as_tuple()
             + self.c.as_tuple()
         )
-
-    @classmethod
-    def from_array(cls, x) -> "FullCoords":
-        x = np.asarray(x, dtype=float)
-        if x.shape != (15,):
-            raise ValidationError(f"expected 15 coordinates, got shape {x.shape}")
-        return cls(
-            a1=Su2Params(*x[0:3]),
-            b1=Su2Params(*x[3:6]),
-            a2=Su2Params(*x[6:9]),
-            b2=Su2Params(*x[9:12]),
-            c=CanonicalCoords(*x[12:15]),
-        )

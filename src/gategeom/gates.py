@@ -16,8 +16,6 @@ from .errors import ValidationError
 
 #: Tolerance when validating externally supplied matrices.
 UNITARITY_INPUT_TOL = 1e-10
-#: Tolerance met by matrices this module constructs itself.
-UNITARITY_BUILD_TOL = 1e-12
 
 IDENTITY_2 = np.eye(2, dtype=complex)
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)

@@ -10,7 +10,6 @@ to cross-check all of the above from nothing but matrix derivatives.
 from __future__ import annotations
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .coords import CanonicalCoords, FullCoords, in_weyl_chamber
 from .errors import ConsistencyError, SingularDensityError, ValidationError
@@ -114,20 +113,30 @@ def weyl_density(c) -> np.ndarray:
     return _NORMALIZATION_CHAMBER * np.abs(_chamber_sine_product(c))
 
 
+#: Coefficients of the cosine form as a bilinear form a^T M b in
+#: a = cos(2c), b = cos(4c); M is antisymmetric.
+_COSINE_FORM = np.array([[0.0, 1.0, -1.0], [-1.0, 0.0, 1.0], [1.0, -1.0, 0.0]])
+
+
 def weyl_density_cosine(c) -> np.ndarray:
     """The same chamber density written as a sum of cosine products.
 
     Equals :func:`weyl_density` inside the chamber; outside, it carries
     the sign of the reflected cell rather than the absolute value.
     """
-    c = np.asarray(c, dtype=float)
-    a = np.cos(2 * c)
+    a = np.cos(2 * np.asarray(c, dtype=float))
     b = 2 * a * a - 1.0  # cos(4c) by double angle
-    a1, a2, a3 = a[..., 0], a[..., 1], a[..., 2]
-    b1, b2, b3 = b[..., 0], b[..., 1], b[..., 2]
-    return (3.0 / np.pi) * (
-        a1 * b2 + a2 * b3 + a3 * b1 - b1 * a2 - b2 * a3 - b3 * a1
-    )
+    return (3.0 / np.pi) * np.sum((a @ _COSINE_FORM) * b, axis=-1)
+
+
+def _cosine_density_derivatives(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Analytic gradient (3,) and Hessian (3, 3) of the cosine form at one point."""
+    a, b = np.cos(2 * c), np.cos(4 * c)
+    da, db = -2.0 * np.sin(2 * c), -4.0 * np.sin(4 * c)
+    mb, am = _COSINE_FORM @ b, a @ _COSINE_FORM
+    hess = np.diag(-4.0 * a * mb - 16.0 * b * am)
+    hess += _COSINE_FORM * (np.outer(da, db) - np.outer(db, da))
+    return (3.0 / np.pi) * (da * mb + db * am), (3.0 / np.pi) * hess
 
 
 def su2_density(alpha, theta, phi=None) -> np.ndarray:
@@ -238,40 +247,22 @@ def frame_finite_difference(x: FullCoords, h: float = 1e-5) -> np.ndarray:
 
 
 def weyl_density_max_point() -> tuple[CanonicalCoords, float]:
-    """Locate the chamber density peak by grid scan plus simplex polish."""
-    n = 25
-    axis = np.linspace(0.0, np.pi, n)
-    grid = np.stack(
-        np.meshgrid(axis, axis / 2, axis / 2, indexing="ij"), axis=-1
-    ).reshape(-1, 3)
+    """Locate the chamber density peak by grid scan plus Newton polish."""
+    axis = np.linspace(0.0, np.pi, 25)
+    grid = np.stack(np.meshgrid(axis, axis / 2, axis / 2, indexing="ij"), axis=-1).reshape(-1, 3)
     grid = grid[in_weyl_chamber(grid[:, 0], grid[:, 1], grid[:, 2])]
-    start = grid[np.argmax(weyl_density(grid))]
+    c = grid[np.argmax(weyl_density(grid))]
 
     # The cosine form is smooth and signed, so the polish cannot be fooled
     # by the |.| kink on the chamber walls; the peak sits on the c3 = 0
     # face, and the even symmetry in c3 keeps it a genuine local maximum.
-    res = minimize(
-        lambda c: -weyl_density_cosine(c),
-        start,
-        method="Nelder-Mead",
-        options={"xatol": 1e-10, "fatol": 1e-14, "maxiter": 4000, "maxfev": 4000},
-    )
-    c = np.clip(np.asarray(res.x, dtype=float), 0.0, None)
-    return CanonicalCoords(float(c[0]), float(c[1]), float(c[2])), float(-res.fun)
-
-
-def metric_tensor_u4(x: FullCoords) -> np.ndarray:
-    """Metric with a leading global-phase coordinate prepended (16x16).
-
-    The phase direction is orthogonal to everything else and has squared
-    length 4 against the same generator normalisation.
-    """
-    G = np.zeros((16, 16))
-    G[0, 0] = 4.0
-    G[1:, 1:] = metric_tensor(x)
-    return G
-
-
-def full_haar_density_u4(x: FullCoords) -> float:
-    """Invariant density including a uniform phase angle on [0, pi/2)."""
-    return (2.0 / np.pi) * full_haar_density(x)
+    for _ in range(20):
+        grad, hess = _cosine_density_derivatives(c)
+        step = np.linalg.solve(hess, grad)
+        c = c - step
+        if np.abs(step).max() <= 1e-12:
+            break
+    else:
+        raise ConsistencyError("Newton polish of the density peak did not converge")
+    c = np.clip(c, 0.0, None)
+    return CanonicalCoords(float(c[0]), float(c[1]), float(c[2])), float(weyl_density_cosine(c))

@@ -32,14 +32,7 @@ class LocalInvariants:
     g3: float
 
     def __post_init__(self):
-        for name, bound in (("g1", 1.0), ("g2", 0.25), ("g3", 3.0)):
-            v = getattr(self, name)
-            if not np.isfinite(v):
-                raise ConsistencyError(f"{name} is not finite: {v!r}")
-            if abs(v) > bound + INVARIANT_RANGE_TOL:
-                raise ConsistencyError(
-                    f"{name} = {v!r} outside its exact range [-{bound}, {bound}]"
-                )
+        validate_invariant_ranges(self.g1, self.g2, self.g3, error=ConsistencyError)
 
     def as_tuple(self) -> tuple[float, float, float]:
         return (self.g1, self.g2, self.g3)
@@ -64,15 +57,18 @@ class PhaseAngle:
             raise ValidationError(f"phase angle must lie in [0, pi/2), got {self.chi!r}")
 
 
-def validate_invariant_ranges(g1: float, g2: float, g3: float) -> None:
-    """Reject user-supplied invariants outside their exact ranges."""
+def validate_invariant_ranges(
+    g1: float, g2: float, g3: float, error: type[Exception] = ValidationError
+) -> None:
+    """Reject invariants outside their exact ranges by raising ``error``.
+
+    User input gets the default; extracted invariants raise ConsistencyError.
+    """
     for name, v, bound in (("g1", g1, 1.0), ("g2", g2, 0.25), ("g3", g3, 3.0)):
         if not np.isfinite(v):
-            raise ValidationError(f"{name} must be finite, got {v!r}")
+            raise error(f"{name} must be finite, got {v!r}")
         if abs(v) > bound + INVARIANT_RANGE_TOL:
-            raise ValidationError(
-                f"{name} = {v!r} outside its exact range [-{bound}, {bound}]"
-            )
+            raise error(f"{name} = {v!r} outside its exact range [-{bound}, {bound}]")
 
 
 def project_su4(U) -> tuple[np.ndarray, PhaseAngle]:

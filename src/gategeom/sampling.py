@@ -61,24 +61,31 @@ def _alpha_from_uniform(u: np.ndarray) -> np.ndarray:
 
     Safeguarded Newton: steps that leave the current bracket fall back to
     bisection, so the flat CDF spots at multiples of 2 pi cannot trap it.
+    One end of the bracket may never move, so each element stops once its
+    step or its bracket is at round-off; later rounds skip it.
     """
     u = np.asarray(u, dtype=float)
-    lo = np.zeros_like(u)
-    hi = np.full_like(u, 4.0 * np.pi)
-    x = 4.0 * np.pi * u  # exact for the linear part of the CDF
-    target = 4.0 * np.pi * u
+    target = (4.0 * np.pi * u).ravel()
+    x = target.copy()  # exact for the linear part of the CDF
+    lo = np.zeros_like(x)
+    hi = np.full_like(x, 4.0 * np.pi)
+    active = np.arange(x.size)
     for _ in range(64):
-        f = x - np.sin(x) - target
-        lo = np.where(f < 0, x, lo)
-        hi = np.where(f > 0, x, hi)
-        df = 1.0 - np.cos(x)
+        xa, la, ha = x[active], lo[active], hi[active]
+        f = xa - np.sin(xa) - target[active]
+        la = np.where(f < 0, xa, la)
+        ha = np.where(f > 0, xa, ha)
+        df = 1.0 - np.cos(xa)
         step = np.divide(f, df, out=np.zeros_like(f), where=df > 1e-12)
-        cand = x - step
-        bad = (cand <= lo) | (cand >= hi) | (df <= 1e-12)
-        x = np.where(bad, 0.5 * (lo + hi), cand)
-        if np.abs(f).max(initial=0.0) < 1e-12 and np.abs(hi - lo).max() < 1e-12:
+        cand = xa - step
+        bad = (cand <= la) | (cand >= ha) | (df <= 1e-12)
+        new = np.where(bad, 0.5 * (la + ha), cand)
+        x[active], lo[active], hi[active] = new, la, ha
+        tol = 4.0 * np.finfo(float).eps * np.maximum(1.0, new)
+        active = active[(np.abs(new - xa) > tol) & (ha - la > tol)]
+        if active.size == 0:
             break
-    return x
+    return x.reshape(u.shape)
 
 
 def _su2_block(rng: np.random.Generator, m: int) -> np.ndarray:

@@ -12,7 +12,6 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from . import gates as gates_mod
 from . import geometry as geom
@@ -74,13 +73,13 @@ def _chamber_interior_points(rng, n: int, margin: float = 0.02) -> np.ndarray:
 def _check_chamber_normalization(seed, full):
     v = quad.integrate_over_chamber()
     dev = abs(v - 1.0)
-    return dev < 1e-6, f"chamber mass {v:.12f}, |dev| {dev:.2e}"
+    return dev < 1e-13, f"chamber mass {v:.12f}, |dev| {dev:.2e}"
 
 
 def _check_pe_quadrature(seed, full):
     v = quad.integrate_pe_region()
     dev = abs(v - vol.PE_VOLUME_CLOSED)
-    return dev < 1e-5, f"wedge mass {v:.12f} vs closed {vol.PE_VOLUME_CLOSED:.12f}"
+    return dev < 2e-14, f"wedge mass {v:.12f} vs closed {vol.PE_VOLUME_CLOSED:.12f}, |dev| {dev:.2e}"
 
 
 def _check_pe_mc(seed, full):
@@ -236,6 +235,8 @@ def _check_chi_square(seed, full):
 
 
 def _check_two_method_ks(seed, full):
+    from scipy import stats
+
     n = 200_000 if full else 40_000
     g_a = smp.sample_invariants(n, smp.SamplerConfig(seed=seed + 6, method="coordinate_density"))
     g_b = smp.sample_invariants(n, smp.SamplerConfig(seed=seed + 7, method="matrix_oracle"))
@@ -249,6 +250,8 @@ def chi_square_pvalue(coords: np.ndarray, probabilities: np.ndarray, min_expecte
     Bins with expected count below ``min_expected`` are pooled into one
     cell, the standard guard for the asymptotic distribution.
     """
+    from scipy import stats
+
     n1 = probabilities.shape[0]
     n = coords.shape[0]
     edges = (

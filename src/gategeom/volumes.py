@@ -20,7 +20,6 @@ from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
-from scipy.integrate import quad
 
 from .coords import in_weyl_chamber
 from .errors import RangeError, ValidationError
@@ -319,6 +318,8 @@ def cylinder_volume_g(center, radius: float, height: float) -> float:
 
 def cylinder_volume_quadrature(center, radius: float, height: float) -> float:
     """Independent route: polar angle integral with the radial part exact."""
+    from scipy.integrate import quad
+
     g1, g2 = (float(v) for v in center)
     R, h = float(radius), float(height)
     if R < 0 or h < 0:
@@ -364,6 +365,8 @@ def origin_volume_g(shape: str, size: float, height: float | None = None) -> flo
 
 def origin_volume_quadrature(shape: str, size: float, height: float | None = None) -> float:
     """Quadrature counterparts of :func:`origin_volume_g`."""
+    from scipy.integrate import quad
+
     s = float(size)
     if s < 0:
         raise ValidationError("size must be non-negative")

@@ -89,9 +89,9 @@ def test_criterion_01_pe_mass_by_quadrature(capsys):
     report(
         capsys,
         1,
-        dev <= 1e-5 and elapsed < 30.0,
+        dev <= 2e-14 and elapsed < 30.0,
         f"wedge mass {value:.10f} vs 8/(3 pi), |dev| {dev:.2e} "
-        f"(tol 1e-5), {elapsed:.1f}s (limit 30s)",
+        f"(tol 2e-14), {elapsed:.1f}s (limit 30s)",
     )
 
 
@@ -114,7 +114,7 @@ def test_criterion_02_pe_mass_by_sampling(capsys, oracle_sample):
 def test_criterion_03_chamber_density_normalised(capsys):
     value = integrate_over_chamber()
     dev = abs(value - 1.0)
-    report(capsys, 3, dev <= 1e-6, f"chamber mass {value:.10f}, |dev| {dev:.2e} (tol 1e-6)")
+    report(capsys, 3, dev <= 1e-13, f"chamber mass {value:.10f}, |dev| {dev:.2e} (tol 1e-13)")
 
 
 def test_criterion_04_cube_closed_forms(capsys):

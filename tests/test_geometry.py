@@ -10,13 +10,12 @@ from gategeom.geometry import (
     WEYL_DENSITY_MAX,
     det_g_closed,
     frame_finite_difference,
+    _cosine_density_derivatives,
     full_haar_density,
-    full_haar_density_u4,
     jacobian,
     jjt_closed,
     makhlin_density,
     metric_tensor,
-    metric_tensor_u4,
     su2_density,
     weyl_density,
     weyl_density_cosine,
@@ -165,6 +164,28 @@ class TestWeylDensity:
             weyl_density_cosine(grid), weyl_density(grid), atol=1e-12
         )
 
+    def test_newton_derivatives_match_finite_differences(self, rng):
+        h = 1e-4
+        steps = h * np.eye(3)
+        for c in rng.uniform(0.0, np.pi, (5, 3)):
+            grad, hess = _cosine_density_derivatives(c)
+            fd_grad = [
+                (weyl_density_cosine(c + e) - weyl_density_cosine(c - e)) / (2 * h)
+                for e in steps
+            ]
+            fd_hess = [
+                [
+                    (
+                        weyl_density_cosine(c + e + f) - weyl_density_cosine(c + e - f)
+                        - weyl_density_cosine(c - e + f) + weyl_density_cosine(c - e - f)
+                    ) / (4 * h * h)
+                    for f in steps
+                ]
+                for e in steps
+            ]
+            np.testing.assert_allclose(grad, fd_grad, atol=1e-6)
+            np.testing.assert_allclose(hess, fd_hess, atol=1e-5)
+
     def test_located_maximum(self):
         point, value = weyl_density_max_point()
         assert value == pytest.approx(12.0 / np.pi, abs=1e-8)
@@ -186,6 +207,23 @@ class TestSu2Density:
 
     def test_azimuth_does_not_enter(self):
         assert su2_density(1.0, 1.0, 0.3) == su2_density(1.0, 1.0, 5.9)
+
+
+def metric_tensor_u4(x: FullCoords) -> np.ndarray:
+    """Metric with a leading global-phase coordinate prepended (16x16).
+
+    The phase direction is orthogonal to everything else and has squared
+    length 4 against the same generator normalisation.
+    """
+    G = np.zeros((16, 16))
+    G[0, 0] = 4.0
+    G[1:, 1:] = metric_tensor(x)
+    return G
+
+
+def full_haar_density_u4(x: FullCoords) -> float:
+    """Invariant density including a uniform phase angle on [0, pi/2)."""
+    return (2.0 / np.pi) * full_haar_density(x)
 
 
 class TestFullHaarDensity:

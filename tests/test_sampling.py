@@ -13,6 +13,7 @@ from gategeom.invariants import g_from_c
 from gategeom.sampling import (
     BLOCK_SIZE,
     SamplerConfig,
+    _alpha_from_uniform,
     export_csv,
     export_jsonl,
     sample_canonical,
@@ -26,6 +27,23 @@ from gategeom.volumes import PE_VOLUME_CLOSED
 
 def rotation_angle_cdf(alpha):
     return (np.asarray(alpha) - np.sin(alpha)) / (4.0 * np.pi)
+
+
+def alpha_all_rounds(u):
+    """The rotation-angle inversion run for all 64 rounds on every element."""
+    lo = np.zeros_like(u)
+    hi = np.full_like(u, 4.0 * np.pi)
+    x = target = 4.0 * np.pi * u
+    for _ in range(64):
+        f = x - np.sin(x) - target
+        lo = np.where(f < 0, x, lo)
+        hi = np.where(f > 0, x, hi)
+        df = 1.0 - np.cos(x)
+        step = np.divide(f, df, out=np.zeros_like(f), where=df > 1e-12)
+        cand = x - step
+        bad = (cand <= lo) | (cand >= hi) | (df <= 1e-12)
+        x = np.where(bad, 0.5 * (lo + hi), cand)
+    return x
 
 
 class TestSamplerConfig:
@@ -76,6 +94,15 @@ class TestMarginals:
         for col in (0, 3, 6, 9):
             stat = kstest(x[:, col], rotation_angle_cdf)
             assert stat.pvalue > 0.01, f"alpha column {col}: p={stat.pvalue}"
+
+    def test_rotation_angle_early_stop_matches_all_rounds(self):
+        near = np.logspace(-15, -1, 300)
+        u = np.concatenate(
+            [[0.0, 0.5], near, 0.5 - near, 0.5 + near, 1.0 - near, np.linspace(0.0, 1.0, 2001)]
+        )
+        got = _alpha_from_uniform(u)
+        assert np.abs(got - alpha_all_rounds(u)).max() <= 1e-13
+        assert np.abs(rotation_angle_cdf(got) - u).max() <= 1e-14
 
     def test_axis_direction_marginals(self):
         n = 100_000
