@@ -19,13 +19,7 @@ from . import __version__
 from .coords import CanonicalCoords, in_weyl_chamber
 from .errors import RangeError, ValidationError
 from .gates import NAMED_GATE_POINTS, matrix_from_json_dict, require_unitary
-from .invariants import (
-    canonical_coords,
-    g_from_c,
-    makhlin_invariants,
-    project_su4,
-    validate_invariant_ranges,
-)
+from .invariants import canonical_coords, g_from_c, project_su4, validate_invariant_ranges
 from .geometry import weyl_density
 from .sampling import (
     SamplerConfig,
@@ -38,6 +32,10 @@ from .sampling import (
 from . import volumes as vol
 
 _FMT = "%.12g"
+#: Class reports print c, g and chi (all of order one) below this
+#: magnitude as 0: such values are round-off of an exact zero, and their
+#: digits depend on the numpy build.
+_ZERO_FLOOR = 5e-13
 
 #: Agreement bands for the multi-method volume reports: deterministic
 #: routes must match to this relative tolerance, Monte Carlo to this
@@ -64,6 +62,11 @@ def _round_floats(obj):
     if isinstance(obj, (list, tuple)):
         return [_round_floats(v) for v in obj]
     return obj
+
+
+def _snap(values) -> list[float]:
+    """Values of a class report with round-off of zero printed as 0."""
+    return [0.0 if abs(v) < _ZERO_FLOOR else float(v) for v in values]
 
 
 def _dumps(payload) -> str:
@@ -150,10 +153,9 @@ def cli():
 
 
 def _class_report(c: CanonicalCoords) -> dict:
-    g = g_from_c(c.as_array())
     return {
-        "c": [float(v) for v in c.as_tuple()],
-        "g": [float(v) for v in g],
+        "c": _snap(c.as_tuple()),
+        "g": _snap(g_from_c(c.as_array())),
         "perfect_entangler": bool(vol.is_perfect_entangler(c.as_array())),
         "density": float(weyl_density(c.as_array())),
     }
@@ -185,12 +187,9 @@ def invariants(matrix, coords, as_json):
         report = _class_report(_coords_option(coords))
     else:
         U = _read_matrix(matrix)
-        g = makhlin_invariants(U)
-        c = canonical_coords(U)
         _, phase = project_su4(U)
-        report = _class_report(c)
-        report["g"] = list(g.as_tuple())
-        report["chi"] = phase.chi
+        report = _class_report(canonical_coords(U))
+        report["chi"] = _snap([phase.chi])[0]
         report = {k: report[k] for k in ("g", "c", "chi", "perfect_entangler", "density")}
     _emit(report, as_json)
 
@@ -203,7 +202,7 @@ def canonicalize(matrix, as_json):
     U = _read_matrix(matrix)
     _, phase = project_su4(U)
     c = canonical_coords(U)
-    _emit({"c": list(c.as_tuple()), "chi": phase.chi}, as_json)
+    _emit({"c": _snap(c.as_tuple()), "chi": _snap([phase.chi])[0]}, as_json)
 
 
 @cli.command()

@@ -16,6 +16,7 @@ arguments.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -119,7 +120,7 @@ class CanonicalCoords:
     c3: float
 
     def __post_init__(self):
-        if not np.all(np.isfinite([self.c1, self.c2, self.c3])):
+        if not all(map(math.isfinite, (self.c1, self.c2, self.c3))):
             raise ValidationError("canonical coordinates must be finite")
 
     def in_chamber(self, tol: float = CHAMBER_TOL) -> bool:

@@ -28,8 +28,8 @@ class ConsistencyError(RuntimeError):
 class InvalidInvariantsError(ValueError):
     """Invariant triple does not correspond to any two-qubit gate class.
 
-    Raised by the cubic inversion when its intermediate cosine arguments
-    leave [-1, 1] by more than the clamp budget.
+    Raised by the cubic inversion when the cubic's coefficients are
+    further than its round-off budget from those of any gate.
     """
 
 

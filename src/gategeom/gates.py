@@ -18,6 +18,7 @@ from .errors import ValidationError
 UNITARITY_INPUT_TOL = 1e-10
 
 IDENTITY_2 = np.eye(2, dtype=complex)
+_IDENTITY_4 = np.eye(4)
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
@@ -86,12 +87,23 @@ def require_unitary(U, tol: float = UNITARITY_INPUT_TOL, what: str = "matrix") -
     U = np.asarray(U, dtype=complex)
     if U.shape != (4, 4):
         raise ValidationError(f"{what} must be 4x4, got shape {U.shape}")
-    if not np.all(np.isfinite(U.view(float))):
-        raise ValidationError(f"{what} contains non-finite entries")
-    dev = np.abs(U.conj().T @ U - np.eye(4)).max()
-    if dev > tol:
+    return require_unitary_stack(U[None], tol, what)[0]
+
+
+def require_unitary_stack(
+    U, tol: float = UNITARITY_INPUT_TOL, what: str = "matrix"
+) -> np.ndarray:
+    """Validate and return ``U`` as an (n, 4, 4) stack, one residual per row."""
+    U = np.asarray(U, dtype=complex)
+    if U.ndim != 3 or U.shape[1:] != (4, 4):
+        raise ValidationError(f"expected a stack of 4x4 matrices, got shape {U.shape}")
+    dev = np.abs(U.conj().transpose(0, 2, 1) @ U - _IDENTITY_4).max(axis=(1, 2))
+    worst = int(np.argmax(dev))  # the first NaN, if any
+    if not dev[worst] <= tol:  # also rejects NaN and infinite entries
+        where = f" at index {worst}" if U.shape[0] > 1 else ""
         raise ValidationError(
-            f"unitarity violation: max|U^dag U - I| = {dev:.3e} exceeds {tol:.1e}"
+            f"{what}: unitarity violation{where}: "
+            f"max|U^dag U - I| = {dev[worst]:.3e} exceeds {tol:.1e}"
         )
     return U
 

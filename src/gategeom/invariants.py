@@ -2,9 +2,11 @@
 invariant space and the Weyl chamber.
 
 The three real invariants (g1, g2, g3) classify gates up to single-qubit
-rotations on either side.  ``g_from_c`` and ``c_from_g`` convert between
-them and canonical chamber coordinates; ``makhlin_invariants`` extracts
-them from an explicit unitary via the Bell-basis congruence ``m = U_B^T U_B``.
+rotations on either side.  ``canonical_coords_batch`` is the one map from
+unitaries to chamber coordinates: it reads them off the eigenphases of
+the Bell-basis congruence ``m = U_B^T U_B``.  ``g_from_c`` and
+``c_from_g`` convert between coordinates and invariants; every invariant
+of a matrix is ``g_from_c`` of its coordinates.
 """
 from __future__ import annotations
 
@@ -12,15 +14,25 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coords import CHAMBER_TOL, CanonicalCoords, coerce_triple, in_weyl_chamber
+from .coords import CanonicalCoords, coerce_triple, in_weyl_chamber
 from .errors import ConsistencyError, InvalidInvariantsError, ValidationError
-from .gates import MAGIC_BASIS, require_unitary
+from .gates import MAGIC_BASIS, require_unitary, require_unitary_stack
 
 #: Slack allowed on the exact ranges |g1| <= 1, |g2| <= 1/4, |g3| <= 3.
 INVARIANT_RANGE_TOL = 1e-9
-#: How far outside [-1, 1] an arccos argument may fall before the input
-#: is rejected as inconsistent rather than silently clamped.
-CLAMP_BUDGET = 1e-8
+#: Round-off allowed in the coefficients of ``c_from_g``'s cubic, relative
+#: to their size; invariants further from those of any gate are rejected.
+CLAMP_BUDGET = 1e-12
+#: On the face c3 <= FACE_TOL, (c1, c2, c3) and (pi - c1, c2, c3) are taken
+#: as one class, and the form with c1 <= pi/2 is returned.
+FACE_TOL = 1e-13
+
+#: Weight of Im m in the real symmetric mix whose eigenvectors diagonalise
+#: m; irrational, so that distinct eigenvalues of m stay apart in the mix.
+_MIX = np.sqrt(2.0) - 1.0
+#: Off-diagonal of O^T Im(m) O beyond which the mix had a tie by chance.
+_TIE_TOL = 1e-13
+_OFF_DIAGONAL = 1.0 - np.eye(4)
 
 
 @dataclass(frozen=True)
@@ -85,21 +97,49 @@ def project_su4(U) -> tuple[np.ndarray, PhaseAngle]:
     return np.exp(-1j * chi) * U, PhaseAngle(chi)
 
 
-def _makhlin_batch(U: np.ndarray) -> np.ndarray:
-    """Invariant triples for a stack of unitaries, shape (n, 4, 4) -> (n, 3)."""
-    Q = MAGIC_BASIS
-    UB = np.einsum("ij,njk,kl->nil", Q.conj().T, U, Q, optimize=True)
-    m = np.transpose(UB, (0, 2, 1)) @ UB
-    tr_m = np.einsum("nii->n", m)
-    tr_m2 = np.einsum("nij,nji->n", m, m)
+def canonical_coords_batch(U) -> np.ndarray:
+    """Chamber coordinates of a stack of unitaries, (n, 4, 4) -> (n, 3).
+
+    Every row is validated as unitary.  m = U_B^T U_B is unitary and
+    symmetric, so m = O D O^T with O real orthogonal, which diagonalises
+    Re m + r Im m.  Half the eigenphases lam_k of m for the SU(4)
+    representative give c = -(lam0 + lam1, lam1 + lam3, lam0 + lam3) up to
+    a Weyl-group move, for any order and branch; the fold reduces each c_i
+    modulo pi, sorts |c_i| in descending order and, if an odd number of
+    the c_i were negative, maps c1 to pi - c1 (except on the c3 = 0 face,
+    see ``FACE_TOL``).  Walls included, every point comes out to about 1e-15.
+    """
+    return _spectral_coords(require_unitary_stack(U))
+
+
+def _spectral_coords(U: np.ndarray) -> np.ndarray:
+    """:func:`canonical_coords_batch` of a stack already known to be unitary."""
     det = np.linalg.det(U)
-    w = tr_m * tr_m / (16.0 * det)
-    g3c = (tr_m * tr_m - tr_m2) / (4.0 * det)
-    if np.abs(g3c.imag).max(initial=0.0) > 1e-9:
-        raise ConsistencyError(
-            f"third invariant has residual imaginary part {np.abs(g3c.imag).max():.3e}"
-        )
-    return np.stack([w.real, -w.imag, g3c.real], axis=-1)
+    V = U @ MAGIC_BASIS
+    # m = V^T P V with P = conj(Q) Q^dag = antidiag(1, -1, -1, 1).
+    X = V[:, 0, :, None] * V[:, 3, None, :] - V[:, 1, :, None] * V[:, 2, None, :]
+    m = X + X.transpose(0, 2, 1)
+    w, O = np.linalg.eigh(m.real + _MIX * m.imag)
+    # Im D is the diagonal of O^T Im(m) O, and w = Re D + r Im D.
+    S = O.transpose(0, 2, 1) @ m.imag @ O
+    im = np.diagonal(S, axis1=1, axis2=2)
+    eig = (w - _MIX * im) + 1j * im
+    tied = np.abs(S * _OFF_DIAGONAL).max(axis=(1, 2)) > _TIE_TOL
+    if tied.any():
+        eig[tied] = np.linalg.eigvals(m[tied])
+    lam = np.angle(eig) / 2.0 - np.angle(det)[:, None] / 4.0
+    c = -(lam[:, [0, 1, 0]] + lam[:, [1, 3, 3]])
+    c -= np.pi * np.rint(c / np.pi)
+    odd = c.prod(axis=-1) < 0.0  # an odd number of negative c_i
+    c = -np.sort(-np.abs(c), axis=-1)
+    flip = odd & (c[:, 2] > FACE_TOL)
+    c[flip, 0] = np.pi - c[flip, 0]
+    return c
+
+
+def canonical_coords(U) -> CanonicalCoords:
+    """Chamber coordinates of a unitary's local-equivalence class."""
+    return CanonicalCoords(*_spectral_coords(require_unitary(U)[None])[0].tolist())
 
 
 def makhlin_invariants(U) -> LocalInvariants:
@@ -108,9 +148,7 @@ def makhlin_invariants(U) -> LocalInvariants:
     The result is independent of global phase and of single-qubit
     rotations applied before or after the gate.
     """
-    U = require_unitary(U)
-    g = _makhlin_batch(U[None])[0]
-    return LocalInvariants(float(g[0]), float(g[1]), float(g[2]))
+    return invariants_at(canonical_coords(U))
 
 
 def g_from_c(c, /):
@@ -134,43 +172,40 @@ def invariants_at(c) -> LocalInvariants:
     return LocalInvariants(float(g[0]), float(g[1]), float(g[2]))
 
 
-def _checked_arccos(z: np.ndarray, what: str) -> np.ndarray:
-    over = np.abs(z) - 1.0
-    worst = over.max(initial=0.0)
-    if worst > CLAMP_BUDGET:
-        raise InvalidInvariantsError(
-            f"{what} leaves [-1, 1] by {worst:.3e}; no gate has these invariants"
-        )
-    return np.arccos(np.clip(z, -1.0, 1.0))
-
-
 def _c_from_g_batch(g: np.ndarray) -> np.ndarray:
     """Chamber coordinates from invariant triples, (n, 3) -> (n, 3).
 
     The three cosines cos(2 c_i) are the roots of a real cubic whose
     coefficients are polynomial in the invariants; with valid input the
     discriminant is non-positive, so the trigonometric three-real-root
-    formula applies throughout.
+    formula applies throughout.  Round-off is judged against the size of
+    the coefficients; k equal roots move by the k-th root of a change in
+    them, so root cosines may leave [-1, 1] by the cube root of the budget.
     """
     g1, g2, g3 = g[:, 0], g[:, 1], g[:, 2]
-    rho = np.hypot(g1, g2)
-    # Depressed form t^3 + p t + q of z^3 - g3 z^2 + (4 rho - 1) z + (g3 - 4 g1).
-    p = (4.0 * rho - 1.0) - g3 * g3 / 3.0
-    q = -2.0 * g3**3 / 27.0 + g3 * (4.0 * rho - 1.0) / 3.0 + (g3 - 4.0 * g1)
-    if p.max(initial=-np.inf) > CLAMP_BUDGET:
-        raise InvalidInvariantsError(
-            f"cubic discriminant condition violated (p = {p.max():.3e} > 0); "
-            "no gate has these invariants"
-        )
+    # z^3 - g3 z^2 + e2 z - e3 with e2 = 4 rho - 1 and e3 = 4 g1 - g3.
+    e2 = 4.0 * np.hypot(g1, g2) - 1.0
+    e3 = 4.0 * g1 - g3
+    budget = CLAMP_BUDGET * (1.0 + np.abs(g3) + np.abs(e2) + np.abs(e3))
+    # Depressed form t^3 + p t + q, t = z - g3/3.
+    p = e2 - g3 * g3 / 3.0
+    q = -2.0 * g3**3 / 27.0 + g3 * e2 / 3.0 - e3
     m = 2.0 * np.sqrt(np.maximum(-p, 0.0) / 3.0)
-    pm = p * m
-    degenerate = np.abs(pm) < 1e-300
-    arg = np.where(degenerate, 0.0, 3.0 * q / np.where(degenerate, 1.0, pm))
-    phi = _checked_arccos(arg, "cubic root parameter") / 3.0
+    # Three real roots need p <= 0 and |q| <= m^3/4; clamping the arccos
+    # argument changes q by the excess.
+    edge = m**3 / 4.0
+    arg = np.divide(-q, edge, out=np.zeros_like(q), where=edge > 0.0)
+    phi = np.arccos(np.clip(arg, -1.0, 1.0)) / 3.0
     k = np.arange(3.0)
     t = m[:, None] * np.cos(phi[:, None] - 2.0 * np.pi * k / 3.0)
     z = np.sort(t + (g3 / 3.0)[:, None], axis=-1)
-    half = _checked_arccos(z, "root cosine") / 2.0
+    over = np.abs(z).max(axis=-1) - 1.0
+    bad = (p > budget) | (np.abs(q) - edge > budget) | (over > np.cbrt(budget))
+    if bad.any():
+        raise InvalidInvariantsError(
+            f"no gate has the invariants {tuple(g[bad][0])}, not even within round-off"
+        )
+    half = np.arccos(np.clip(z, -1.0, 1.0)) / 2.0
     c1 = np.where(g2 >= 0.0, half[:, 0], np.pi - half[:, 0])
     return np.stack([c1, half[:, 1], half[:, 2]], axis=-1)
 
@@ -179,8 +214,14 @@ def c_from_g(g1: float, g2: float, g3: float) -> CanonicalCoords:
     """Chamber point with the given invariants.
 
     Raises :class:`InvalidInvariantsError` when no such point exists
-    (beyond a small numerical clamp budget) and :class:`ConsistencyError`
-    if the recovered point unexpectedly misses the chamber.
+    (beyond the round-off budget ``CLAMP_BUDGET``) and
+    :class:`ConsistencyError` if the recovered point unexpectedly misses
+    the chamber.
+
+    Accuracy is that of the cubic's roots, measured on ``g_from_c`` of
+    chamber points: about 1e-15 in the bulk, ~sqrt(eps) on faces (worst
+    3e-7), 3e-4 on the edges c2 = c3 = 0 and c1 = c2 = pi/2, and 2e-3 within
+    1e-2 of a vertex.  :func:`canonical_coords` of a matrix has no such loss.
     """
     validate_invariant_ranges(g1, g2, g3)
     c = _c_from_g_batch(np.array([[g1, g2, g3]], dtype=float))[0]
@@ -189,17 +230,6 @@ def c_from_g(g1: float, g2: float, g3: float) -> CanonicalCoords:
             f"recovered coordinates {tuple(c)} are outside the chamber"
         )
     return CanonicalCoords(float(c[0]), float(c[1]), float(c[2]))
-
-
-def canonical_coords(U) -> CanonicalCoords:
-    """Chamber coordinates of a unitary's local-equivalence class."""
-    inv = makhlin_invariants(U)
-    return c_from_g(inv.g1, inv.g2, inv.g3)
-
-
-def _canonical_coords_batch(U: np.ndarray) -> np.ndarray:
-    """Batch version for stacks (n, 4, 4) -> (n, 3); skips per-row checks."""
-    return _c_from_g_batch(_makhlin_batch(U))
 
 
 def locally_equivalent(U, V, tol: float = 1e-9) -> bool:

@@ -23,9 +23,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .gates import _assemble_batch, matrix_to_json_dict
+from .gates import _assemble_batch, matrix_to_json_dict, require_unitary_stack
 from .geometry import WEYL_DENSITY_MAX, weyl_density
-from .invariants import _canonical_coords_batch, _makhlin_batch, g_from_c
+from .invariants import _spectral_coords, g_from_c
 from .volumes import is_perfect_entangler
 
 #: Samples per deterministic stream block.
@@ -132,14 +132,35 @@ def _full_block(rng: np.random.Generator, m: int) -> np.ndarray:
     return out
 
 
+def _haar_block(rng: np.random.Generator, m: int) -> np.ndarray:
+    """Haar unitaries, shape (m, 4, 4), from a complex Ginibre block.
+
+    Gram-Schmidt on the columns, each orthogonalised twice to stay at
+    round-off, is the QR factor whose R has a positive diagonal, which is
+    exactly Haar distributed.
+    """
+    q = rng.standard_normal((m, 4, 4)) + 1j * rng.standard_normal((m, 4, 4))
+    for j in range(4):
+        v = q[:, :, j]
+        for _ in range(2 if j else 0):
+            p = q[:, :, :j]
+            v = v - np.einsum("nij,nj->ni", p, np.einsum("nij,ni->nj", p.conj(), v))
+        q[:, :, j] = v / np.sqrt(np.einsum("ni,ni->n", v.conj(), v).real)[:, None]
+    return q
+
+
 def _matrix_block(rng: np.random.Generator, m: int) -> np.ndarray:
-    """Haar unitaries from Ginibre + QR, det-projected, shape (m, 4, 4)."""
-    z = rng.standard_normal((m, 4, 4)) + 1j * rng.standard_normal((m, 4, 4))
-    q, r = np.linalg.qr(z)
-    diag = np.einsum("nii->ni", r)
-    q = q * (diag / np.abs(diag))[:, None, :]
-    det = np.linalg.det(q)
-    return q * np.exp(-1j * np.angle(det) / 4.0)[:, None, None]
+    """Haar unitaries projected to determinant one, shape (m, 4, 4)."""
+    q = _haar_block(rng, m)
+    return q * np.exp(-1j * np.angle(np.linalg.det(q)) / 4.0)[:, None, None]
+
+
+def _oracle_coords_block(rng: np.random.Generator, m: int) -> np.ndarray:
+    """Chamber coordinates of one block of Haar unitaries, shape (m, 3).
+
+    Unitary by construction, and the kernel strips the phase itself.
+    """
+    return _spectral_coords(_haar_block(rng, m))
 
 
 def _run_blocks(n: int, config: SamplerConfig, block_fn) -> np.ndarray:
@@ -166,7 +187,7 @@ def sample_canonical(n: int, config: SamplerConfig = SamplerConfig()) -> np.ndar
     """Chamber coordinates of ``n`` random gates, shape (n, 3)."""
     if config.method == "coordinate_density":
         return _run_blocks(n, config, _chamber_block)
-    return _canonical_coords_batch(_run_blocks(n, config, _matrix_block))
+    return _run_blocks(n, config, _oracle_coords_block)
 
 
 def sample_gates(n: int, config: SamplerConfig = SamplerConfig()) -> np.ndarray:
@@ -187,9 +208,7 @@ def sample_full_coords(n: int, config: SamplerConfig = SamplerConfig()) -> np.nd
 
 def sample_invariants(n: int, config: SamplerConfig = SamplerConfig()) -> np.ndarray:
     """Invariant triples (g1, g2, g3) of random gates, shape (n, 3)."""
-    if config.method == "coordinate_density":
-        return g_from_c(_run_blocks(n, config, _chamber_block))
-    return _makhlin_batch(_run_blocks(n, config, _matrix_block))
+    return g_from_c(sample_canonical(n, config))
 
 
 def summarize_samples(coords: np.ndarray) -> dict:
@@ -233,17 +252,15 @@ def export_csv(path, coords: np.ndarray) -> None:
 def export_jsonl(path, gates: np.ndarray, include_invariants: bool = True) -> None:
     """Write gate matrices as JSON lines.
 
-    ``path`` may also be an open text stream.  Each line carries the
-    matrix in the ``[[re, im], ...]`` grid format; with
-    ``include_invariants`` the canonical coordinates and invariant
-    triple are attached as well.
+    ``path`` may also be an open text stream; every matrix must be
+    unitary.  Each line carries the matrix in the ``[[re, im], ...]`` grid
+    format; with ``include_invariants`` the canonical coordinates and
+    invariant triple are attached as well.
     """
-    gates = np.asarray(gates, dtype=complex)
-    if gates.ndim != 3 or gates.shape[1:] != (4, 4):
-        raise ValidationError("expected a stack of 4x4 matrices")
+    gates = require_unitary_stack(gates, what="gate stack")
     if include_invariants:
-        g = _makhlin_batch(gates)
-        c = _canonical_coords_batch(gates)
+        c = _spectral_coords(gates)
+        g = g_from_c(c)
         pe = is_perfect_entangler(c)
     with _sink(path) as fh:
         for i in range(gates.shape[0]):

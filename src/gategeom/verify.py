@@ -166,7 +166,7 @@ def _check_matrix_invariants(seed, full):
         worst = max(worst, np.abs(got - want).max())
         back = inv.canonical_coords(U).as_array()
         worst = max(worst, np.abs(back - x.c.as_array()).max())
-    return worst < 1e-8, f"worst matrix-extraction deviation {worst:.2e}"
+    return worst < 1e-13, f"worst matrix-extraction deviation {worst:.2e}"
 
 
 def _check_jacobian(seed, full):

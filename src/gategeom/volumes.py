@@ -13,6 +13,7 @@ corners and edges.  A chamber-clipped variant is available through
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -107,8 +108,12 @@ class _TrigSeries:
     _MAX_POWER = 72
 
     def __init__(self, terms: Sequence[tuple[int, str, int]], prefactor: Fraction):
+        self._terms, self._prefactor = terms, prefactor
+
+    @functools.cached_property
+    def _coeffs(self) -> np.ndarray:  # on first use, not at import
         coeffs = [Fraction(0)] * (self._MAX_POWER + 1)
-        for coef, kind, k in terms:
+        for coef, kind, k in self._terms:
             coef = Fraction(coef)
             if kind == "a":
                 coeffs[1] += coef
@@ -127,7 +132,7 @@ class _TrigSeries:
                     break
                 coeffs[power] += coef * num
                 n += 1
-        self._coeffs = np.array([float(prefactor * c) for c in coeffs]) / np.pi
+        return np.array([float(self._prefactor * c) for c in coeffs]) / np.pi
 
     def __call__(self, a):
         a = np.asarray(a, dtype=float)

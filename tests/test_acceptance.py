@@ -233,9 +233,9 @@ def test_criterion_08_coordinate_invariant_round_trip(capsys):
     report(
         capsys,
         8,
-        worst_rt <= 1e-9 and worst_gate <= 1e-8,
+        worst_rt <= 1e-9 and worst_gate <= 1e-13,
         f"10^4 coordinate round-trips: worst |dev| {worst_rt:.2e} (tol 1e-9); "
-        f"50 dressed gates re-canonicalised: worst |dev| {worst_gate:.2e} (tol 1e-8)",
+        f"50 dressed gates re-canonicalised: worst |dev| {worst_gate:.2e} (tol 1e-13)",
     )
 
 

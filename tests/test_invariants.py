@@ -1,14 +1,19 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import interior_chamber_points, random_full_coords, random_su2_params
 from gategeom.coords import SU2_IDENTITY, FullCoords, in_weyl_chamber
 from gategeom.errors import ConsistencyError, InvalidInvariantsError, ValidationError
 from gategeom.gates import CNOT, SWAP, abelian_gate, assemble, local_gate
 from gategeom.invariants import (
+    FACE_TOL,
     LocalInvariants,
+    _MIX,
     c_from_g,
     canonical_coords,
+    canonical_coords_batch,
     g_from_c,
     invariants_at,
     locally_equivalent,
@@ -218,3 +223,140 @@ class TestLocalEquivalence:
     def test_phase_shifted_copy_is_equivalent(self, rng):
         U = assemble(random_full_coords(rng))
         assert locally_equivalent(U, np.exp(1j * 1.234) * U)
+
+
+# --- the spectral kernel on the chamber's boundary ---------------------------
+
+#: Vertices of the chamber tetrahedron; its faces are c3 = 0 (0, 1, 2),
+#: c2 = c3 (0, 1, 3), c1 = c2 (0, 2, 3) and c1 + c2 = pi (1, 2, 3).
+CHAMBER_VERTICES = np.array(
+    [(0.0, 0.0, 0.0), (np.pi, 0.0, 0.0), (np.pi / 2, np.pi / 2, 0.0), (np.pi / 2,) * 3]
+)
+SIMPLICES = [(v,) for v in range(4)] + [
+    (0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3),
+    (0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3),
+]
+
+
+def class_distance(c, true) -> float:
+    """Max-norm distance allowing the c3 = 0 face identification."""
+    c, true = np.asarray(c, dtype=float), np.asarray(true, dtype=float)
+    mirror = np.array([np.pi - true[0], true[1], -true[2]])
+    return float(min(np.abs(c - true).max(), np.abs(c - mirror).max()))
+
+
+def dressed(rng, c) -> np.ndarray:
+    """k1 A(c) k2 with random local gates and a random global phase."""
+    def local():
+        return local_gate(random_su2_params(rng, 0.0), random_su2_params(rng, 0.0))
+
+    return np.exp(2j * np.pi * rng.random()) * local() @ abelian_gate(c) @ local()
+
+
+def boundary_point(simplex, weights) -> np.ndarray:
+    w = np.asarray(weights[: len(simplex)], dtype=float) + 1e-3
+    return (w / w.sum()) @ CHAMBER_VERTICES[list(simplex)]
+
+
+class TestSpectralKernel:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        simplex=st.sampled_from(SIMPLICES),
+        weights=st.lists(st.floats(0.0, 1.0), min_size=3, max_size=3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_boundary_points_recovered(self, simplex, weights, seed):
+        c = boundary_point(simplex, weights)
+        got = canonical_coords(dressed(np.random.default_rng(seed), c))
+        assert got.in_chamber(tol=1e-15)
+        assert class_distance(got.as_tuple(), c) <= 1e-12
+
+    @pytest.mark.parametrize(
+        "family,points",
+        [
+            ("xx", [(t, 0.0, 0.0) for t in (1e-9, 1e-6, 1e-4, 0.3, np.pi / 2, 2.5, np.pi - 1e-6)]),
+            ("xy", [(t, t, 0.0) for t in (1e-9, 1e-6, 1e-4, 0.4, np.pi / 2 - 1e-7, np.pi / 2)]),
+            ("heisenberg", [(t, t, t) for t in (1e-9, 1e-6, 1e-4, np.pi / 4, np.pi / 2 - 1e-7)]),
+            ("near identity", [(3e-5, 2e-5, 1e-5), (1e-8, 1e-9, 1e-10)]),
+            ("near swap", [(np.pi / 2 - d, np.pi / 2 - 2 * d, np.pi / 2 - 3 * d) for d in (1e-5, 1e-8)]),
+            ("near cnot", [(np.pi / 2 + d, d, d / 2) for d in (1e-5, 1e-8)]),
+        ],
+    )
+    def test_gate_families(self, rng, family, points):
+        for c in points:
+            got = canonical_coords(dressed(rng, c))
+            assert class_distance(got.as_tuple(), c) <= 1e-12, (family, c, got)
+
+    @pytest.mark.parametrize("theta", [1e-6, 1e-4, 1e-3, 0.1, 0.25, 0.5, np.pi, 5.0])
+    def test_cphase(self, rng, theta):
+        k1 = local_gate(random_su2_params(rng, 0.0), random_su2_params(rng, 0.0))
+        k2 = local_gate(random_su2_params(rng, 0.0), random_su2_params(rng, 0.0))
+        U = k1 @ np.diag([1.0, 1.0, 1.0, np.exp(1j * theta)]) @ k2
+        got = canonical_coords(U)
+        assert class_distance(got.as_tuple(), (theta / 2, 0.0, 0.0)) <= 1e-12
+
+    def test_dressed_bulk_batch(self, rng):
+        pts = interior_chamber_points(rng, 2000, margin=0.0)
+        U = np.array([dressed(rng, c) for c in pts])
+        assert np.abs(canonical_coords_batch(U) - pts).max() <= 1e-12
+
+    def test_scalar_equals_batch_row(self, rng):
+        pts = np.concatenate(
+            [interior_chamber_points(rng, 50), [boundary_point(s, (0.3, 0.5, 0.2)) for s in SIMPLICES]]
+        )
+        U = np.array([dressed(rng, c) for c in pts])
+        batch = canonical_coords_batch(U)
+        for i in range(U.shape[0]):
+            assert canonical_coords(U[i]).as_tuple() == tuple(batch[i])
+
+    def test_face_convention(self, rng):
+        """On c3 = 0 both (c1, c2, 0) and (pi - c1, c2, 0) give c1 <= pi/2."""
+        for c in [(2.5, 0.3, 0.0), (0.64, 0.3, 0.0), (2.0, 0.0, 0.0), (np.pi, 0.0, 0.0)]:
+            got = canonical_coords(dressed(rng, c)).as_tuple()
+            assert got[0] <= np.pi / 2 and got[2] <= FACE_TOL
+            assert class_distance(got, c) <= 1e-12
+
+    def test_accidental_tie_takes_general_eigensolver(self, rng, monkeypatch):
+        """A global phase that makes two eigenvalues of m tie in the mix.
+
+        For exp(i phi) A(c), m has the eigenphases -(s . c) + 2 phi; those of
+        s = (+,-,+) and (+,+,-) sum to -2 c1 + 4 phi, and cos t + r sin t
+        takes one value at two phases t that sum to 2 atan(r).  Local gates
+        mix the tied eigenvectors, so only the general solver gets D right.
+        """
+        calls = []
+        eigvals = np.linalg.eigvals
+        monkeypatch.setattr(np.linalg, "eigvals", lambda a: calls.append(a.shape) or eigvals(a))
+        c = np.array([0.7, 0.3, 0.1])
+        phi = (2.0 * np.arctan(_MIX) + 2.0 * c[0]) / 4.0
+        k1 = local_gate(random_su2_params(rng, 0.0), random_su2_params(rng, 0.0))
+        k2 = local_gate(random_su2_params(rng, 0.0), random_su2_params(rng, 0.0))
+        got = canonical_coords(np.exp(1j * phi) * k1 @ abelian_gate(c) @ k2)
+        assert calls == [(1, 4, 4)]
+        assert np.abs(np.array(got.as_tuple()) - c).max() <= 1e-12
+
+    def test_rejects_non_unitary_row(self, rng):
+        U = np.array([dressed(rng, (0.5, 0.2, 0.1)) for _ in range(3)])
+        U[1] *= 1.01
+        with pytest.raises(ValidationError, match="index 1"):
+            canonical_coords_batch(U)
+
+    def test_rejects_bad_shapes(self):
+        with pytest.raises(ValidationError):
+            canonical_coords_batch(np.eye(4))
+        with pytest.raises(ValidationError):
+            canonical_coords(np.eye(3))
+
+
+class TestInverseMapOnBoundary:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        simplex=st.sampled_from(SIMPLICES),
+        weights=st.lists(st.floats(0.0, 1.0), min_size=3, max_size=3),
+    )
+    def test_never_raises_on_valid_invariants(self, simplex, weights):
+        """Walls cost accuracy (documented at c_from_g), never an exception."""
+        c = boundary_point(simplex, weights)
+        got = c_from_g(*g_from_c(c))
+        assert got.in_chamber(tol=1e-8)
+        assert class_distance(got.as_tuple(), c) <= 1e-2

@@ -9,7 +9,7 @@ from scipy.stats import ks_2samp, kstest
 from gategeom.coords import in_weyl_chamber
 from gategeom.errors import ValidationError
 from gategeom.gates import matrix_from_json_dict
-from gategeom.invariants import g_from_c
+from gategeom.invariants import canonical_coords_batch, g_from_c
 from gategeom.sampling import (
     BLOCK_SIZE,
     SamplerConfig,
@@ -80,6 +80,14 @@ class TestDeterminism:
         coords = sample_canonical(500, cfg)
         np.testing.assert_allclose(g_from_c(coords), invs, atol=1e-9)
         assert gates.shape == (500, 4, 4)
+
+    def test_oracle_coordinates_match_the_kernel_on_its_gates(self):
+        """The block workers canonicalise the same stream, before projection."""
+        cfg = SamplerConfig(seed=19, worker_count=2)
+        n = BLOCK_SIZE + 77
+        np.testing.assert_allclose(
+            sample_canonical(n, cfg), canonical_coords_batch(sample_gates(n, cfg)), atol=1e-13
+        )
 
     def test_coordinate_method_invariants_share_the_stream(self):
         cfg = SamplerConfig(seed=23, method="coordinate_density")
@@ -205,3 +213,10 @@ class TestExports:
     def test_jsonl_validates_shape(self, tmp_path):
         with pytest.raises(ValidationError):
             export_jsonl(tmp_path / "x.jsonl", np.zeros((3, 2, 2)))
+
+    @pytest.mark.parametrize("include_invariants", [True, False])
+    def test_jsonl_rejects_non_unitary_rows(self, tmp_path, include_invariants):
+        gates = sample_gates(4, SamplerConfig(seed=20))
+        gates[2, 0, 0] += 1e-6
+        with pytest.raises(ValidationError, match="index 2"):
+            export_jsonl(tmp_path / "x.jsonl", gates, include_invariants=include_invariants)
