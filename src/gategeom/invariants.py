@@ -10,6 +10,7 @@ of a matrix is ``g_from_c`` of its coordinates.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,9 +31,34 @@ FACE_TOL = 1e-13
 #: Weight of Im m in the real symmetric mix whose eigenvectors diagonalise
 #: m; irrational, so that distinct eigenvalues of m stay apart in the mix.
 _MIX = np.sqrt(2.0) - 1.0
-#: Off-diagonal of O^T Im(m) O beyond which the mix had a tie by chance.
+#: Off-diagonal of O^T m O beyond which the mix had a tie by chance (or,
+#: on the Jacobi route, the sweeps left the row unconverged).
 _TIE_TOL = 1e-13
 _OFF_DIAGONAL = 1.0 - np.eye(4)
+
+#: Stacks of at least this many rows take the Jacobi route, which works on
+#: whole-stack arrays; below it one LAPACK call per matrix is cheaper.  Set
+#: from the measured crossover (README, "Canonical coordinates").
+_JACOBI_MIN_ROWS = 1024
+#: Cyclic Jacobi sweeps.  Fixed, so that a row's result never depends on
+#: the rest of its stack; five converge every measured family, and a sixth
+#: sends no further row to the general solver.
+_JACOBI_SWEEPS = 5
+#: Row of entry (i, j) of a symmetric 4x4 matrix stored as its upper
+#: triangle, one row per entry.
+_UPPER = np.triu_indices(4)
+_SYM = np.zeros((4, 4), dtype=np.intp)
+_SYM[_UPPER] = _SYM.T[_UPPER] = np.arange(10)
+_SYM_DIAG = np.diagonal(_SYM)
+_SYM_OFF = _SYM[np.triu_indices(4, 1)]
+_TINY = np.finfo(float).tiny
+#: One sweep: for each pair (p, q), the rows of (p, p), (q, q), (p, q) and
+#: of (r, p), (r, q) for the two other indices r.
+_JACOBI_PAIRS = tuple(
+    (_SYM[p, p], _SYM[q, q], _SYM[p, q],
+     tuple((_SYM[r, p], _SYM[r, q]) for r in range(4) if r not in (p, q)))
+    for p, q in ((0, 1), (2, 3), (0, 2), (1, 3), (0, 3), (1, 2))
+)
 
 
 @dataclass(frozen=True)
@@ -77,7 +103,7 @@ def validate_invariant_ranges(
     User input gets the default; extracted invariants raise ConsistencyError.
     """
     for name, v, bound in (("g1", g1, 1.0), ("g2", g2, 0.25), ("g3", g3, 3.0)):
-        if not np.isfinite(v):
+        if not math.isfinite(v):
             raise error(f"{name} must be finite, got {v!r}")
         if abs(v) > bound + INVARIANT_RANGE_TOL:
             raise error(f"{name} = {v!r} outside its exact range [-{bound}, {bound}]")
@@ -113,8 +139,50 @@ def canonical_coords_batch(U) -> np.ndarray:
 
 
 def _spectral_coords(U: np.ndarray) -> np.ndarray:
-    """:func:`canonical_coords_batch` of a stack already known to be unitary."""
-    det = np.linalg.det(U)
+    """:func:`canonical_coords_batch` of a stack already known to be unitary.
+
+    Stacks of fewer than ``_JACOBI_MIN_ROWS`` rows take LAPACK's ``det``
+    and ``eigh`` per matrix, larger ones the Jacobi route; the two agree
+    to about 1e-15.
+    """
+    if U.shape[0] < _JACOBI_MIN_ROWS:
+        det, eig = np.linalg.det(U), _eigh_spectrum(U)
+    else:
+        u = np.ascontiguousarray(U.transpose(1, 2, 0))
+        det, eig = _laplace_det(u), _jacobi_spectrum(u)
+    lam = np.angle(eig) / 2.0 - np.angle(det)[:, None] / 4.0
+    c = -(lam[:, [0, 1, 0]] + lam[:, [1, 3, 3]])
+    c -= np.pi * np.rint(c / np.pi)
+    odd = c.prod(axis=-1) < 0.0  # an odd number of negative c_i
+    c = -np.sort(-np.abs(c), axis=-1)
+    flip = odd & (c[:, 2] > FACE_TOL)
+    c[flip, 0] = np.pi - c[flip, 0]
+    return c
+
+
+def _stack_det(U: np.ndarray) -> np.ndarray:
+    """Determinants of an (n, 4, 4) stack, by the route ``_spectral_coords``
+    takes for a stack of that length."""
+    if U.shape[0] < _JACOBI_MIN_ROWS:
+        return np.linalg.det(U)
+    return _laplace_det(np.ascontiguousarray(U.transpose(1, 2, 0)))
+
+
+def _laplace_det(u: np.ndarray) -> np.ndarray:
+    """Determinants of a (4, 4, n) stack by Laplace expansion along rows 0, 1.
+
+    The column pairs run (0,1), (0,2), (0,3), (1,2), (1,3), (2,3), so the
+    complementary minor of pair k is pair 5 - k of rows 2, 3.
+    """
+    i, j = np.triu_indices(4, 1)
+    top = u[0, i] * u[1, j] - u[0, j] * u[1, i]
+    bottom = u[2, i] * u[3, j] - u[2, j] * u[3, i]
+    sign = np.array([1.0, -1.0, 1.0, 1.0, -1.0, 1.0])[:, None]
+    return (sign * top * bottom[::-1]).sum(axis=0)
+
+
+def _eigh_spectrum(U: np.ndarray) -> np.ndarray:
+    """Eigenvalues of m = U_B^T U_B, shape (n, 4), by one ``eigh`` per row."""
     V = U @ MAGIC_BASIS
     # m = V^T P V with P = conj(Q) Q^dag = antidiag(1, -1, -1, 1).
     X = V[:, 0, :, None] * V[:, 3, None, :] - V[:, 1, :, None] * V[:, 2, None, :]
@@ -127,14 +195,63 @@ def _spectral_coords(U: np.ndarray) -> np.ndarray:
     tied = np.abs(S * _OFF_DIAGONAL).max(axis=(1, 2)) > _TIE_TOL
     if tied.any():
         eig[tied] = np.linalg.eigvals(m[tied])
-    lam = np.angle(eig) / 2.0 - np.angle(det)[:, None] / 4.0
-    c = -(lam[:, [0, 1, 0]] + lam[:, [1, 3, 3]])
-    c -= np.pi * np.rint(c / np.pi)
-    odd = c.prod(axis=-1) < 0.0  # an odd number of negative c_i
-    c = -np.sort(-np.abs(c), axis=-1)
-    flip = odd & (c[:, 2] > FACE_TOL)
-    c[flip, 0] = np.pi - c[flip, 0]
-    return c
+    return eig
+
+
+def _jacobi_spectrum(u: np.ndarray) -> np.ndarray:
+    """Eigenvalues of m = U_B^T U_B, shape (n, 4), by vectorised Jacobi.
+
+    ``u`` is the stack laid out as (4, 4, n), and every step is arithmetic
+    on length-n arrays, one per matrix entry.
+    Cyclic Jacobi on a = Re m + r Im m applies each rotation to b = Im m
+    as well, so the sweeps end with a = O^T (Re m + r Im m) O and
+    b = O^T Im(m) O, whose diagonals give D.  Rows whose O^T m O keeps an
+    off-diagonal entry (unconverged, or a chance tie of the mix) go to
+    ``eigvals``.
+    """
+    # The columns of V = U @ MAGIC_BASIS, then m = V^T P V as in
+    # _eigh_spectrum, kept as its upper triangle.
+    h = np.sqrt(0.5)
+    v = np.stack(
+        [h * (u[:, 0] + u[:, 3]), 1j * h * (u[:, 1] + u[:, 2]),
+         h * (u[:, 1] - u[:, 2]), 1j * h * (u[:, 0] - u[:, 3])],
+        axis=1,
+    )
+    X = v[0, :, None] * v[3, None, :] - v[1, :, None] * v[2, None, :]
+    m = (X + X.transpose(1, 0, 2))[_UPPER]
+    a = m.real + _MIX * m.imag
+    b = m.imag.copy()
+    for _ in range(_JACOBI_SWEEPS):
+        for pp, qq, pq, others in _JACOBI_PAIRS:
+            # t = tan(theta) of the rotation that zeroes a[pq], |theta| <= pi/4
+            # (_TINY turns 0/0 into t = 0 where a[pq] = 0 already).
+            apq = a[pq]
+            d = a[qq] - a[pp]
+            den = np.abs(d) + np.sqrt(d * d + 4.0 * apq * apq) + _TINY
+            t = np.copysign(2.0, d) * apq / den
+            c = 1.0 / np.sqrt(1.0 + t * t)
+            s = t * c
+            shift = t * apq
+            a[pp] -= shift
+            a[qq] += shift
+            a[pq] = 0.0
+            # b's (p, q) block turns by 2 theta about its mean diagonal.
+            cos2, sin2 = c * c - s * s, 2.0 * c * s
+            mean, half = 0.5 * (b[pp] + b[qq]), 0.5 * (b[pp] - b[qq])
+            turned = half * cos2 - b[pq] * sin2
+            b[pq] = b[pq] * cos2 + half * sin2
+            b[pp], b[qq] = mean + turned, mean - turned
+            for rp, rq in others:
+                a[rp], a[rq] = c * a[rp] - s * a[rq], s * a[rp] + c * a[rq]
+                b[rp], b[rq] = c * b[rp] - s * b[rq], s * b[rp] + c * b[rq]
+    im = b[_SYM_DIAG].T
+    eig = (a[_SYM_DIAG].T - _MIX * im) + 1j * im
+    re_off = a[_SYM_OFF] - _MIX * b[_SYM_OFF]
+    off = np.maximum(np.abs(re_off), np.abs(b[_SYM_OFF])).max(axis=0)
+    tied = off > _TIE_TOL
+    if tied.any():
+        eig[tied] = np.linalg.eigvals(m[:, tied][_SYM].transpose(2, 0, 1))
+    return eig
 
 
 def canonical_coords(U) -> CanonicalCoords:
@@ -148,7 +265,8 @@ def makhlin_invariants(U) -> LocalInvariants:
     The result is independent of global phase and of single-qubit
     rotations applied before or after the gate.
     """
-    return invariants_at(canonical_coords(U))
+    g = g_from_c(_spectral_coords(require_unitary(U)[None])[0])
+    return LocalInvariants(*g.tolist())
 
 
 def g_from_c(c, /):

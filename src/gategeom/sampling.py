@@ -25,7 +25,7 @@ import numpy as np
 from .errors import ValidationError
 from .gates import _assemble_batch, matrix_to_json_dict, require_unitary_stack
 from .geometry import WEYL_DENSITY_MAX, weyl_density
-from .invariants import _spectral_coords, g_from_c
+from .invariants import _spectral_coords, _stack_det, g_from_c
 from .volumes import is_perfect_entangler
 
 #: Samples per deterministic stream block.
@@ -152,7 +152,12 @@ def _haar_block(rng: np.random.Generator, m: int) -> np.ndarray:
 def _matrix_block(rng: np.random.Generator, m: int) -> np.ndarray:
     """Haar unitaries projected to determinant one, shape (m, 4, 4)."""
     q = _haar_block(rng, m)
-    return q * np.exp(-1j * np.angle(np.linalg.det(q)) / 4.0)[:, None, None]
+    return q * np.exp(-1j * np.angle(_stack_det(q)) / 4.0)[:, None, None]
+
+
+def _assembled_block(rng: np.random.Generator, m: int) -> np.ndarray:
+    """Gate matrices assembled from the fifteen coordinates, shape (m, 4, 4)."""
+    return _assemble_batch(_full_block(rng, m))
 
 
 def _oracle_coords_block(rng: np.random.Generator, m: int) -> np.ndarray:
@@ -163,24 +168,29 @@ def _oracle_coords_block(rng: np.random.Generator, m: int) -> np.ndarray:
     return _spectral_coords(_haar_block(rng, m))
 
 
-def _run_blocks(n: int, config: SamplerConfig, block_fn) -> np.ndarray:
+def _run_blocks(
+    n: int, config: SamplerConfig, block_fn, row_shape=(3,), dtype=float
+) -> np.ndarray:
+    """``block_fn(rng, m)`` over the stream's blocks, written into one
+    preallocated (n, *row_shape) array, so the peak is the output plus the
+    blocks in flight."""
     if n <= 0:
         raise ValidationError("sample count must be positive")
-    spans = [
-        (b, min(BLOCK_SIZE, n - b * BLOCK_SIZE))
-        for b in range((n + BLOCK_SIZE - 1) // BLOCK_SIZE)
-    ]
+    out = np.empty((n, *row_shape), dtype=dtype)
 
-    def work(span):
-        block, take = span
-        return block_fn(_block_rng(config.seed, block), take)
+    def work(block):
+        start = block * BLOCK_SIZE
+        stop = min(start + BLOCK_SIZE, n)
+        out[start:stop] = block_fn(_block_rng(config.seed, block), stop - start)
 
-    if config.worker_count == 1 or len(spans) == 1:
-        parts = [work(s) for s in spans]
+    blocks = range((n + BLOCK_SIZE - 1) // BLOCK_SIZE)
+    if config.worker_count == 1 or len(blocks) == 1:
+        for block in blocks:
+            work(block)
     else:
         with ThreadPoolExecutor(max_workers=config.worker_count) as pool:
-            parts = list(pool.map(work, spans))
-    return np.concatenate(parts, axis=0)
+            list(pool.map(work, blocks))  # re-raises a block's exception
+    return out
 
 
 def sample_canonical(n: int, config: SamplerConfig = SamplerConfig()) -> np.ndarray:
@@ -193,8 +203,8 @@ def sample_canonical(n: int, config: SamplerConfig = SamplerConfig()) -> np.ndar
 def sample_gates(n: int, config: SamplerConfig = SamplerConfig()) -> np.ndarray:
     """Random gate matrices, shape (n, 4, 4)."""
     if config.method == "coordinate_density":
-        return _assemble_batch(_run_blocks(n, config, _full_block))
-    return _run_blocks(n, config, _matrix_block)
+        return _run_blocks(n, config, _assembled_block, (4, 4), complex)
+    return _run_blocks(n, config, _matrix_block, (4, 4), complex)
 
 
 def sample_full_coords(n: int, config: SamplerConfig = SamplerConfig()) -> np.ndarray:
@@ -203,7 +213,7 @@ def sample_full_coords(n: int, config: SamplerConfig = SamplerConfig()) -> np.nd
     Only the coordinate sampler can produce these (the matrix oracle has
     no preferred chart point), so the configured method is ignored.
     """
-    return _run_blocks(n, config, _full_block)
+    return _run_blocks(n, config, _full_block, (15,))
 
 
 def sample_invariants(n: int, config: SamplerConfig = SamplerConfig()) -> np.ndarray:

@@ -8,6 +8,7 @@ deliberately corrupted constant is caught rather than baked in.
 """
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass
 
@@ -107,7 +108,7 @@ def _check_cube_closed_forms(seed, full):
         closed = vol.cube_volume_closed(center, side)
         numeric = vol.cube_volume_quadrature(center, side)
         worst = max(worst, abs(numeric - closed) / closed)
-    return worst < 1e-9, f"worst closed-vs-quadrature relative deviation {worst:.2e}"
+    return worst < 3e-13, f"worst closed-vs-quadrature relative deviation {worst:.2e}"
 
 
 def _check_density_max(seed, full):
@@ -219,8 +220,17 @@ def _check_sampler_determinism(seed, full):
     return same and inside, f"bit-identical across workers: {same}, all in chamber: {inside}"
 
 
-def _check_bin_grid(seed, full):
+@functools.lru_cache(maxsize=1)
+def _bin_grid() -> np.ndarray:
+    """The default bin grid, read-only; ``run_checks`` builds it at most once
+    per run, from the modules as they are at that run."""
     p = quad.bin_probabilities()
+    p.setflags(write=False)
+    return p
+
+
+def _check_bin_grid(seed, full):
+    p = _bin_grid()
     dev = abs(p.sum() - 1.0)
     return dev < 1e-9 and np.all(p >= 0), f"grid mass {p.sum():.12f}"
 
@@ -229,7 +239,7 @@ def _check_chi_square(seed, full):
     n = 1_000_000 if full else 200_000
     cfg = smp.SamplerConfig(seed=seed + 5, method="coordinate_density")
     c = smp.sample_canonical(n, cfg)
-    p = quad.bin_probabilities()
+    p = _bin_grid()
     pval = chi_square_pvalue(c, p)
     return pval > 0.01, f"chi-square p-value {pval:.4f} on {n} samples"
 
@@ -303,6 +313,7 @@ def run_checks(level: str = "quick", seed: int = 0, names=None) -> list[CheckRes
     if names:
         wanted = [w.lower() for w in names]
         selected = [(n, f) for n, f in _CHECKS if any(w in n for w in wanted)]
+    _bin_grid.cache_clear()
     results = []
     for name, fn in selected:
         t0 = time.perf_counter()

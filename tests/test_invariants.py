@@ -6,11 +6,23 @@ from hypothesis import strategies as st
 from conftest import interior_chamber_points, random_full_coords, random_su2_params
 from gategeom.coords import SU2_IDENTITY, FullCoords, in_weyl_chamber
 from gategeom.errors import ConsistencyError, InvalidInvariantsError, ValidationError
-from gategeom.gates import CNOT, SWAP, abelian_gate, assemble, local_gate
+from gategeom import invariants
+from gategeom.gates import (
+    CNOT,
+    SWAP,
+    _abelian_batch,
+    _kron_batch,
+    _su2_matrix,
+    abelian_gate,
+    assemble,
+    local_gate,
+)
 from gategeom.invariants import (
     FACE_TOL,
     LocalInvariants,
+    _JACOBI_MIN_ROWS,
     _MIX,
+    _stack_det,
     c_from_g,
     canonical_coords,
     canonical_coords_batch,
@@ -46,7 +58,7 @@ class TestMakhlinInvariants:
             k2 = local_gate(random_su2_params(rng, 0.0), random_su2_params(rng, 0.0))
             g0 = np.array(makhlin_invariants(U).as_tuple())
             g1 = np.array(makhlin_invariants(k1 @ U @ k2).as_tuple())
-            np.testing.assert_allclose(g1, g0, atol=1e-9)
+            np.testing.assert_allclose(g1, g0, rtol=0, atol=1e-12)
 
     def test_invariant_under_global_phase(self, rng):
         U = assemble(random_full_coords(rng))
@@ -58,6 +70,12 @@ class TestMakhlinInvariants:
     def test_rejects_non_unitary(self):
         with pytest.raises(ValidationError):
             makhlin_invariants(np.ones((4, 4)))
+
+    def test_equals_invariants_of_the_coordinates_bitwise(self, rng):
+        gates = [assemble(random_full_coords(rng)) for _ in range(30)] + [np.eye(4), CNOT, SWAP]
+        for U in gates:
+            got = makhlin_invariants(U).as_tuple()
+            assert got == invariants_at(canonical_coords(U)).as_tuple()
 
 
 class TestInvariantRanges:
@@ -161,16 +179,16 @@ class TestCanonicalCoords:
         for _ in range(20):
             x = random_full_coords(rng)
             rec = canonical_coords(assemble(x))
-            np.testing.assert_allclose(rec.as_tuple(), x.c.as_tuple(), atol=1e-8)
+            np.testing.assert_allclose(rec.as_tuple(), x.c.as_tuple(), rtol=0, atol=1e-12)
 
     def test_cnot_class_point(self):
         rec = canonical_coords(CNOT)
-        np.testing.assert_allclose(rec.as_tuple(), (np.pi / 2, 0.0, 0.0), atol=1e-7)
+        np.testing.assert_allclose(rec.as_tuple(), (np.pi / 2, 0.0, 0.0), rtol=0, atol=1e-12)
 
     def test_swap_class_point(self):
         rec = canonical_coords(SWAP)
         np.testing.assert_allclose(
-            rec.as_tuple(), (np.pi / 2, np.pi / 2, np.pi / 2), atol=1e-7
+            rec.as_tuple(), (np.pi / 2, np.pi / 2, np.pi / 2), rtol=0, atol=1e-12
         )
 
     def test_idempotent_through_commuting_core(self, rng):
@@ -178,7 +196,7 @@ class TestCanonicalCoords:
             U = assemble(random_full_coords(rng))
             c = canonical_coords(U)
             again = canonical_coords(abelian_gate(c.as_tuple()))
-            np.testing.assert_allclose(again.as_tuple(), c.as_tuple(), atol=1e-8)
+            np.testing.assert_allclose(again.as_tuple(), c.as_tuple(), rtol=0, atol=1e-12)
 
     def test_invariants_at_matches_forward_map(self, rng):
         c = interior_chamber_points(rng, 1)[0]
@@ -346,6 +364,139 @@ class TestSpectralKernel:
             canonical_coords_batch(np.eye(4))
         with pytest.raises(ValidationError):
             canonical_coords(np.eye(3))
+
+
+# --- the Jacobi route, which stacks of _JACOBI_MIN_ROWS rows or more take ------
+
+FAMILY_POINTS = np.array(
+    [(t, 0.0, 0.0) for t in (1e-9, 1e-6, 1e-4, 0.3, np.pi / 2, 2.5, np.pi - 1e-6)]
+    + [(t, t, 0.0) for t in (1e-9, 1e-6, 1e-4, 0.4, np.pi / 2 - 1e-7, np.pi / 2)]
+    + [(t, t, t) for t in (1e-9, 1e-6, 1e-4, np.pi / 4, np.pi / 2 - 1e-7)]
+    + [(3e-5, 2e-5, 1e-5), (1e-8, 1e-9, 1e-10)]
+    + [(np.pi / 2 - d, np.pi / 2 - 2 * d, np.pi / 2 - 3 * d) for d in (1e-5, 1e-8)]
+    + [(np.pi / 2 + d, d, d / 2) for d in (1e-5, 1e-8)]
+)
+CPHASE_ANGLES = np.array([1e-6, 1e-4, 1e-3, 0.1, 0.25, 0.5, np.pi, 5.0])
+
+
+def random_locals(rng, n: int) -> np.ndarray:
+    """n random local gates u (x) v, shape (n, 4, 4)."""
+    def su2():
+        return _su2_matrix(
+            rng.uniform(0.0, 4 * np.pi, n), np.arccos(rng.uniform(-1.0, 1.0, n)),
+            rng.uniform(0.0, 2 * np.pi, n),
+        )
+
+    return _kron_batch(su2(), su2())
+
+
+def dressed_stack(rng, cores: np.ndarray) -> np.ndarray:
+    """k1 core k2 per row, with random local gates and global phases."""
+    phase = np.exp(2j * np.pi * rng.random(cores.shape[0]))[:, None, None]
+    return phase * random_locals(rng, cores.shape[0]) @ cores @ random_locals(rng, cores.shape[0])
+
+
+def tiled(points: np.ndarray) -> np.ndarray:
+    """The rows of ``points`` repeated to fill one stack of the Jacobi route."""
+    return np.resize(points, (max(_JACOBI_MIN_ROWS, len(points)), *points.shape[1:]))
+
+
+def both_routes(U: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Coordinates of a stack from the Jacobi route and from the eigh route."""
+    assert U.shape[0] >= _JACOBI_MIN_ROWS
+    parts = np.array_split(U, -(-2 * U.shape[0] // _JACOBI_MIN_ROWS))
+    assert max(len(p) for p in parts) < _JACOBI_MIN_ROWS
+    return canonical_coords_batch(U), np.concatenate([canonical_coords_batch(p) for p in parts])
+
+
+def class_distances(c: np.ndarray, true: np.ndarray) -> np.ndarray:
+    """Row-wise :func:`class_distance`."""
+    mirror = np.stack([np.pi - true[:, 0], true[:, 1], -true[:, 2]], axis=-1)
+    return np.minimum(np.abs(c - true).max(axis=1), np.abs(c - mirror).max(axis=1))
+
+
+class TestJacobiRoute:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        simplex=st.sampled_from(SIMPLICES),
+        weights=st.lists(st.floats(0.0, 1.0), min_size=3, max_size=3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_boundary_points_recovered(self, simplex, weights, seed):
+        c = tiled(boundary_point(simplex, weights)[None])
+        jacobi, eigh = both_routes(dressed_stack(np.random.default_rng(seed), _abelian_batch(c)))
+        assert in_weyl_chamber(jacobi[:, 0], jacobi[:, 1], jacobi[:, 2], tol=1e-15).all()
+        assert class_distances(jacobi, c).max() <= 1e-12
+        assert np.abs(jacobi - eigh).max() <= 1e-14
+
+    def test_gate_families_and_cphase(self, rng):
+        c = tiled(FAMILY_POINTS)
+        theta = tiled(CPHASE_ANGLES)
+        cphase = np.zeros((theta.size, 4, 4), dtype=complex)
+        cphase[:, [0, 1, 2], [0, 1, 2]] = 1.0
+        cphase[:, 3, 3] = np.exp(1j * theta)
+        for cores, true in (
+            (_abelian_batch(c), c),
+            (cphase, np.stack([theta / 2, 0 * theta, 0 * theta], axis=-1)),
+        ):
+            jacobi, eigh = both_routes(dressed_stack(rng, cores))
+            assert class_distances(jacobi, true).max() <= 1e-12
+            assert np.abs(jacobi - eigh).max() <= 1e-14
+
+    def test_accidental_tie_takes_general_eigensolver(self, rng, monkeypatch):
+        """The tie of TestSpectralKernel survives local dressing, so every row has it."""
+        calls = []
+        eigvals = np.linalg.eigvals
+        monkeypatch.setattr(np.linalg, "eigvals", lambda a: calls.append(a.shape) or eigvals(a))
+        c = np.array([0.7, 0.3, 0.1])
+        phi = (2.0 * np.arctan(_MIX) + 2.0 * c[0]) / 4.0
+        n = _JACOBI_MIN_ROWS
+        U = np.exp(1j * phi) * random_locals(rng, n) @ abelian_gate(c) @ random_locals(rng, n)
+        got = canonical_coords_batch(U)
+        assert calls == [(_JACOBI_MIN_ROWS, 4, 4)]
+        assert np.abs(got - c).max() <= 1e-12
+
+    @pytest.mark.parametrize("sweeps,iswaps", [(1, 0), (0, _JACOBI_MIN_ROWS // 2)])
+    def test_unconverged_rows_take_general_eigensolver(self, rng, monkeypatch, sweeps, iswaps):
+        """With one sweep no bulk row converges; every one must reach ``eigvals``.
+
+        Dressed iSWAPs without a global phase have a real m, so before any
+        sweep only the real part of the off-diagonal shows them unconverged.
+        """
+        calls = []
+        eigvals = np.linalg.eigvals
+        monkeypatch.setattr(np.linalg, "eigvals", lambda a: calls.append(a.shape) or eigvals(a))
+        monkeypatch.setattr(invariants, "_JACOBI_SWEEPS", sweeps)
+        bulk = interior_chamber_points(rng, _JACOBI_MIN_ROWS - iswaps, margin=0.0)
+        iswap = np.tile([np.pi / 2, np.pi / 2, 0.0], (iswaps, 1))
+        U = np.concatenate([
+            dressed_stack(rng, _abelian_batch(bulk)),
+            random_locals(rng, iswaps) @ _abelian_batch(iswap) @ random_locals(rng, iswaps),
+        ])
+        got = canonical_coords_batch(U)
+        assert calls == [(_JACOBI_MIN_ROWS, 4, 4)]
+        assert class_distances(got, np.concatenate([bulk, iswap])).max() <= 1e-12
+
+    def test_route_follows_stack_length(self, rng, monkeypatch):
+        """At the threshold no LAPACK call is made per matrix; below it, one is."""
+        U = dressed_stack(rng, _abelian_batch(interior_chamber_points(rng, _JACOBI_MIN_ROWS)))
+        expected = canonical_coords_batch(U)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("per-matrix LAPACK call")
+
+        monkeypatch.setattr(np.linalg, "eigh", refuse)
+        monkeypatch.setattr(np.linalg, "det", refuse)
+        np.testing.assert_array_equal(canonical_coords_batch(U), expected)
+        with pytest.raises(AssertionError, match="per-matrix"):
+            canonical_coords_batch(U[1:])
+
+    def test_closed_form_determinant(self, rng):
+        n = _JACOBI_MIN_ROWS
+        A = rng.standard_normal((n, 4, 4)) + 1j * rng.standard_normal((n, 4, 4))
+        want = np.linalg.det(A)
+        assert (np.abs(_stack_det(A) - want) / np.abs(want)).max() <= 1e-12
+        np.testing.assert_array_equal(_stack_det(A[1:]), np.linalg.det(A[1:]))
 
 
 class TestInverseMapOnBoundary:

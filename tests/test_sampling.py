@@ -1,6 +1,7 @@
 import io
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -66,6 +67,13 @@ class TestDeterminism:
         n = 2 * BLOCK_SIZE + 123  # three blocks
         serial = sample_canonical(n, SamplerConfig(seed=42, worker_count=1, method=method))
         pooled = sample_canonical(n, SamplerConfig(seed=42, worker_count=4, method=method))
+        np.testing.assert_array_equal(serial, pooled)
+
+    @pytest.mark.parametrize("method", ["matrix_oracle", "coordinate_density"])
+    def test_gates_bit_identical_across_worker_counts(self, method):
+        n = BLOCK_SIZE + 1500  # a Jacobi-route block of each size
+        serial = sample_gates(n, SamplerConfig(seed=43, worker_count=1, method=method))
+        pooled = sample_gates(n, SamplerConfig(seed=43, worker_count=3, method=method))
         np.testing.assert_array_equal(serial, pooled)
 
     def test_seed_changes_the_stream(self):
@@ -148,6 +156,18 @@ class TestMatrixSamples:
         gram = np.einsum("nij,nkj->nik", U, U.conj())
         assert np.abs(gram - eye).max() < 1e-10
         assert np.abs(np.linalg.det(U) - 1.0).max() < 1e-10
+
+    def test_peak_memory_is_about_one_output(self):
+        """Blocks are written into the output, never gathered and concatenated."""
+        n = 16 * BLOCK_SIZE
+        sample_gates(BLOCK_SIZE, SamplerConfig(seed=8))  # warm caches outside the trace
+        tracemalloc.start()
+        try:
+            G = sample_gates(n, SamplerConfig(seed=8))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.3 * G.nbytes
 
     def test_trace_modulus_is_bi_invariant(self):
         n = 20_000

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+import gategeom.quadrature
+import gategeom.verify
 import gategeom.volumes
 from gategeom.quadrature import bin_probabilities
 from gategeom.sampling import SamplerConfig, sample_canonical
@@ -46,6 +48,21 @@ class TestRunChecks:
     def test_unknown_level_rejected(self):
         with pytest.raises(ValueError):
             run_checks("exhaustive")
+
+    def test_bin_grid_built_once_per_run(self, monkeypatch):
+        built = []
+
+        def counted(*args, **kwargs):
+            built.append(args)
+            return bin_probabilities(*args, **kwargs)
+
+        monkeypatch.setattr(gategeom.quadrature, "bin_probabilities", counted)
+        results = run_checks("quick", names=["bin-grid-mass", "sample-distribution-chi2"])
+        assert [r.passed for r in results] == [True, True]
+        assert len(built) == 1
+        assert not gategeom.verify._bin_grid().flags.writeable
+        run_checks("quick", names=["bin-grid-mass"])
+        assert len(built) == 2
 
     def test_corrupted_constant_is_caught(self, monkeypatch):
         monkeypatch.setattr(gategeom.volumes, "PE_VOLUME_CLOSED", 0.9)
