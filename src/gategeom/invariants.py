@@ -52,6 +52,8 @@ _SYM[_UPPER] = _SYM.T[_UPPER] = np.arange(10)
 _SYM_DIAG = np.diagonal(_SYM)
 _SYM_OFF = _SYM[np.triu_indices(4, 1)]
 _TINY = np.finfo(float).tiny
+#: (row, column) of each nonzero entry of MAGIC_BASIS.
+_MAGIC_TERMS = tuple(zip(*np.nonzero(MAGIC_BASIS)))
 #: One sweep: for each pair (p, q), the rows of (p, p), (q, q), (p, q) and
 #: of (r, p), (r, q) for the two other indices r.
 _JACOBI_PAIRS = tuple(
@@ -160,14 +162,6 @@ def _spectral_coords(U: np.ndarray) -> np.ndarray:
     return c
 
 
-def _stack_det(U: np.ndarray) -> np.ndarray:
-    """Determinants of an (n, 4, 4) stack, by the route ``_spectral_coords``
-    takes for a stack of that length."""
-    if U.shape[0] < _JACOBI_MIN_ROWS:
-        return np.linalg.det(U)
-    return _laplace_det(np.ascontiguousarray(U.transpose(1, 2, 0)))
-
-
 def _laplace_det(u: np.ndarray) -> np.ndarray:
     """Determinants of a (4, 4, n) stack by Laplace expansion along rows 0, 1.
 
@@ -209,14 +203,11 @@ def _jacobi_spectrum(u: np.ndarray) -> np.ndarray:
     off-diagonal entry (unconverged, or a chance tie of the mix) go to
     ``eigvals``.
     """
-    # The columns of V = U @ MAGIC_BASIS, then m = V^T P V as in
-    # _eigh_spectrum, kept as its upper triangle.
-    h = np.sqrt(0.5)
-    v = np.stack(
-        [h * (u[:, 0] + u[:, 3]), 1j * h * (u[:, 1] + u[:, 2]),
-         h * (u[:, 1] - u[:, 2]), 1j * h * (u[:, 0] - u[:, 3])],
-        axis=1,
-    )
+    # V = U @ MAGIC_BASIS over the basis' nonzero entries, then m = V^T P V
+    # as in _eigh_spectrum, kept as its upper triangle.
+    v = np.zeros_like(u)
+    for k, j in _MAGIC_TERMS:
+        v[:, j] += MAGIC_BASIS[k, j] * u[:, k]
     X = v[0, :, None] * v[3, None, :] - v[1, :, None] * v[2, None, :]
     m = (X + X.transpose(1, 0, 2))[_UPPER]
     a = m.real + _MIX * m.imag

@@ -10,7 +10,14 @@ distribution checks play the two against each other.
 
 Streams are split into fixed-size blocks, each seeded from its own
 ``SeedSequence`` spawn key, so results are bit-identical for a given
-seed no matter how many workers run the blocks.
+seed no matter how many workers run the blocks.  A block's rows depend
+on the seed, its index and its length only: the whole blocks of a call
+are, bit for bit, the first rows of any longer call with the same seed.
+The final partial block promises no such match, since its draws depend
+on its length.  Within one call the oracle's coordinates of that block,
+if it has fewer than ``invariants._JACOBI_MIN_ROWS`` rows, come from the
+kernel's ``eigh`` route and the rest from its Jacobi route; the two
+agree within 1e-14.
 """
 from __future__ import annotations
 
@@ -25,7 +32,7 @@ import numpy as np
 from .errors import ValidationError
 from .gates import _assemble_batch, matrix_to_json_dict, require_unitary_stack
 from .geometry import WEYL_DENSITY_MAX, weyl_density
-from .invariants import _spectral_coords, _stack_det, g_from_c
+from .invariants import _laplace_det, _spectral_coords, g_from_c
 from .volumes import is_perfect_entangler
 
 #: Samples per deterministic stream block.
@@ -152,7 +159,8 @@ def _haar_block(rng: np.random.Generator, m: int) -> np.ndarray:
 def _matrix_block(rng: np.random.Generator, m: int) -> np.ndarray:
     """Haar unitaries projected to determinant one, shape (m, 4, 4)."""
     q = _haar_block(rng, m)
-    return q * np.exp(-1j * np.angle(_stack_det(q)) / 4.0)[:, None, None]
+    det = _laplace_det(np.ascontiguousarray(q.transpose(1, 2, 0)))
+    return q * np.exp(-1j * np.angle(det) / 4.0)[:, None, None]
 
 
 def _assembled_block(rng: np.random.Generator, m: int) -> np.ndarray:
@@ -168,9 +176,7 @@ def _oracle_coords_block(rng: np.random.Generator, m: int) -> np.ndarray:
     return _spectral_coords(_haar_block(rng, m))
 
 
-def _run_blocks(
-    n: int, config: SamplerConfig, block_fn, row_shape=(3,), dtype=float
-) -> np.ndarray:
+def _run_blocks(n: int, config: SamplerConfig, block_fn, row_shape, dtype) -> np.ndarray:
     """``block_fn(rng, m)`` over the stream's blocks, written into one
     preallocated (n, *row_shape) array, so the peak is the output plus the
     blocks in flight."""
@@ -196,8 +202,8 @@ def _run_blocks(
 def sample_canonical(n: int, config: SamplerConfig = SamplerConfig()) -> np.ndarray:
     """Chamber coordinates of ``n`` random gates, shape (n, 3)."""
     if config.method == "coordinate_density":
-        return _run_blocks(n, config, _chamber_block)
-    return _run_blocks(n, config, _oracle_coords_block)
+        return _run_blocks(n, config, _chamber_block, (3,), float)
+    return _run_blocks(n, config, _oracle_coords_block, (3,), float)
 
 
 def sample_gates(n: int, config: SamplerConfig = SamplerConfig()) -> np.ndarray:
@@ -213,7 +219,7 @@ def sample_full_coords(n: int, config: SamplerConfig = SamplerConfig()) -> np.nd
     Only the coordinate sampler can produce these (the matrix oracle has
     no preferred chart point), so the configured method is ignored.
     """
-    return _run_blocks(n, config, _full_block, (15,))
+    return _run_blocks(n, config, _full_block, (15,), float)
 
 
 def sample_invariants(n: int, config: SamplerConfig = SamplerConfig()) -> np.ndarray:

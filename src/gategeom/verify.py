@@ -220,27 +220,17 @@ def _check_sampler_determinism(seed, full):
     return same and inside, f"bit-identical across workers: {same}, all in chamber: {inside}"
 
 
-@functools.lru_cache(maxsize=1)
-def _bin_grid() -> np.ndarray:
-    """The default bin grid, read-only; ``run_checks`` builds it at most once
-    per run, from the modules as they are at that run."""
-    p = quad.bin_probabilities()
-    p.setflags(write=False)
-    return p
-
-
-def _check_bin_grid(seed, full):
-    p = _bin_grid()
+def _check_bin_grid(seed, full, bin_grid):
+    p = bin_grid()
     dev = abs(p.sum() - 1.0)
     return dev < 1e-9 and np.all(p >= 0), f"grid mass {p.sum():.12f}"
 
 
-def _check_chi_square(seed, full):
+def _check_chi_square(seed, full, bin_grid):
     n = 1_000_000 if full else 200_000
     cfg = smp.SamplerConfig(seed=seed + 5, method="coordinate_density")
     c = smp.sample_canonical(n, cfg)
-    p = _bin_grid()
-    pval = chi_square_pvalue(c, p)
+    pval = chi_square_pvalue(c, bin_grid())
     return pval > 0.01, f"chi-square p-value {pval:.4f} on {n} samples"
 
 
@@ -298,6 +288,8 @@ _CHECKS = [
     ("sample-distribution-chi2", _check_chi_square),
     ("two-method-agreement", _check_two_method_ks),
 ]
+#: Checks that also take ``bin_grid``, a call returning the default bin grid.
+_BIN_GRID_CHECKS = frozenset({"bin-grid-mass", "sample-distribution-chi2"})
 
 
 def run_checks(level: str = "quick", seed: int = 0, names=None) -> list[CheckResult]:
@@ -313,12 +305,14 @@ def run_checks(level: str = "quick", seed: int = 0, names=None) -> list[CheckRes
     if names:
         wanted = [w.lower() for w in names]
         selected = [(n, f) for n, f in _CHECKS if any(w in n for w in wanted)]
-    _bin_grid.cache_clear()
+    # Built on first use, once per run, from the module as it is now.
+    bin_grid = functools.cache(quad.bin_probabilities)
     results = []
     for name, fn in selected:
         t0 = time.perf_counter()
+        args = (seed, full, bin_grid) if name in _BIN_GRID_CHECKS else (seed, full)
         try:
-            passed, detail = fn(seed, full)
+            passed, detail = fn(*args)
         except Exception as exc:  # a crashed check is a failed check
             passed, detail = False, f"raised {type(exc).__name__}: {exc}"
         results.append(CheckResult(name, bool(passed), detail, time.perf_counter() - t0))

@@ -22,7 +22,7 @@ from gategeom.invariants import (
     LocalInvariants,
     _JACOBI_MIN_ROWS,
     _MIX,
-    _stack_det,
+    _laplace_det,
     c_from_g,
     canonical_coords,
     canonical_coords_batch,
@@ -491,12 +491,12 @@ class TestJacobiRoute:
         with pytest.raises(AssertionError, match="per-matrix"):
             canonical_coords_batch(U[1:])
 
-    def test_closed_form_determinant(self, rng):
-        n = _JACOBI_MIN_ROWS
+    @pytest.mark.parametrize("n", [1, 3, _JACOBI_MIN_ROWS])
+    def test_closed_form_determinant(self, rng, n):
         A = rng.standard_normal((n, 4, 4)) + 1j * rng.standard_normal((n, 4, 4))
         want = np.linalg.det(A)
-        assert (np.abs(_stack_det(A) - want) / np.abs(want)).max() <= 1e-12
-        np.testing.assert_array_equal(_stack_det(A[1:]), np.linalg.det(A[1:]))
+        got = _laplace_det(np.ascontiguousarray(A.transpose(1, 2, 0)))
+        assert (np.abs(got - want) / np.abs(want)).max() <= 1e-12
 
 
 class TestInverseMapOnBoundary:

@@ -76,6 +76,15 @@ class TestDeterminism:
         pooled = sample_gates(n, SamplerConfig(seed=43, worker_count=3, method=method))
         np.testing.assert_array_equal(serial, pooled)
 
+    @pytest.mark.parametrize("sampler", [sample_canonical, sample_gates])
+    def test_whole_blocks_are_the_prefix_of_longer_calls(self, sampler):
+        """A short partial tail takes the eigh route for coordinates, yet the
+        whole block before it matches a call that ends there."""
+        cfg = SamplerConfig(seed=44)
+        np.testing.assert_array_equal(
+            sampler(BLOCK_SIZE + 100, cfg)[:BLOCK_SIZE], sampler(BLOCK_SIZE, cfg)
+        )
+
     def test_seed_changes_the_stream(self):
         a = sample_canonical(100, SamplerConfig(seed=0))
         b = sample_canonical(100, SamplerConfig(seed=1))
