@@ -89,6 +89,8 @@ def parse_angle(text: str) -> float:
         sign = -1.0 if m.group(1) else 1.0
         coef = float(m.group(2)) if m.group(2) else 1.0
         den = float(m.group(3)) if m.group(3) else 1.0
+        if den == 0.0:
+            raise click.BadParameter(f"zero denominator in angle {text!r}")
         return sign * coef * np.pi / den
     try:
         return float(s)

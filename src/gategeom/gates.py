@@ -6,12 +6,13 @@ fifteen traceless Hermitian generators are normalised so that
 """
 from __future__ import annotations
 
+import functools
 import json
 from typing import IO
 
 import numpy as np
 
-from .coords import CanonicalCoords, FullCoords, Su2Params, coerce_triple
+from .coords import FullCoords, Su2Params, coerce_triple
 from .errors import ValidationError
 
 #: Tolerance when validating externally supplied matrices.
@@ -63,16 +64,12 @@ def generator(i: str, j: str) -> np.ndarray:
     return np.kron(PAULI[i], PAULI[j]) / 2.0
 
 
-_GENERATOR_STACK = None
-
-
+@functools.cache
 def generators() -> np.ndarray:
     """All fifteen generators stacked as a (15, 4, 4) array, in label order."""
-    global _GENERATOR_STACK
-    if _GENERATOR_STACK is None:
-        _GENERATOR_STACK = np.array([generator(i, j) for i, j in GENERATOR_LABELS])
-        _GENERATOR_STACK.setflags(write=False)
-    return _GENERATOR_STACK
+    out = np.array([generator(i, j) for i, j in GENERATOR_LABELS])
+    out.setflags(write=False)  # shared by every caller
+    return out
 
 
 def is_unitary(U: np.ndarray, tol: float = UNITARITY_INPUT_TOL) -> bool:
@@ -130,15 +127,17 @@ def _su2_matrix(alpha, theta, phi):
     return out
 
 
+def _su2_params(v) -> Su2Params:
+    return v if isinstance(v, Su2Params) else Su2Params(*v)
+
+
 def su2_factor(v: Su2Params) -> np.ndarray:
     """The 2x2 special unitary for one axis-angle triple.
 
     >>> np.allclose(su2_factor(Su2Params(0.0, 0.0, 0.0)), np.eye(2))
     True
     """
-    if not isinstance(v, Su2Params):
-        v = Su2Params(*v)
-    return _su2_matrix(v.alpha, v.theta, v.phi)
+    return _su2_matrix(*_su2_params(v).as_tuple())
 
 
 def local_gate(a: Su2Params, b: Su2Params) -> np.ndarray:
@@ -146,7 +145,7 @@ def local_gate(a: Su2Params, b: Su2Params) -> np.ndarray:
 
     ``a`` acts on the first qubit, ``b`` on the second.
     """
-    return np.kron(su2_factor(a), su2_factor(b))
+    return _kron_batch(su2_factor(a)[None], su2_factor(b)[None])[0]
 
 
 def _kron_batch(A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -155,48 +154,45 @@ def _kron_batch(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return np.einsum("nij,nkl->nikjl", A, B).reshape(n, 4, 4)
 
 
-_SIGMA_PAIRS = None
-
-
-def _sigma_pair_stack():
-    global _SIGMA_PAIRS
-    if _SIGMA_PAIRS is None:
-        _SIGMA_PAIRS = np.array([np.kron(PAULI[s], PAULI[s]) for s in "xyz"])
-    return _SIGMA_PAIRS
-
-
 def _abelian_batch(c: np.ndarray) -> np.ndarray:
-    """Commuting-core matrices for stacked coordinate triples (n, 3)."""
+    """Commuting cores of stacked triples (n, 3) -> (n, 4, 4); see :func:`abelian_gate`."""
     c = np.asarray(c, dtype=float)
-    pairs = _sigma_pair_stack()
-    eye = np.eye(4, dtype=complex)
-    out = None
-    for j in range(3):
-        half = c[:, j, None, None] / 2.0
-        term = np.cos(half) * eye - 1j * np.sin(half) * pairs[j]
-        out = term if out is None else out @ term
+    out = np.zeros((c.shape[0], 4, 4), dtype=complex)
+    for i, j, angle, phase in (
+        (0, 3, c[:, 0] - c[:, 1], np.exp(-0.5j * c[:, 2])),
+        (1, 2, c[:, 0] + c[:, 1], np.exp(0.5j * c[:, 2])),
+    ):
+        out[:, i, i] = out[:, j, j] = phase * np.cos(angle / 2)
+        out[:, i, j] = out[:, j, i] = -1j * phase * np.sin(angle / 2)
     return out
 
 
 def abelian_gate(c) -> np.ndarray:
     """Gate generated by the three commuting two-body generators.
 
-    Product form: ``prod_j [I cos(c_j/2) - i sigma_j(x)sigma_j sin(c_j/2)]``.
-    Accepts a :class:`CanonicalCoords` or any length-3 sequence; the
-    coordinates are not required to lie in the Weyl chamber.
+    Closed form of ``exp(-i/2 sum_j c_j sigma_j(x)sigma_j)``, whose only
+    nonzero entries lie on the diagonal and the anti-diagonal: on the
+    basis pair {00, 11} it is ``e^{-i c3/2} exp(-i (c1 - c2)/2 sigma_x)``,
+    that is ``e^{-i c3/2} cos((c1 - c2)/2)`` at (0, 0) and (3, 3) and
+    ``-i e^{-i c3/2} sin((c1 - c2)/2)`` at (0, 3) and (3, 0); on {01, 10}
+    it is ``e^{i c3/2} exp(-i (c1 + c2)/2 sigma_x)``.  Accepts a
+    :class:`CanonicalCoords` or any length-3 sequence; the coordinates are
+    not required to lie in the Weyl chamber.
 
     >>> np.allclose(abelian_gate((0, 0, 0)), np.eye(4))
     True
     """
-    triple = coerce_triple(c)
-    return _abelian_batch(np.array([triple]))[0]
+    return _abelian_batch(np.array([coerce_triple(c)]))[0]
 
 
 def assemble(x: FullCoords) -> np.ndarray:
-    """Build the gate ``k1 . A(c) . k2`` from its fifteen coordinates."""
-    k1 = local_gate(x.a1, x.b1)
-    k2 = local_gate(x.a2, x.b2)
-    return k1 @ abelian_gate(x.c) @ k2
+    """Build the gate ``k1 . A(c) . k2`` from its fifteen coordinates.
+
+    One row of :func:`_assemble_batch`.  The factors may be plain
+    (alpha, theta, phi) triples and ``c`` any length-3 sequence.
+    """
+    row = [t for v in (x.a1, x.b1, x.a2, x.b2) for t in _su2_params(v).as_tuple()]
+    return _assemble_batch(np.array([row + list(coerce_triple(x.c))]))[0]
 
 
 def _assemble_batch(params: np.ndarray) -> np.ndarray:
@@ -206,9 +202,8 @@ def _assemble_batch(params: np.ndarray) -> np.ndarray:
         _su2_matrix(params[:, 3 * b], params[:, 3 * b + 1], params[:, 3 * b + 2])
         for b in range(4)
     ]
-    k1 = _kron_batch(u[0], u[1])
-    k2 = _kron_batch(u[2], u[3])
-    return k1 @ _abelian_batch(params[:, 12:15]) @ k2
+    # One expression, so k1 and the core are freed before k2 is built.
+    return _kron_batch(u[0], u[1]) @ _abelian_batch(params[:, 12:15]) @ _kron_batch(u[2], u[3])
 
 
 def magic_basis(U) -> np.ndarray:

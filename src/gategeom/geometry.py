@@ -22,7 +22,7 @@ _NORMALIZATION_CHAMBER = 48.0 / np.pi
 _NORMALIZATION_FULL = 3.0 / (256.0 * np.pi**9)
 
 
-def _zeta_kernel(alpha: float, theta: float, phi: float) -> np.ndarray:
+def zeta_frame(alpha: float, theta: float, phi: float) -> np.ndarray:
     """Pullback one-forms of a single-qubit rotation in axis-angle angles.
 
     Row A in (x, y, z), column mu in (d alpha, d theta, d phi): the
@@ -42,18 +42,13 @@ def _zeta_kernel(alpha: float, theta: float, phi: float) -> np.ndarray:
     )
 
 
-def zeta_frame(alpha: float, theta: float, phi: float) -> np.ndarray:
-    """Public wrapper over the one-form coefficient matrix (3, 3)."""
-    return _zeta_kernel(float(alpha), float(theta), float(phi))
-
-
 def _zeta_negated(alpha: float, theta: float, phi: float) -> np.ndarray:
     """Coefficient matrix for the factor entering through a reversed angle.
 
     Substituting alpha -> -alpha and then negating the d alpha column
     accounts for differentiating with respect to the *original* alpha.
     """
-    z = _zeta_kernel(-alpha, theta, phi)
+    z = zeta_frame(-alpha, theta, phi)
     z[:, 0] = -z[:, 0]
     return z
 
@@ -61,8 +56,8 @@ def _zeta_negated(alpha: float, theta: float, phi: float) -> np.ndarray:
 def metric_tensor(x: FullCoords) -> np.ndarray:
     """The 15x15 metric in coordinate order (a1, b1, a2, b2, c)."""
     c1, c2, c3 = x.c.as_tuple()
-    z1a = _zeta_kernel(*x.a1.as_tuple())
-    z1b = _zeta_kernel(*x.b1.as_tuple())
+    z1a = zeta_frame(*x.a1.as_tuple())
+    z1b = zeta_frame(*x.b1.as_tuple())
     z2a = _zeta_negated(*x.a2.as_tuple())
     z2b = _zeta_negated(*x.b2.as_tuple())
 

@@ -68,6 +68,18 @@ class TestParseAngle:
         with pytest.raises(click.BadParameter):
             parse_angle("two*pi")
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["classify", "--coords", "pi/0,0,0"],
+            ["volume", "cube", "--gate", "cnot", "--side", "pi/0"],
+        ],
+    )
+    def test_zero_denominator_is_usage_error(self, runner, args):
+        result = runner.invoke(cli, args)
+        assert result.exit_code == 2
+        assert "zero denominator" in result.stderr
+
 
 class TestGoldenOutputs:
     """Frozen byte-for-byte outputs; regenerate only for a deliberate

@@ -2,8 +2,9 @@ import json
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
-from conftest import random_su2_params, write_matrix_json
+from conftest import random_full_coords, random_su2_params, write_matrix_json
 from gategeom.coords import FullCoords, SU2_IDENTITY, Su2Params
 from gategeom.errors import ValidationError
 from gategeom.gates import (
@@ -13,6 +14,8 @@ from gategeom.gates import (
     NAMED_GATE_POINTS,
     PAULI,
     SWAP,
+    _abelian_batch,
+    _assemble_batch,
     abelian_gate,
     assemble,
     generator,
@@ -114,6 +117,18 @@ class TestAbelianGate:
         A, B = abelian_gate(c), abelian_gate(d)
         assert np.max(np.abs(A @ B - B @ A)) <= 1e-12
 
+    def test_closed_form_matches_the_exponential(self, rng):
+        c = np.vstack(
+            [
+                np.sort(rng.uniform(0, np.pi / 2, (100, 3)))[:, ::-1],  # in the chamber
+                rng.uniform(-np.pi, np.pi, (100, 3)),  # mostly outside it
+                [[0.0, 0.0, 0.0], [np.pi, 0.0, 0.0], [np.pi / 2, np.pi / 4, 0.0]],
+            ]
+        )
+        pairs = np.array([np.kron(PAULI[s], PAULI[s]) for s in "xyz"])
+        want = np.array([expm(-0.5j * np.einsum("j,jab->ab", t, pairs)) for t in c])
+        np.testing.assert_allclose(_abelian_batch(c), want, rtol=0, atol=1e-15)
+
 
 class TestAssemble:
     def test_all_zero_coordinates(self):
@@ -136,6 +151,14 @@ class TestAssemble:
     def test_trivial_locals_reduce_to_commuting_core(self):
         x = FullCoords(SU2_IDENTITY, SU2_IDENTITY, SU2_IDENTITY, SU2_IDENTITY, (np.pi / 2, 0, 0))
         np.testing.assert_allclose(assemble(x), abelian_gate((np.pi / 2, 0, 0)), atol=0)
+
+    def test_scalar_is_a_row_of_the_batch(self, rng):
+        xs = [random_full_coords(rng) for _ in range(50)]
+        batch = _assemble_batch(np.array([x.as_array() for x in xs]))
+        x = xs[0]  # plain tuples where the dataclasses would go
+        xs[0] = FullCoords(x.a1, x.b1.as_tuple(), x.a2, x.b2, x.c.as_tuple())
+        for x, row in zip(xs, batch):
+            np.testing.assert_array_equal(assemble(x), row)
 
 
 class TestMagicBasis:

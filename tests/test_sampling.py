@@ -178,6 +178,19 @@ class TestMatrixSamples:
             tracemalloc.stop()
         assert peak < 1.3 * G.nbytes
 
+    def test_coordinate_method_peak_memory(self):
+        """The assembled block's temporaries stay well under one output's size."""
+        n = 16 * BLOCK_SIZE
+        config = SamplerConfig(seed=8, method="coordinate_density")
+        sample_gates(BLOCK_SIZE, config)  # warm caches outside the trace
+        tracemalloc.start()
+        try:
+            G = sample_gates(n, config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.4 * G.nbytes
+
     def test_trace_modulus_is_bi_invariant(self):
         n = 20_000
         U = sample_gates(n, SamplerConfig(seed=9))
