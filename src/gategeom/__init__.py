@@ -29,10 +29,8 @@ from .gates import (
     assemble,
     generator,
     generators,
-    is_unitary,
     load_matrix_json,
     local_gate,
-    magic_basis,
     matrix_from_json_dict,
     matrix_to_json_dict,
     require_unitary,
@@ -159,13 +157,11 @@ __all__ = [
     "integrate_pe_region",
     "invariants_at",
     "is_perfect_entangler",
-    "is_unitary",
     "jacobian",
     "jjt_closed",
     "load_matrix_json",
     "local_gate",
     "locally_equivalent",
-    "magic_basis",
     "makhlin_density",
     "makhlin_invariants",
     "matrix_from_json_dict",

@@ -18,7 +18,7 @@ import numpy as np
 from . import __version__
 from .coords import CanonicalCoords, in_weyl_chamber
 from .errors import RangeError, ValidationError
-from .gates import NAMED_GATE_POINTS, matrix_from_json_dict, require_unitary
+from .gates import NAMED_GATE_POINTS, load_matrix_json, require_unitary
 from .invariants import canonical_coords, g_from_c, project_su4, validate_invariant_ranges
 from .geometry import weyl_density
 from .sampling import (
@@ -106,12 +106,9 @@ def _parse_triple(text: str, what: str = "coordinates") -> tuple[float, float, f
 
 
 def _read_matrix(source: str) -> np.ndarray:
-    if source == "-":
-        obj = json.load(sys.stdin)
-    else:
-        with open(source, "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
-    return require_unitary(matrix_from_json_dict(obj), what="input matrix")
+    return require_unitary(
+        load_matrix_json(sys.stdin if source == "-" else source), what="input matrix"
+    )
 
 
 def _emit(payload: dict, as_json: bool) -> None:
@@ -224,15 +221,20 @@ def volume():
     """Masses of distinguished regions under the invariant measure."""
 
 
-def _parse_methods(text: str, allowed: tuple[str, ...]) -> list[str]:
+#: Every volume command offers these methods and runs the first two by default.
+_METHODS = ("closed", "quadrature", "mc")
+_DEFAULT_METHODS = "closed,quadrature"
+
+
+def _parse_methods(text: str) -> list[str]:
     if text.strip().lower() == "all":
-        return list(allowed)
+        return list(_METHODS)
     methods = [m.strip().lower() for m in text.split(",") if m.strip()]
     if not methods:
         raise click.BadParameter("no methods given")
     for m in methods:
-        if m not in allowed:
-            raise click.BadParameter(f"unknown method {m!r}; choose from {', '.join(allowed)} or all")
+        if m not in _METHODS:
+            raise click.BadParameter(f"unknown method {m!r}; choose from {', '.join(_METHODS)} or all")
     return list(dict.fromkeys(methods))
 
 
@@ -260,29 +262,23 @@ def _volume_report(results: dict, notes: dict, as_json: bool) -> None:
     _emit(payload, as_json)
 
 
-_METHODS_HELP = "comma-separated subset of {%s}, or 'all'"
-
-
-def _volume_options(defaults: str, allowed: str):
-    def wrap(fn):
-        for opt in reversed(
-            [
-                click.option(
-                    "--methods",
-                    default=defaults,
-                    show_default=True,
-                    help=_METHODS_HELP % allowed,
-                ),
-                click.option("--samples", type=int, default=200_000, show_default=True),
-                click.option("--seed", type=int, default=0, show_default=True),
-                click.option("--threads", type=int, default=None, help="MC workers [default: cores]"),
-                click.option("--json", "as_json", is_flag=True, help="emit JSON"),
-            ]
-        ):
-            fn = opt(fn)
-        return fn
-
-    return wrap
+def _volume_options(fn):
+    for opt in reversed(
+        [
+            click.option(
+                "--methods",
+                default=_DEFAULT_METHODS,
+                show_default=True,
+                help=f"comma-separated subset of {{{', '.join(_METHODS)}}}, or 'all'",
+            ),
+            click.option("--samples", type=int, default=200_000, show_default=True),
+            click.option("--seed", type=int, default=0, show_default=True),
+            click.option("--threads", type=int, default=None, help="MC workers [default: cores]"),
+            click.option("--json", "as_json", is_flag=True, help="emit JSON"),
+        ]
+    ):
+        fn = opt(fn)
+    return fn
 
 
 def _mc(region: vol.Region, samples: int, seed: int, threads: int | None) -> vol.VolumeResult:
@@ -292,11 +288,11 @@ def _mc(region: vol.Region, samples: int, seed: int, threads: int | None) -> vol
 
 
 @volume.command("pe")
-@_volume_options("closed,quadrature", "closed, quadrature, mc")
+@_volume_options
 def volume_pe(methods, samples, seed, threads, as_json):
     """Mass of the perfect-entangler wedge."""
     results = {}
-    for m in _parse_methods(methods, ("closed", "quadrature", "mc")):
+    for m in _parse_methods(methods):
         if m == "mc":
             results[m] = _mc(vol.Region("pe"), samples, seed, threads)
         else:
@@ -313,7 +309,7 @@ def volume_pe(methods, samples, seed, threads, as_json):
     "--order", type=int, default=20, show_default=True,
     help="Gauss-Legendre nodes per axis per block (both clip modes)",
 )
-@_volume_options("closed,quadrature", "closed, quadrature, mc")
+@_volume_options
 def volume_cube(gate, center, side, clip, order, methods, samples, seed, threads, as_json):
     """Mass of a coordinate cube.
 
@@ -325,7 +321,7 @@ def volume_cube(gate, center, side, clip, order, methods, samples, seed, threads
         raise click.UsageError("provide exactly one of --gate or --center")
     ctr = NAMED_GATE_POINTS[gate] if gate else _parse_triple(center, "center")
     a = parse_angle(side)
-    wanted = _parse_methods(methods, ("closed", "quadrature", "mc"))
+    wanted = _parse_methods(methods)
     if "closed" in wanted and clip != "none":
         raise click.UsageError("closed cube forms exist only for clip=none")
     results, notes = {}, {}
@@ -351,7 +347,7 @@ def volume_cube(gate, center, side, clip, order, methods, samples, seed, threads
 @click.option("--center", required=True, help="axis position g1,g2,g3 in invariant space")
 @click.option("--radius", required=True, type=float)
 @click.option("--height", required=True, type=float)
-@_volume_options("closed,quadrature", "closed, quadrature, mc")
+@_volume_options
 def volume_cylinder(center, radius, height, methods, samples, seed, threads, as_json):
     """Mass of a g3-aligned cylinder in invariant space."""
     parts = [p for p in center.split(",") if p.strip()]
@@ -360,7 +356,7 @@ def volume_cylinder(center, radius, height, methods, samples, seed, threads, as_
     ctr = tuple(float(p) for p in parts)
     validate_invariant_ranges(*ctr)
     results = {}
-    for m in _parse_methods(methods, ("closed", "quadrature", "mc")):
+    for m in _parse_methods(methods):
         if m == "closed":
             results[m] = vol.VolumeResult(vol.cylinder_volume_g(ctr[:2], radius, height), "closed")
         elif m == "quadrature":
@@ -374,11 +370,11 @@ def volume_cylinder(center, radius, height, methods, samples, seed, threads, as_
 
 @volume.command("sphere")
 @click.option("--radius", required=True, type=float)
-@_volume_options("closed,quadrature", "closed, quadrature, mc")
+@_volume_options
 def volume_sphere(radius, methods, samples, seed, threads, as_json):
     """Mass of an origin-centred sphere in invariant space."""
     results = {}
-    for m in _parse_methods(methods, ("closed", "quadrature", "mc")):
+    for m in _parse_methods(methods):
         if m == "closed":
             results[m] = vol.VolumeResult(vol.origin_volume_g("sphere", radius), "closed")
         elif m == "quadrature":

@@ -72,13 +72,6 @@ def generators() -> np.ndarray:
     return out
 
 
-def is_unitary(U: np.ndarray, tol: float = UNITARITY_INPUT_TOL) -> bool:
-    U = np.asarray(U)
-    if U.shape != (4, 4):
-        return False
-    return np.abs(U.conj().T @ U - np.eye(4)).max() <= tol
-
-
 def require_unitary(U, tol: float = UNITARITY_INPUT_TOL, what: str = "matrix") -> np.ndarray:
     """Validate and return ``U`` as a (4, 4) complex unitary array."""
     U = np.asarray(U, dtype=complex)
@@ -204,16 +197,6 @@ def _assemble_batch(params: np.ndarray) -> np.ndarray:
     ]
     # One expression, so k1 and the core are freed before k2 is built.
     return _kron_batch(u[0], u[1]) @ _abelian_batch(params[:, 12:15]) @ _kron_batch(u[2], u[3])
-
-
-def magic_basis(U) -> np.ndarray:
-    """Conjugate a unitary into the Bell basis: ``Q^dag U Q``.
-
-    In this basis local gates are real orthogonal, which is what makes
-    the invariant extraction work.
-    """
-    U = require_unitary(U)
-    return MAGIC_BASIS.conj().T @ U @ MAGIC_BASIS
 
 
 def matrix_to_json_dict(U: np.ndarray) -> dict:

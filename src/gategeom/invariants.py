@@ -28,18 +28,17 @@ CLAMP_BUDGET = 1e-12
 #: as one class, and the form with c1 <= pi/2 is returned.
 FACE_TOL = 1e-13
 
-#: Weight of Im m in the real symmetric mix whose eigenvectors diagonalise
-#: m; irrational, so that distinct eigenvalues of m stay apart in the mix.
+#: Weight of Im m in the real symmetric mix that the Jacobi sweeps
+#: diagonalise; irrational, so that distinct eigenvalues of m stay apart.
 _MIX = np.sqrt(2.0) - 1.0
-#: Off-diagonal of O^T m O beyond which the mix had a tie by chance (or,
-#: on the Jacobi route, the sweeps left the row unconverged).
+#: Off-diagonal of O^T m O beyond which the sweeps left a row unconverged
+#: or the mix had a tie by chance.
 _TIE_TOL = 1e-13
-_OFF_DIAGONAL = 1.0 - np.eye(4)
 
 #: Stacks of at least this many rows take the Jacobi route, which works on
 #: whole-stack arrays; below it one LAPACK call per matrix is cheaper.  Set
 #: from the measured crossover (README, "Canonical coordinates").
-_JACOBI_MIN_ROWS = 1024
+_JACOBI_MIN_ROWS = 224
 #: Cyclic Jacobi sweeps.  Fixed, so that a row's result never depends on
 #: the rest of its stack; five converge every measured family, and a sixth
 #: sends no further row to the general solver.
@@ -129,8 +128,7 @@ def canonical_coords_batch(U) -> np.ndarray:
     """Chamber coordinates of a stack of unitaries, (n, 4, 4) -> (n, 3).
 
     Every row is validated as unitary.  m = U_B^T U_B is unitary and
-    symmetric, so m = O D O^T with O real orthogonal, which diagonalises
-    Re m + r Im m.  Half the eigenphases lam_k of m for the SU(4)
+    symmetric, and half the eigenphases lam_k of m for the SU(4)
     representative give c = -(lam0 + lam1, lam1 + lam3, lam0 + lam3) up to
     a Weyl-group move, for any order and branch; the fold reduces each c_i
     modulo pi, sorts |c_i| in descending order and, if an odd number of
@@ -144,11 +142,14 @@ def _spectral_coords(U: np.ndarray) -> np.ndarray:
     """:func:`canonical_coords_batch` of a stack already known to be unitary.
 
     Stacks of fewer than ``_JACOBI_MIN_ROWS`` rows take LAPACK's ``det``
-    and ``eigh`` per matrix, larger ones the Jacobi route; the two agree
+    and ``eigvals`` per matrix, larger ones the Jacobi route; the two agree
     to about 1e-15.
     """
     if U.shape[0] < _JACOBI_MIN_ROWS:
-        det, eig = np.linalg.det(U), _eigh_spectrum(U)
+        V = U @ MAGIC_BASIS
+        # m = V^T P V with P = conj(Q) Q^dag = antidiag(1, -1, -1, 1).
+        X = V[:, 0, :, None] * V[:, 3, None, :] - V[:, 1, :, None] * V[:, 2, None, :]
+        det, eig = np.linalg.det(U), np.linalg.eigvals(X + X.transpose(0, 2, 1))
     else:
         u = np.ascontiguousarray(U.transpose(1, 2, 0))
         det, eig = _laplace_det(u), _jacobi_spectrum(u)
@@ -175,36 +176,20 @@ def _laplace_det(u: np.ndarray) -> np.ndarray:
     return (sign * top * bottom[::-1]).sum(axis=0)
 
 
-def _eigh_spectrum(U: np.ndarray) -> np.ndarray:
-    """Eigenvalues of m = U_B^T U_B, shape (n, 4), by one ``eigh`` per row."""
-    V = U @ MAGIC_BASIS
-    # m = V^T P V with P = conj(Q) Q^dag = antidiag(1, -1, -1, 1).
-    X = V[:, 0, :, None] * V[:, 3, None, :] - V[:, 1, :, None] * V[:, 2, None, :]
-    m = X + X.transpose(0, 2, 1)
-    w, O = np.linalg.eigh(m.real + _MIX * m.imag)
-    # Im D is the diagonal of O^T Im(m) O, and w = Re D + r Im D.
-    S = O.transpose(0, 2, 1) @ m.imag @ O
-    im = np.diagonal(S, axis1=1, axis2=2)
-    eig = (w - _MIX * im) + 1j * im
-    tied = np.abs(S * _OFF_DIAGONAL).max(axis=(1, 2)) > _TIE_TOL
-    if tied.any():
-        eig[tied] = np.linalg.eigvals(m[tied])
-    return eig
-
-
 def _jacobi_spectrum(u: np.ndarray) -> np.ndarray:
     """Eigenvalues of m = U_B^T U_B, shape (n, 4), by vectorised Jacobi.
 
     ``u`` is the stack laid out as (4, 4, n), and every step is arithmetic
-    on length-n arrays, one per matrix entry.
-    Cyclic Jacobi on a = Re m + r Im m applies each rotation to b = Im m
-    as well, so the sweeps end with a = O^T (Re m + r Im m) O and
+    on length-n arrays, one per matrix entry.  m is unitary and symmetric,
+    so m = O D O^T with O real orthogonal, which also diagonalises
+    a = Re m + r Im m.  Cyclic Jacobi on a applies each rotation to
+    b = Im m as well, so the sweeps end with a = O^T (Re m + r Im m) O and
     b = O^T Im(m) O, whose diagonals give D.  Rows whose O^T m O keeps an
     off-diagonal entry (unconverged, or a chance tie of the mix) go to
     ``eigvals``.
     """
     # V = U @ MAGIC_BASIS over the basis' nonzero entries, then m = V^T P V
-    # as in _eigh_spectrum, kept as its upper triangle.
+    # as in _spectral_coords, kept as its upper triangle.
     v = np.zeros_like(u)
     for k, j in _MAGIC_TERMS:
         v[:, j] += MAGIC_BASIS[k, j] * u[:, k]

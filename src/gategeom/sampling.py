@@ -16,7 +16,7 @@ are, bit for bit, the first rows of any longer call with the same seed.
 The final partial block promises no such match, since its draws depend
 on its length.  Within one call the oracle's coordinates of that block,
 if it has fewer than ``invariants._JACOBI_MIN_ROWS`` rows, come from the
-kernel's ``eigh`` route and the rest from its Jacobi route; the two
+kernel's ``eigvals`` route and the rest from its Jacobi route; the two
 agree within 1e-14.
 """
 from __future__ import annotations

@@ -340,7 +340,8 @@ class TestSpectralKernel:
         For exp(i phi) A(c), m has the eigenphases -(s . c) + 2 phi; those of
         s = (+,-,+) and (+,+,-) sum to -2 c1 + 4 phi, and cos t + r sin t
         takes one value at two phases t that sum to 2 atan(r).  Local gates
-        mix the tied eigenvectors, so only the general solver gets D right.
+        mix the tied eigenvectors, so only the general solver gets D right;
+        a scalar call takes it directly.
         """
         calls = []
         eigvals = np.linalg.eigvals
@@ -402,7 +403,7 @@ def tiled(points: np.ndarray) -> np.ndarray:
 
 
 def both_routes(U: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Coordinates of a stack from the Jacobi route and from the eigh route."""
+    """Coordinates of a stack from the Jacobi route and from the ``eigvals`` route."""
     assert U.shape[0] >= _JACOBI_MIN_ROWS
     parts = np.array_split(U, -(-2 * U.shape[0] // _JACOBI_MIN_ROWS))
     assert max(len(p) for p in parts) < _JACOBI_MIN_ROWS
@@ -424,10 +425,10 @@ class TestJacobiRoute:
     )
     def test_boundary_points_recovered(self, simplex, weights, seed):
         c = tiled(boundary_point(simplex, weights)[None])
-        jacobi, eigh = both_routes(dressed_stack(np.random.default_rng(seed), _abelian_batch(c)))
+        jacobi, lapack = both_routes(dressed_stack(np.random.default_rng(seed), _abelian_batch(c)))
         assert in_weyl_chamber(jacobi[:, 0], jacobi[:, 1], jacobi[:, 2], tol=1e-15).all()
         assert class_distances(jacobi, c).max() <= 1e-12
-        assert np.abs(jacobi - eigh).max() <= 1e-14
+        assert np.abs(jacobi - lapack).max() <= 1e-14
 
     def test_gate_families_and_cphase(self, rng):
         c = tiled(FAMILY_POINTS)
@@ -439,9 +440,9 @@ class TestJacobiRoute:
             (_abelian_batch(c), c),
             (cphase, np.stack([theta / 2, 0 * theta, 0 * theta], axis=-1)),
         ):
-            jacobi, eigh = both_routes(dressed_stack(rng, cores))
+            jacobi, lapack = both_routes(dressed_stack(rng, cores))
             assert class_distances(jacobi, true).max() <= 1e-12
-            assert np.abs(jacobi - eigh).max() <= 1e-14
+            assert np.abs(jacobi - lapack).max() <= 1e-14
 
     def test_accidental_tie_takes_general_eigensolver(self, rng, monkeypatch):
         """The tie of TestSpectralKernel survives local dressing, so every row has it."""
@@ -456,42 +457,51 @@ class TestJacobiRoute:
         assert calls == [(_JACOBI_MIN_ROWS, 4, 4)]
         assert np.abs(got - c).max() <= 1e-12
 
-    @pytest.mark.parametrize("sweeps,iswaps", [(1, 0), (0, _JACOBI_MIN_ROWS // 2)])
+    @pytest.mark.parametrize("sweeps,iswaps", [(1, 0), (0, 512)])
     def test_unconverged_rows_take_general_eigensolver(self, rng, monkeypatch, sweeps, iswaps):
         """With one sweep no bulk row converges; every one must reach ``eigvals``.
 
         Dressed iSWAPs without a global phase have a real m, so before any
         sweep only the real part of the off-diagonal shows them unconverged.
         """
+        n = 1024  # a Jacobi-route stack, half of it iSWAPs in the second case
+        assert n >= _JACOBI_MIN_ROWS
         calls = []
         eigvals = np.linalg.eigvals
         monkeypatch.setattr(np.linalg, "eigvals", lambda a: calls.append(a.shape) or eigvals(a))
         monkeypatch.setattr(invariants, "_JACOBI_SWEEPS", sweeps)
-        bulk = interior_chamber_points(rng, _JACOBI_MIN_ROWS - iswaps, margin=0.0)
+        bulk = interior_chamber_points(rng, n - iswaps, margin=0.0)
         iswap = np.tile([np.pi / 2, np.pi / 2, 0.0], (iswaps, 1))
         U = np.concatenate([
             dressed_stack(rng, _abelian_batch(bulk)),
             random_locals(rng, iswaps) @ _abelian_batch(iswap) @ random_locals(rng, iswaps),
         ])
         got = canonical_coords_batch(U)
-        assert calls == [(_JACOBI_MIN_ROWS, 4, 4)]
+        assert calls == [(n, 4, 4)]
         assert class_distances(got, np.concatenate([bulk, iswap])).max() <= 1e-12
 
     def test_route_follows_stack_length(self, rng, monkeypatch):
-        """At the threshold no LAPACK call is made per matrix; below it, one is."""
+        """At the threshold no per-matrix LAPACK call runs over the whole
+        stack (unconverged rows may still reach ``eigvals``); below it, one does."""
         U = dressed_stack(rng, _abelian_batch(interior_chamber_points(rng, _JACOBI_MIN_ROWS)))
         expected = canonical_coords_batch(U)
+        rows = []
 
-        def refuse(*args, **kwargs):
-            raise AssertionError("per-matrix LAPACK call")
+        def counted(solver):
+            def call(a, *args, **kwargs):
+                rows.append(len(a))
+                return solver(a, *args, **kwargs)
+            return call
 
-        monkeypatch.setattr(np.linalg, "eigh", refuse)
-        monkeypatch.setattr(np.linalg, "det", refuse)
+        for name in ("det", "eigh", "eigvals"):
+            monkeypatch.setattr(np.linalg, name, counted(getattr(np.linalg, name)))
         np.testing.assert_array_equal(canonical_coords_batch(U), expected)
-        with pytest.raises(AssertionError, match="per-matrix"):
-            canonical_coords_batch(U[1:])
+        assert max(rows, default=0) < len(U)
+        rows.clear()
+        canonical_coords_batch(U[1:])
+        assert len(U) - 1 in rows
 
-    @pytest.mark.parametrize("n", [1, 3, _JACOBI_MIN_ROWS])
+    @pytest.mark.parametrize("n", [1, 3, 1024])
     def test_closed_form_determinant(self, rng, n):
         A = rng.standard_normal((n, 4, 4)) + 1j * rng.standard_normal((n, 4, 4))
         want = np.linalg.det(A)

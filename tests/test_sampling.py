@@ -78,8 +78,8 @@ class TestDeterminism:
 
     @pytest.mark.parametrize("sampler", [sample_canonical, sample_gates])
     def test_whole_blocks_are_the_prefix_of_longer_calls(self, sampler):
-        """A short partial tail takes the eigh route for coordinates, yet the
-        whole block before it matches a call that ends there."""
+        """A short partial tail takes the ``eigvals`` route for coordinates, yet
+        the whole block before it matches a call that ends there."""
         cfg = SamplerConfig(seed=44)
         np.testing.assert_array_equal(
             sampler(BLOCK_SIZE + 100, cfg)[:BLOCK_SIZE], sampler(BLOCK_SIZE, cfg)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import gategeom.geometry
 import gategeom.quadrature
 import gategeom.volumes
 from gategeom.quadrature import bin_probabilities
@@ -67,6 +68,21 @@ class TestRunChecks:
         results = run_checks("quick", names=["pe-volume-quadrature"])
         assert len(results) == 1
         assert not results[0].passed
+
+    def test_unpolished_density_peak_is_caught(self, monkeypatch):
+        """The scan grid misses the peak, so a Newton polish that never moves
+        fails the density-max check and acceptance 6's bounds."""
+        derivatives = gategeom.geometry._cosine_density_derivatives
+        monkeypatch.setattr(
+            gategeom.geometry, "_cosine_density_derivatives",
+            lambda c: (np.zeros(3), derivatives(c)[1]),
+        )
+        [result] = run_checks("quick", names=["density-max"])
+        assert not result.passed
+        point, value = gategeom.geometry.weyl_density_max_point()
+        value_dev = abs(value - 12.0 / np.pi)
+        pos_dev = np.abs(point.as_array() - np.array([np.pi / 2, np.pi / 4, 0.0])).max()
+        assert value_dev > 1e-8 and pos_dev > 1e-4
 
     def test_crashing_check_reports_failure(self, monkeypatch):
         def boom(k):
