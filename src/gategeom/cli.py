@@ -30,6 +30,7 @@ from .sampling import (
     summarize_samples,
 )
 from . import volumes as vol
+from .verify import run_checks
 
 _FMT = "%.12g"
 #: Class reports print c, g and chi (all of order one) below this
@@ -507,8 +508,6 @@ def _write_rows(output: str, header: str, rows) -> None:
 @click.pass_context
 def verify(ctx, level, seed, only, as_json):
     """Run the self-verification battery; nonzero exit on any failure."""
-    from .verify import run_checks
-
     results = run_checks(level, seed=seed, names=list(only) or None)
     if not results:
         click.echo("error: no checks match the given names", err=True)

@@ -1,6 +1,9 @@
 """Deterministic quadrature over regions of coordinate space.
 
-Every integral here runs through one engine, :func:`_integrate`.  A
+Every integral in the package runs on the Gauss-Legendre nodes cached
+here: integrals over regions through one engine, :func:`_integrate`,
+and the one-dimensional integrals of the invariant-space bodies and of
+the elliptic check through its line form, :func:`_integrate_line`.  A
 region is a list of blocks with affine limits, cut so that the integrand
 is analytic inside each block, and tensor Gauss-Legendre places
 ``order`` nodes per axis in every block.  Convergence is spectral, and
@@ -35,6 +38,10 @@ REGION_ORDER = 12
 
 # Nodes per vectorised pass; bounds the temporaries at a few megabytes.
 _NODES_PER_PASS = 1 << 16
+
+# The line rule: this many nodes on each of this many pieces.
+_LINE_ORDER = 24
+_LINE_PIECES = 40
 
 # 0 <= z <= y <= x for x <= pi/2, and y <= pi - x beyond.
 _CHAMBER = np.array(
@@ -102,6 +109,23 @@ def _integrate(fn, blocks, order: int, groups=None, n_groups: int = 0):
     if groups is None:
         return float(sums.sum())
     return np.bincount(groups, weights=sums, minlength=n_groups)
+
+
+def _integrate_line(fn, lo: float, hi: float) -> float:
+    """Composite Gauss-Legendre integral of ``fn`` over [lo, hi].
+
+    The pieces shrink by a factor 4 towards ``lo``, the last one 4**-39
+    of the interval, so a kink or an integrable singularity at ``lo`` of
+    any width down to that is resolved, while an integrand analytic on
+    the whole interval loses nothing.  Write the integrand in the
+    distance from its near-singular end, so that nodes close to it keep
+    their relative precision.
+    """
+    t, w = _gauss_legendre(_LINE_ORDER)
+    edges = lo + (hi - lo) * 0.25 ** np.arange(_LINE_PIECES, -1.0, -1.0)
+    edges[0] = lo
+    x, wx = _nodes(edges[:-1], edges[1:], t, w)
+    return float(np.sum(wx * fn(x)))
 
 
 def integrate_over_chamber(fn=None, order: int = REGION_ORDER) -> float:

@@ -28,6 +28,7 @@ from .gates import NAMED_GATE_POINTS
 from .geometry import weyl_density
 from .quadrature import (
     REGION_ORDER,
+    _integrate_line,
     box_integral_abs_density,
     box_integral_chamber_clipped,
     integrate_pe_region,
@@ -265,15 +266,30 @@ def cube_volume_quadrature(center, side: float, order: int = 20, clip: str = "no
 # Elliptic integrals by arithmetic-geometric mean.
 
 
+def _agm(k: float) -> tuple[float, float]:
+    """AGM(1, k') and s = sum over n >= 1 of 2**(n-1) c_n**2 along the way.
+
+    Then K(k) = pi / (2 a) and E(k) = K (1 - k**2 / 2 - s).  k' is formed
+    as sqrt((1 - k)(1 + k)) and c_n as c_{n-1}**2 / (4 a_n), never as
+    differences, so neither cancels as k tends to 1 or to 0.
+    """
+    kp = math.sqrt((1.0 - k) * (1.0 + k))
+    a, b, c = (1.0 + kp) / 2.0, math.sqrt(kp), k * k / (2.0 * (1.0 + kp))
+    s, p = 0.0, 1.0
+    while True:
+        s += p * c * c
+        if c <= 1e-16 * a:
+            return a, s
+        a, b, c = (a + b) / 2.0, math.sqrt(a * b), c * c / (2.0 * (a + b))
+        p *= 2.0
+
+
 def elliptic_K(k: float) -> float:
     """Complete elliptic integral of the first kind, modulus convention."""
     k = float(k)
     if not (0.0 <= k < 1.0):
         raise ValidationError(f"modulus must satisfy 0 <= k < 1, got {k!r}")
-    a, b = 1.0, math.sqrt(1.0 - k * k)
-    while abs(a - b) > 1e-15 * a:
-        a, b = (a + b) / 2.0, math.sqrt(a * b)
-    return math.pi / (2.0 * a)
+    return math.pi / (2.0 * _agm(k)[0])
 
 
 def elliptic_E(k: float) -> float:
@@ -283,15 +299,8 @@ def elliptic_E(k: float) -> float:
         raise ValidationError(f"modulus must satisfy 0 <= k <= 1, got {k!r}")
     if k == 1.0:
         return 1.0
-    a, b, c = 1.0, math.sqrt(1.0 - k * k), k
-    s = 0.5 * c * c
-    p = 1.0
-    while abs(c) > 1e-16:
-        c = (a - b) / 2.0
-        a, b = (a + b) / 2.0, math.sqrt(a * b)
-        p *= 2.0
-        s += 0.5 * p * c * c
-    return elliptic_K(k) * (1.0 - s)
+    a, s = _agm(k)
+    return math.pi / (2.0 * a) * (1.0 - k * k / 2.0 - s)
 
 
 # ---------------------------------------------------------------------------
@@ -317,14 +326,23 @@ def cylinder_volume_g(center, radius: float, height: float) -> float:
         return 6.0 * R * h
     if R >= rho:
         return 12.0 * R * h / math.pi * elliptic_E(rho / R)
+    # 12 rho h / pi (E - k'^2 K), with E - k'^2 K = K (k^2 / 2 - s) from
+    # the AGM sums, which does not cancel as k -> 0.
     k = R / rho
-    return 12.0 * rho * h / math.pi * (elliptic_E(k) + (k * k - 1.0) * elliptic_K(k))
+    a, s = _agm(k)
+    return 6.0 * rho * h / a * (k * k / 2.0 - s)
 
 
 def cylinder_volume_quadrature(center, radius: float, height: float) -> float:
-    """Independent route: polar angle integral with the radial part exact."""
-    from scipy.integrate import quad
+    """Independent route: polar angle integral with the radial part exact.
 
+    Around the divergence axis the mass is 3 h / pi times the integral
+    over the polar angle of the distance a ray travels inside the disc:
+    its exit distance when the axis is inside, its chord otherwise.  The
+    integrands have a kink of width about sqrt(|1 - (rho/R)^2|) where the
+    ray grazes the circle; both are written in the angle's distance u
+    from that point and integrated on the graded line rule.
+    """
     g1, g2 = (float(v) for v in center)
     R, h = float(radius), float(height)
     if R < 0 or h < 0:
@@ -333,18 +351,24 @@ def cylinder_volume_quadrature(center, radius: float, height: float) -> float:
     if R == 0.0 or h == 0.0:
         return 0.0
     if R >= rho:
-        def ray_exit(p):
-            return rho * np.cos(p) + np.sqrt(R * R - (rho * np.sin(p)) ** 2)
+        # The exit distance rho cos(p) + sqrt(R^2 - rho^2 sin^2 p): its
+        # first term integrates to zero over a turn and the root is four
+        # copies of p in [0, pi/2]; at p = pi/2 - u the radicand is
+        # (R - rho)(R + rho) + rho^2 sin^2 u.
+        def exit_root(u):
+            return np.sqrt((R - rho) * (R + rho) + (rho * np.sin(u)) ** 2)
 
-        val, _ = quad(ray_exit, 0.0, 2.0 * np.pi, points=[np.pi / 2, 3 * np.pi / 2], limit=200)
-        return 3.0 * h / math.pi * val
+        return 12.0 * h / math.pi * _integrate_line(exit_root, 0.0, np.pi / 2)
     k = R / rho
+    kp2 = (1.0 - k) * (1.0 + k)
 
-    def chord(t):  # after substituting rho*sin(phi) = R*sin(t)
-        return np.cos(t) ** 2 / np.sqrt(1.0 - (k * np.sin(t)) ** 2)
+    # The chord after substituting rho sin(p) = R sin(t) is proportional
+    # to cos^2 t / sqrt(1 - k^2 sin^2 t); here at t = pi/2 - u.
+    def chord(u):
+        s2 = np.sin(u) ** 2
+        return s2 / np.sqrt(s2 + kp2 * np.cos(u) ** 2)
 
-    val, _ = quad(chord, 0.0, np.pi / 2, limit=200)
-    return 3.0 * h / math.pi * (4.0 * R * R / rho) * val
+    return 3.0 * h / math.pi * (4.0 * R * R / rho) * _integrate_line(chord, 0.0, np.pi / 2)
 
 
 def origin_volume_g(shape: str, size: float, height: float | None = None) -> float:
@@ -369,22 +393,21 @@ def origin_volume_g(shape: str, size: float, height: float | None = None) -> flo
 
 
 def origin_volume_quadrature(shape: str, size: float, height: float | None = None) -> float:
-    """Quadrature counterparts of :func:`origin_volume_g`."""
-    from scipy.integrate import quad
-
+    """Quadrature counterparts of :func:`origin_volume_g`, on the line rule."""
     s = float(size)
     if s < 0:
         raise ValidationError("size must be non-negative")
     if shape == "cube":
         half = s / 2.0
-        val, _ = quad(lambda p: half / np.cos(p), 0.0, np.pi / 4)
+        val = _integrate_line(lambda p: half / np.cos(p), 0.0, np.pi / 4)
         return 3.0 / math.pi * s * 8.0 * val
     if shape == "cylinder":
         if height is None:
             raise ValidationError("cylinder needs a height")
         return cylinder_volume_quadrature((0.0, 0.0), s, float(height))
     if shape == "sphere":
-        val, _ = quad(lambda z: np.sqrt(s * s - z * z), -s, s)
+        # Each slice's radius sqrt(s^2 - z^2), over z = s sin(theta).
+        val = 2.0 * _integrate_line(lambda t: (s * np.cos(t)) ** 2, 0.0, np.pi / 2)
         return 3.0 / math.pi * 2.0 * np.pi * val
     raise ValidationError(f"unknown shape {shape!r}; use cube, cylinder or sphere")
 

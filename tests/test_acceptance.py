@@ -282,10 +282,10 @@ def test_criterion_10_invariant_space_bodies(capsys):
     report(
         capsys,
         10,
-        worst_cyl <= 1e-6 and worst_origin <= 1e-6 and max(exact) <= 1e-15,
+        worst_cyl <= 1e-13 and worst_origin <= 3e-14 and max(exact) <= 1e-15,
         f"cylinder closed-vs-quadrature worst rel {worst_cyl:.2e} across the "
-        f"radius/offset branch (tol 1e-6); origin bodies worst rel "
-        f"{worst_origin:.2e} (tol 1e-6); origin closed forms exact to {max(exact):.1e}",
+        f"radius/offset branch (tol 1e-13); origin bodies worst rel "
+        f"{worst_origin:.2e} (tol 3e-14); origin closed forms exact to {max(exact):.1e}",
     )
 
 

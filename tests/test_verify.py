@@ -1,12 +1,21 @@
 import numpy as np
 import pytest
+import scipy.special
+import scipy.stats
 
 import gategeom.geometry
 import gategeom.quadrature
 import gategeom.volumes
 from gategeom.quadrature import bin_probabilities
 from gategeom.sampling import SamplerConfig, sample_canonical
-from gategeom.verify import CheckResult, chi_square_pvalue, run_checks
+from gategeom.verify import (
+    CheckResult,
+    _elliptic_by_quadrature,
+    _gamma_q,
+    _ks_2samp_pvalue,
+    chi_square_pvalue,
+    run_checks,
+)
 
 EXPECTED_CHECK_NAMES = {
     "chamber-normalization",
@@ -105,3 +114,55 @@ class TestChiSquare:
         squeezed = coords * 0.97  # shrink toward the origin
         p = chi_square_pvalue(squeezed, bin_probabilities())
         assert p < 1e-6
+
+
+class TestStatisticsAgainstScipy:
+    """The battery's numpy statistics against scipy's, here only a reference."""
+
+    @pytest.mark.parametrize("dof", [50, 300, 2000, 9000, 27000])
+    @pytest.mark.parametrize("p", [1e-6, 1e-3, 0.05, 0.5, 0.99, 1.0])
+    def test_chi_square_tail(self, dof, p):
+        # Measured worst 1.6e-11 relative, at 27000 degrees of freedom.
+        x = scipy.stats.chi2.isf(p, dof) if p < 1.0 else 0.0
+        want = scipy.stats.chi2.sf(x, dof)
+        assert _gamma_q(dof / 2.0, x / 2.0) == pytest.approx(want, rel=5e-11)
+
+    def test_chi_square_statistic(self):
+        rng = np.random.default_rng(5)
+        coords = rng.uniform((0.0, 0.0, 0.0), (np.pi, np.pi / 2, np.pi / 2), (4000, 3))
+        coords[:1000, 0] *= 0.8  # enough misfit for a p-value well inside (0, 1)
+        probs = np.full((2, 2, 2), 1.0 / 8.0)
+        edges = [np.linspace(0.0, hi, 3) for hi in (np.pi, np.pi / 2, np.pi / 2)]
+        counts, _ = np.histogramdd(coords, bins=edges)
+        want = scipy.stats.chisquare(counts.ravel(), np.full(8, 500.0)).pvalue
+        assert 1e-8 < want < 0.5
+        assert chi_square_pvalue(coords, probs) == pytest.approx(want, rel=5e-11)
+
+    @pytest.mark.parametrize("n", [40_000, 200_000])
+    def test_two_sample_ks(self, n):
+        """Stephens' form against the exact law of D that scipy evaluates.
+
+        Declared tolerance 1e-3 absolute: over a scan of D the gap peaks at
+        9.7e-4 for n_e = 2e4 (near p = 0.75) and 4.4e-4 for n_e = 1e5.
+        """
+        rng = np.random.default_rng(n)
+        for shift in (0.0, 0.5, 1.0, 1.5, 2.5):
+            a = rng.normal(size=n)
+            b = rng.normal(size=n) + shift / np.sqrt(n)
+            want = scipy.stats.ks_2samp(a, b).pvalue
+            assert _ks_2samp_pvalue(a, b) == pytest.approx(want, abs=1e-3)
+
+    def test_ks_statistic_is_the_largest_gap(self):
+        a, b = np.array([0.1, 0.4, 0.7]), np.array([0.2, 0.3, 0.5, 0.6])
+        d = scipy.stats.ks_2samp(a, b).statistic
+        en = 12.0 / 7.0
+        lam = (np.sqrt(en) + 0.12 + 0.11 / np.sqrt(en)) * d
+        want = scipy.stats.kstwobign.sf(lam)
+        assert _ks_2samp_pvalue(a, b) == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("k", [0.0, 0.1, 0.5, 0.9, 0.999, 1 - 1e-9])
+    def test_elliptic_reference(self, k):
+        K, E = _elliptic_by_quadrature(k)
+        # ellipkm1 takes 1 - k^2 unrounded, which matters as k -> 1.
+        assert K == pytest.approx(scipy.special.ellipkm1((1 - k) * (1 + k)), rel=5e-14)
+        assert E == pytest.approx(scipy.special.ellipe(k * k), rel=5e-14)
