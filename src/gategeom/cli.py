@@ -40,8 +40,10 @@ _ZERO_FLOOR = 5e-13
 
 #: Agreement bands for the multi-method volume reports: deterministic
 #: routes must match to this relative tolerance, Monte Carlo to this
-#: many standard errors.
-_AGREE_REL = 1e-5
+#: many standard errors.  The deterministic routes agree within 3e-13
+#: except on very small cubes at a wall (README, "Command line"), so a
+#: drift of 1e-10 in either shows.
+_AGREE_REL = 1e-12
 _AGREE_SIGMA = 3.0
 
 

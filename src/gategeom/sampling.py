@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .gates import _assemble_batch, matrix_to_json_dict, require_unitary_stack
+from .gates import _assemble_batch, require_unitary_stack
 from .geometry import WEYL_DENSITY_MAX, weyl_density
 from .invariants import _laplace_det, _spectral_coords, g_from_c
 from .volumes import is_perfect_entangler
@@ -40,6 +40,9 @@ BLOCK_SIZE = 1 << 14
 
 #: Chamber rejection acceptance rate, for sizing proposal rounds.
 _ACCEPT_RATE = 2.0 / np.pi**2
+#: Rows at a time: proposals the chamber sampler tests, rows an exporter
+#: converts to Python objects.
+_CHUNK = 4096
 
 
 @dataclass(frozen=True)
@@ -111,22 +114,28 @@ def _chamber_block(rng: np.random.Generator, m: int) -> np.ndarray:
     Proposals are uniform on the chamber: descending-sorted uniforms fill
     the half-cell with c1 <= pi/2, and a fair coin reflects c1 across
     pi/2 (the density is symmetric under that reflection).  Acceptance is
-    the density over its known maximum.
+    the density over its known maximum.  Each round's proposals are drawn
+    and tested ``_CHUNK`` rows at a time; once the block is full, the rest
+    of the round is still drawn, untested, so that the stream after the
+    block does not depend on where in the round it filled.
     """
     out = np.empty((m, 3))
+    u = np.empty((_CHUNK, 5))
     have = 0
     while have < m:
-        want = m - have
-        batch = max(256, int(want / _ACCEPT_RATE * 1.15))
-        u = rng.random((batch, 5))
-        c = np.sort(u[:, :3], axis=1)[:, ::-1] * (np.pi / 2)
-        flip = u[:, 3] < 0.5
-        c[flip, 0] = np.pi - c[flip, 0]
-        keep = u[:, 4] * WEYL_DENSITY_MAX < weyl_density(c)
-        accepted = c[keep]
-        take = min(want, accepted.shape[0])
-        out[have : have + take] = accepted[:take]
-        have += take
+        batch = max(256, int((m - have) / _ACCEPT_RATE * 1.15))
+        for start in range(0, batch, _CHUNK):
+            draw = u[: min(_CHUNK, batch - start)]
+            rng.random(out=draw)
+            if have == m:
+                continue
+            c = np.sort(draw[:, :3], axis=1)[:, ::-1] * (np.pi / 2)
+            flip = draw[:, 3] < 0.5
+            c[flip, 0] = np.pi - c[flip, 0]
+            accepted = c[draw[:, 4] * WEYL_DENSITY_MAX < weyl_density(c)]
+            take = min(m - have, accepted.shape[0])
+            out[have : have + take] = accepted[:take]
+            have += take
     return out
 
 
@@ -139,28 +148,36 @@ def _full_block(rng: np.random.Generator, m: int) -> np.ndarray:
     return out
 
 
-def _haar_block(rng: np.random.Generator, m: int) -> np.ndarray:
-    """Haar unitaries, shape (m, 4, 4), from a complex Ginibre block.
+def _haar_columns(rng: np.random.Generator, m: int) -> np.ndarray:
+    """Haar unitaries laid out (4, 4, m), from a complex Ginibre block.
 
-    Gram-Schmidt on the columns, each orthogonalised twice to stay at
-    round-off, is the QR factor whose R has a positive diagonal, which is
-    exactly Haar distributed.
+    The draws are those of an (m, 4, 4) block, written straight into the
+    column layout.  Gram-Schmidt on the columns, each orthogonalised twice
+    to stay at round-off, is the QR factor whose R has a positive
+    diagonal, which is exactly Haar distributed; it runs in place, on
+    length-m arrays.
     """
-    q = rng.standard_normal((m, 4, 4)) + 1j * rng.standard_normal((m, 4, 4))
+    u = np.empty((4, 4, m), dtype=complex)
+    u.real = rng.standard_normal((m, 4, 4)).transpose(1, 2, 0)
+    u.imag = rng.standard_normal((m, 4, 4)).transpose(1, 2, 0)
     for j in range(4):
-        v = q[:, :, j]
+        v = u[:, j]
         for _ in range(2 if j else 0):
-            p = q[:, :, :j]
-            v = v - np.einsum("nij,nj->ni", p, np.einsum("nij,ni->nj", p.conj(), v))
-        q[:, :, j] = v / np.sqrt(np.einsum("ni,ni->n", v.conj(), v).real)[:, None]
-    return q
+            r = [sum(np.conj(u[i, k]) * v[i] for i in range(4)) for k in range(j)]
+            for k, rk in enumerate(r):
+                v -= u[:, k] * rk
+        v /= np.sqrt(sum(v[i].real ** 2 + v[i].imag ** 2 for i in range(4)))
+    return u
 
 
 def _matrix_block(rng: np.random.Generator, m: int) -> np.ndarray:
-    """Haar unitaries projected to determinant one, shape (m, 4, 4)."""
-    q = _haar_block(rng, m)
-    det = _laplace_det(np.ascontiguousarray(q.transpose(1, 2, 0)))
-    return q * np.exp(-1j * np.angle(det) / 4.0)[:, None, None]
+    """Haar unitaries projected to determinant one, shape (m, 4, 4).
+
+    A transposed view of the column layout; the caller copies it out.
+    """
+    u = _haar_columns(rng, m)
+    u *= np.exp(-1j * np.angle(_laplace_det(u)) / 4.0)
+    return u.transpose(2, 0, 1)
 
 
 def _assembled_block(rng: np.random.Generator, m: int) -> np.ndarray:
@@ -171,9 +188,11 @@ def _assembled_block(rng: np.random.Generator, m: int) -> np.ndarray:
 def _oracle_coords_block(rng: np.random.Generator, m: int) -> np.ndarray:
     """Chamber coordinates of one block of Haar unitaries, shape (m, 3).
 
-    Unitary by construction, and the kernel strips the phase itself.
+    Unitary by construction, and the kernel strips the phase itself.  The
+    Jacobi route transposes the (m, 4, 4) view back, which gives it the
+    column layout itself, uncopied.
     """
-    return _spectral_coords(_haar_block(rng, m))
+    return _spectral_coords(_haar_columns(rng, m).transpose(2, 0, 1))
 
 
 def _run_blocks(n: int, config: SamplerConfig, block_fn, row_shape, dtype) -> np.ndarray:
@@ -247,6 +266,13 @@ def _sink(path_or_file, newline=None):
     return open(path_or_file, "w", newline=newline, encoding="utf-8")
 
 
+def _row_chunks(*arrays):
+    """Zipped rows of the arrays as Python objects, ``_CHUNK`` rows at a
+    time, so that an export converts each value once and holds one chunk."""
+    for start in range(0, arrays[0].shape[0], _CHUNK):
+        yield zip(*(a[start : start + _CHUNK].tolist() for a in arrays))
+
+
 def export_csv(path, coords: np.ndarray) -> None:
     """Write samples as CSV rows ``c1,c2,c3,g1,g2,g3,is_pe``.
 
@@ -255,14 +281,13 @@ def export_csv(path, coords: np.ndarray) -> None:
     """
     coords = np.asarray(coords, dtype=float)
     g = g_from_c(coords)
-    pe = is_perfect_entangler(coords)
+    pe = is_perfect_entangler(coords).astype(int)
     with _sink(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["c1", "c2", "c3", "g1", "g2", "g3", "is_pe"])
-        for i in range(coords.shape[0]):
-            writer.writerow(
-                [repr(float(v)) for v in (*coords[i], *g[i])] + [int(pe[i])]
-            )
+        # csv writes a float as str(), its shortest round-trip form.
+        for rows in _row_chunks(coords, g, pe):
+            writer.writerows([*ci, *gi, flag] for ci, gi, flag in rows)
 
 
 def export_jsonl(path, gates: np.ndarray, include_invariants: bool = True) -> None:
@@ -274,15 +299,11 @@ def export_jsonl(path, gates: np.ndarray, include_invariants: bool = True) -> No
     invariant triple are attached as well.
     """
     gates = require_unitary_stack(gates, what="gate stack")
+    # A complex entry viewed as two floats is its [re, im] pair.
+    fields = {"matrix": np.ascontiguousarray(gates).view(float).reshape(*gates.shape, 2)}
     if include_invariants:
         c = _spectral_coords(gates)
-        g = g_from_c(c)
-        pe = is_perfect_entangler(c)
+        fields.update(c=c, g=g_from_c(c), is_pe=is_perfect_entangler(c))
     with _sink(path) as fh:
-        for i in range(gates.shape[0]):
-            record = matrix_to_json_dict(gates[i])
-            if include_invariants:
-                record["c"] = [float(v) for v in c[i]]
-                record["g"] = [float(v) for v in g[i]]
-                record["is_pe"] = bool(pe[i])
-            fh.write(json.dumps(record) + "\n")
+        for rows in _row_chunks(*fields.values()):
+            fh.writelines(json.dumps(dict(zip(fields, row))) + "\n" for row in rows)

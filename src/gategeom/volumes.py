@@ -158,14 +158,23 @@ _CNOT_SERIES = _TrigSeries(
 _MIDPOINT_SERIES = _TrigSeries(
     [(3, "cos", 1), (-3, "cos", 3), (-4, "a_sin", 3)], Fraction(1, 2)
 )
-_AXIS_G0 = _TrigSeries([(8, "a", 0), (1, "a_cos", 3), (-9, "a_cos", 1)], Fraction(1, 2))
-_AXIS_G1 = _TrigSeries(
-    [(3, "a_cos", 3), (-3, "a_cos", 1), (-3, "sin", 3), (9, "sin", 1)], Fraction(1, 2)
-)
-_AXIS_G2 = _TrigSeries(
-    [(3, "a_cos", 3), (-3, "a_cos", 1), (-6, "sin", 3), (12, "sin", 2), (-6, "sin", 1)],
-    Fraction(1, 2),
-)
+# On the c2 = c3 = 0 axis the mass is G0 - cos(2 c1) G1 + cos(4 c1) G2.
+# Near the corners those three terms cancel, so it is evaluated as
+# S0 + 2 s^2 (S1 + 4 s^2 G2) with s = sin(c1), S0 = G0 - G1 + G2 and
+# S1 = G1 - 4 G2 summed as exact series.
+_AXIS_TERMS_G0 = [(8, "a", 0), (1, "a_cos", 3), (-9, "a_cos", 1)]
+_AXIS_TERMS_G1 = [(3, "a_cos", 3), (-3, "a_cos", 1), (-3, "sin", 3), (9, "sin", 1)]
+_AXIS_TERMS_G2 = [(3, "a_cos", 3), (-3, "a_cos", 1), (-6, "sin", 3), (12, "sin", 2), (-6, "sin", 1)]
+
+
+def _axis_series(*weighted) -> _TrigSeries:
+    terms = [(w * coef, kind, k) for w, part in weighted for coef, kind, k in part]
+    return _TrigSeries(terms, Fraction(1, 2))
+
+
+_AXIS_S0 = _axis_series((1, _AXIS_TERMS_G0), (-1, _AXIS_TERMS_G1), (1, _AXIS_TERMS_G2))
+_AXIS_S1 = _axis_series((1, _AXIS_TERMS_G1), (-4, _AXIS_TERMS_G2))
+_AXIS_G2 = _axis_series((1, _AXIS_TERMS_G2))
 
 _POINT_FORMS = {
     "identity": (_CORNER_SERIES, np.pi),
@@ -220,9 +229,8 @@ def cube_volume_closed(center, side: float) -> float:
                 "closed form on the axis holds for side <= distance to the "
                 f"nearest corner ({folded:.6g}); use cube_volume_quadrature"
             )
-        return float(
-            _AXIS_G0(a) - np.cos(2 * c1) * _AXIS_G1(a) + np.cos(4 * c1) * _AXIS_G2(a)
-        )
+        s2 = np.sin(c1) ** 2
+        return float(_AXIS_S0(a) + 2.0 * s2 * (_AXIS_S1(a) + 4.0 * s2 * _AXIS_G2(a)))
 
     # Generic interior point: valid while the cube stays strictly inside
     # the open chamber cell, away from every crease plane.
@@ -416,6 +424,10 @@ def origin_volume_quadrature(shape: str, size: float, height: float | None = Non
 # Monte-Carlo region masses.
 
 
+#: Region kinds whose membership reads the invariants; the rest read c only.
+_INVARIANT_KINDS = ("cube_g", "cylinder_g", "sphere_g")
+
+
 @dataclass(frozen=True)
 class Region:
     """A region whose sampled mass can be estimated.
@@ -441,15 +453,18 @@ class Region:
         if self.clip == "unclipped" and self.kind != "cube_c":
             raise ValidationError("unclipped counting applies only to coordinate cubes")
 
-    def weights(self, c: np.ndarray, g: np.ndarray) -> np.ndarray:
-        """Per-sample contribution: 0/1 membership, or a copy count."""
+    def weights(self, c: np.ndarray, g: np.ndarray | None) -> np.ndarray:
+        """Per-sample contribution: 0/1 membership, or a copy count.
+
+        Only the invariant-space kinds read ``g``; the others accept None.
+        """
         if self.kind == "cube_c" and self.clip == "unclipped":
             ctr = np.asarray(self.center, dtype=float)
             half = self.size / 2.0
             return _cube_orbit_multiplicity(c, ctr - half, ctr + half)
         return self.indicator(c, g).astype(float)
 
-    def indicator(self, c: np.ndarray, g: np.ndarray) -> np.ndarray:
+    def indicator(self, c: np.ndarray, g: np.ndarray | None) -> np.ndarray:
         if self.kind == "chamber":
             return np.ones(c.shape[0], dtype=bool)
         if self.kind == "pe":
@@ -479,15 +494,25 @@ def _cube_orbit_multiplicity(c: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> n
     c1 -> pi - c1 partner share every image but carry opposite signs of
     the second invariant), so the raw count is halved.  Coincident
     images only occur on chamber walls, which carry no mass.
+
+    The image of permutation p and signs s counts prod_j N_j(s_j c_p(j)),
+    with N_j(y) the shifts of y inside [lo_j, hi_j]; summed over the signs
+    it is prod_j A[j, p(j)] with A[j, i] = N_j(c_i) + N_j(-c_i), and over
+    the permutations the permanent of A.  Every term is a small integer,
+    exact in floating point, so the order of the sum does not matter.
     """
-    c = np.asarray(c, dtype=float)
-    total = np.zeros(c.shape[0])
-    for perm in itertools.permutations(range(3)):
-        x = c[:, perm]
-        for signs in itertools.product((1.0, -1.0), repeat=3):
-            y = x * np.array(signs)
-            counts = np.floor((hi - y) / np.pi) - np.ceil((lo - y) / np.pi) + 1.0
-            total += np.clip(counts, 0.0, None).prod(axis=1)
+    columns = np.asarray(c, dtype=float).T.copy()
+
+    def shifts(y, j):  # N_j(y)
+        top, bottom = hi[j] - y, lo[j] - y
+        top /= np.pi
+        bottom /= np.pi
+        top = np.floor(top, out=top) - np.ceil(bottom, out=bottom)
+        top += 1.0
+        return np.maximum(top, 0.0, out=top)
+
+    A = [[shifts(y, j) + shifts(-y, j) for y in columns] for j in range(3)]
+    total = sum(A[0][p[0]] * A[1][p[1]] * A[2][p[2]] for p in itertools.permutations(range(3)))
     return total / 2.0
 
 
@@ -508,7 +533,7 @@ def region_volume_mc(
     if samples <= 0:
         raise ValidationError("sample count must be positive")
     c = sample_canonical(samples, SamplerConfig(seed=seed, worker_count=worker_count))
-    g = g_from_c(c)
+    g = g_from_c(c) if region.kind in _INVARIANT_KINDS else None
     w = region.weights(c, g)
     value = float(w.mean())
     se = float(w.std(ddof=1)) / math.sqrt(samples) if samples > 1 else 0.0

@@ -274,6 +274,26 @@ class TestVolumeCommands:
         assert payload["closed"] == pytest.approx(payload["quadrature"], rel=1e-9)
         assert payload["agreement"] is True
 
+    @pytest.mark.parametrize(
+        "route,args",
+        [
+            ("cube_volume_quadrature", ["cube", "--gate", "b-gate", "--side", "0.3"]),
+            ("cylinder_volume_quadrature",
+             ["cylinder", "--center", "0.3,-0.1,0", "--radius", "0.2", "--height", "0.5"]),
+            ("origin_volume_quadrature", ["sphere", "--radius", "0.4"]),
+        ],
+    )
+    def test_a_drift_of_1e10_breaks_agreement(self, runner, monkeypatch, route, args):
+        exact = runner.invoke(cli, ["volume", *args, "--json"])
+        assert json.loads(exact.output)["agreement"] is True
+        quadrature = getattr(gategeom.volumes, route)
+        monkeypatch.setattr(
+            gategeom.volumes, route, lambda *a, **k: quadrature(*a, **k) * (1.0 + 1e-10)
+        )
+        drifted = runner.invoke(cli, ["volume", *args, "--json"])
+        assert drifted.exit_code == 0
+        assert json.loads(drifted.output)["agreement"] is False
+
     def test_sphere_closed_form(self, runner):
         result = runner.invoke(
             cli, ["volume", "sphere", "--radius", "0.05", "--json"]

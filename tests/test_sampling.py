@@ -1,3 +1,4 @@
+import csv
 import io
 import json
 import math
@@ -7,14 +8,20 @@ import numpy as np
 import pytest
 from scipy.stats import ks_2samp, kstest
 
+from gategeom import sampling
 from gategeom.coords import in_weyl_chamber
 from gategeom.errors import ValidationError
-from gategeom.gates import matrix_from_json_dict
+from gategeom.gates import matrix_from_json_dict, matrix_to_json_dict
+from gategeom.geometry import WEYL_DENSITY_MAX, weyl_density
 from gategeom.invariants import canonical_coords_batch, g_from_c
 from gategeom.sampling import (
     BLOCK_SIZE,
     SamplerConfig,
+    _ACCEPT_RATE,
     _alpha_from_uniform,
+    _block_rng,
+    _chamber_block,
+    _oracle_coords_block,
     export_csv,
     export_jsonl,
     sample_canonical,
@@ -23,7 +30,7 @@ from gategeom.sampling import (
     sample_invariants,
     summarize_samples,
 )
-from gategeom.volumes import PE_VOLUME_CLOSED
+from gategeom.volumes import PE_VOLUME_CLOSED, is_perfect_entangler
 
 
 def rotation_angle_cdf(alpha):
@@ -45,6 +52,38 @@ def alpha_all_rounds(u):
         bad = (cand <= lo) | (cand >= hi) | (df <= 1e-12)
         x = np.where(bad, 0.5 * (lo + hi), cand)
     return x
+
+
+def chamber_block_whole_rounds(rng, m):
+    """The chamber sampler drawing and testing each round of proposals in
+    one piece; returns the block and the number of rounds it took."""
+    out = np.empty((m, 3))
+    have = rounds = 0
+    while have < m:
+        want = m - have
+        batch = max(256, int(want / _ACCEPT_RATE * 1.15))
+        u = rng.random((batch, 5))
+        rounds += 1
+        c = np.sort(u[:, :3], axis=1)[:, ::-1] * (np.pi / 2)
+        flip = u[:, 3] < 0.5
+        c[flip, 0] = np.pi - c[flip, 0]
+        keep = u[:, 4] * WEYL_DENSITY_MAX < weyl_density(c)
+        accepted = c[keep]
+        take = min(want, accepted.shape[0])
+        out[have : have + take] = accepted[:take]
+        have += take
+    return out, rounds
+
+
+def block_peak(block_fn, m=BLOCK_SIZE):
+    """tracemalloc peak of one block, after a warm-up block."""
+    block_fn(_block_rng(0, 0), m)
+    tracemalloc.start()
+    try:
+        block_fn(_block_rng(1, 0), m)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 class TestSamplerConfig:
@@ -74,6 +113,13 @@ class TestDeterminism:
         n = BLOCK_SIZE + 1500  # a Jacobi-route block of each size
         serial = sample_gates(n, SamplerConfig(seed=43, worker_count=1, method=method))
         pooled = sample_gates(n, SamplerConfig(seed=43, worker_count=3, method=method))
+        np.testing.assert_array_equal(serial, pooled)
+
+    @pytest.mark.parametrize("sampler", [sample_full_coords, sample_invariants])
+    def test_other_samplers_bit_identical_across_worker_counts(self, sampler):
+        n = BLOCK_SIZE + 700
+        serial = sampler(n, SamplerConfig(seed=45, worker_count=1))
+        pooled = sampler(n, SamplerConfig(seed=45, worker_count=3))
         np.testing.assert_array_equal(serial, pooled)
 
     @pytest.mark.parametrize("sampler", [sample_canonical, sample_gates])
@@ -158,6 +204,39 @@ class TestMarginals:
             assert abs(frac - PE_VOLUME_CLOSED) <= 3.0 * se, method
 
 
+class TestBlockKernels:
+    @pytest.mark.parametrize(
+        "m,seed,chunk,rounds",
+        [
+            (1, 0, None, 1),
+            (5, 0, None, 1),
+            (60, 2, None, 2),
+            (60, 2, 64, 2),  # a second round, each round over several chunks
+            (1000, 0, None, 1),
+            (BLOCK_SIZE, 3, None, 1),  # one round over many chunks
+        ],
+    )
+    def test_chunked_rounds_match_whole_rounds(self, monkeypatch, m, seed, chunk, rounds):
+        """Same rows, and the stream after the block (which the rotation
+        angles of the fifteen-coordinate sampler read) is where it was."""
+        if chunk is not None:
+            monkeypatch.setattr(sampling, "_CHUNK", chunk)
+        whole_rng, rng = _block_rng(seed, 0), _block_rng(seed, 0)
+        expected, used = chamber_block_whole_rounds(whole_rng, m)
+        assert used == rounds
+        np.testing.assert_array_equal(_chamber_block(rng, m), expected)
+        np.testing.assert_array_equal(rng.random(16), whole_rng.random(16))
+
+    def test_oracle_coordinate_block_peak_memory(self):
+        """Gram-Schmidt in place and no (n, 4, 4) stack in the kernel: the
+        block's own arrays are 4 MB of matrices and their spectra."""
+        assert block_peak(_oracle_coords_block) <= 16e6
+
+    def test_chamber_block_peak_memory(self):
+        """Proposals are tested a chunk at a time; the output is 0.4 MB."""
+        assert block_peak(_chamber_block) <= 2e6
+
+
 class TestMatrixSamples:
     def test_unitary_with_unit_determinant(self):
         U = sample_gates(500, SamplerConfig(seed=8))
@@ -215,7 +294,45 @@ class TestSummaries:
         assert len(summary["mean_c"]) == len(summary["mean_g"]) == 3
 
 
+def csv_row_by_row(coords):
+    """The CSV export formatted one numpy scalar at a time."""
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(["c1", "c2", "c3", "g1", "g2", "g3", "is_pe"])
+    g, pe = g_from_c(coords), is_perfect_entangler(coords)
+    for i in range(coords.shape[0]):
+        writer.writerow([repr(float(v)) for v in (*coords[i], *g[i])] + [int(pe[i])])
+    return buf.getvalue()
+
+
+def jsonl_row_by_row(gates):
+    """The JSON-lines export built one matrix at a time."""
+    c = canonical_coords_batch(gates)
+    g, pe = g_from_c(c), is_perfect_entangler(c)
+    lines = []
+    for i in range(gates.shape[0]):
+        record = matrix_to_json_dict(gates[i])
+        record.update(c=[float(v) for v in c[i]], g=[float(v) for v in g[i]], is_pe=bool(pe[i]))
+        lines.append(json.dumps(record) + "\n")
+    return "".join(lines)
+
+
 class TestExports:
+    def test_csv_bytes_match_row_by_row_formatting(self):
+        """Several conversion chunks, wall points and signed zeros included."""
+        c = sample_canonical(5000, SamplerConfig(seed=21, method="coordinate_density"))
+        c[:3] = [[np.pi / 2, 0.0, 0.0], [np.pi / 2, np.pi / 4, 0.0], [0.0, -0.0, 0.0]]
+        buf = io.StringIO()
+        export_csv(buf, c)
+        assert buf.getvalue() == csv_row_by_row(c)
+
+    def test_jsonl_bytes_match_row_by_row_records(self):
+        gates = sample_gates(4500, SamplerConfig(seed=22))
+        gates = gates[::-1]  # a stack that is not contiguous
+        buf = io.StringIO()
+        export_jsonl(buf, gates)
+        assert buf.getvalue() == jsonl_row_by_row(gates)
+
     def test_csv_schema_and_round_trip(self, tmp_path):
         c = sample_canonical(50, SamplerConfig(seed=14))
         path = tmp_path / "samples.csv"

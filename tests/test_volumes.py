@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -13,6 +14,7 @@ from gategeom.volumes import (
     PE_VOLUME_CLOSED,
     Region,
     VolumeResult,
+    _cube_orbit_multiplicity,
     cube_volume_closed,
     cube_volume_quadrature,
     cylinder_volume_g,
@@ -94,6 +96,14 @@ class TestCubeClosedForms:
         closed = cube_volume_closed((c1, 0.0, 0.0), 0.25)
         quad = cube_volume_quadrature((c1, 0.0, 0.0), 0.25, order=30)
         assert closed == pytest.approx(quad, rel=1e-10)
+
+    @pytest.mark.parametrize("c1", [1e-3, 0.02, 0.1, np.pi - 0.03])
+    def test_axis_family_near_the_corners(self, c1):
+        """The axis form's three terms cancel as c1 nears 0 or pi."""
+        side = 0.9 * min(c1, np.pi - c1)
+        closed = cube_volume_closed((c1, 0.0, 0.0), side)
+        quad = cube_volume_quadrature((c1, 0.0, 0.0), side, order=30)
+        assert closed == pytest.approx(quad, rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("side", [0.1, 0.24])
     def test_interior_formula_matches_quadrature(self, side):
@@ -259,6 +269,52 @@ class TestOriginVolumes:
             origin_volume_g("cylinder", 0.1)
         with pytest.raises(ValidationError):
             origin_volume_g("cube", -0.1)
+
+
+def cube_images_loop(c, lo, hi):
+    """Images of each point in the box, counted over the 48 permutations
+    and sign patterns one at a time, then halved."""
+    total = np.zeros(c.shape[0])
+    for perm in itertools.permutations(range(3)):
+        x = c[:, perm]
+        for signs in itertools.product((1.0, -1.0), repeat=3):
+            y = x * np.array(signs)
+            counts = np.floor((hi - y) / np.pi) - np.ceil((lo - y) / np.pi) + 1.0
+            total += np.clip(counts, 0.0, None).prod(axis=1)
+    return total / 2.0
+
+
+class TestCubeOrbitMultiplicity:
+    def test_permanent_equals_the_image_loop(self):
+        """Bit for bit, on random points and boxes, and on points and box
+        faces placed exactly on walls and at multiples of pi/2."""
+        rng = np.random.default_rng(41)
+        h = np.pi / 2
+        grid = np.array(list(itertools.product((0.0, h / 2, h, np.pi), repeat=3)))
+        walls = np.array(
+            [[h, h, 0.0], [h, 0.0, 0.0], [np.pi, 0.0, 0.0], [h, h, h], [0.7, 0.7, 0.2],
+             [2.0, np.pi - 2.0, 0.3], [1.1, 0.4, 0.4], [0.9, 0.5, 0.0]]
+        )
+        points = np.concatenate([rng.uniform(0.0, np.pi, (3000, 3)), grid, walls])
+        boxes = [
+            ((0.0, 0.0, 0.0), (np.pi, h, h)),
+            ((-np.pi, -h, 0.0), (np.pi, h, np.pi)),
+            ((h, 0.0, -h), (np.pi, h, 0.0)),
+            ((-2 * np.pi, -np.pi, -np.pi), (2 * np.pi, np.pi, 3 * np.pi)),
+            ((0.0, 0.0, 0.0), (0.0, 0.0, 0.0)),
+            ((h, h / 2, 0.0), (h, h / 2, 0.0)),
+        ]
+        for _ in range(40):
+            center = rng.uniform(-np.pi, 2 * np.pi, 3)
+            side = rng.uniform(0.05, 7.0, 3)
+            boxes.append((center - side / 2, center + side / 2))
+        most = 0.0
+        for lo, hi in boxes:
+            lo, hi = np.asarray(lo), np.asarray(hi)
+            expected = cube_images_loop(points, lo, hi)
+            np.testing.assert_array_equal(_cube_orbit_multiplicity(points, lo, hi), expected)
+            most = max(most, expected.max())
+        assert most > 10.0  # the large boxes hold many images of a point
 
 
 class TestRegionMonteCarlo:
