@@ -7,10 +7,8 @@ battery that cross-checks every closed form against an independent
 route.
 """
 from .coords import (
-    CHAMBER_TOL,
     CanonicalCoords,
     FullCoords,
-    SU2_IDENTITY,
     Su2Params,
     in_weyl_chamber,
 )
@@ -22,43 +20,29 @@ from .errors import (
     ValidationError,
 )
 from .gates import (
-    CNOT,
-    MAGIC_BASIS,
     NAMED_GATE_POINTS,
-    SWAP,
     assemble,
     generator,
-    generators,
     load_matrix_json,
-    local_gate,
-    matrix_from_json_dict,
-    matrix_to_json_dict,
     require_unitary,
-    su2_factor,
 )
 from .geometry import (
     WEYL_DENSITY_MAX,
     det_g_closed,
     frame_finite_difference,
-    full_haar_density,
     jacobian,
     jjt_closed,
     makhlin_density,
     metric_tensor,
-    su2_density,
     weyl_density,
-    weyl_density_cosine,
     weyl_density_max_point,
-    zeta_frame,
 )
 from .invariants import (
     LocalInvariants,
-    PhaseAngle,
     c_from_g,
     canonical_coords,
+    canonical_coords_batch,
     g_from_c,
-    invariants_at,
-    locally_equivalent,
     makhlin_invariants,
     project_su4,
     validate_invariant_ranges,
@@ -96,28 +80,22 @@ from .volumes import (
     pe_volume,
     region_volume_mc,
 )
-from .verify import CheckResult, run_checks
+from .verify import run_checks
 
 __version__ = "0.1.0"
 
 
+#: The public surface; README's "Library" section documents each name.
 __all__ = [
-    "CHAMBER_TOL",
-    "CNOT",
     "CanonicalCoords",
-    "CheckResult",
     "ConsistencyError",
     "FullCoords",
     "InvalidInvariantsError",
     "LocalInvariants",
-    "MAGIC_BASIS",
     "NAMED_GATE_POINTS",
     "PE_VOLUME_CLOSED",
-    "PhaseAngle",
     "RangeError",
     "Region",
-    "SU2_IDENTITY",
-    "SWAP",
     "SamplerConfig",
     "SingularDensityError",
     "Su2Params",
@@ -130,6 +108,7 @@ __all__ = [
     "box_integral_chamber_clipped",
     "c_from_g",
     "canonical_coords",
+    "canonical_coords_batch",
     "cube_volume_closed",
     "cube_volume_quadrature",
     "cylinder_volume_g",
@@ -140,24 +119,17 @@ __all__ = [
     "export_csv",
     "export_jsonl",
     "frame_finite_difference",
-    "full_haar_density",
     "g_from_c",
     "generator",
-    "generators",
     "in_weyl_chamber",
     "integrate_over_chamber",
     "integrate_pe_region",
-    "invariants_at",
     "is_perfect_entangler",
     "jacobian",
     "jjt_closed",
     "load_matrix_json",
-    "local_gate",
-    "locally_equivalent",
     "makhlin_density",
     "makhlin_invariants",
-    "matrix_from_json_dict",
-    "matrix_to_json_dict",
     "metric_tensor",
     "origin_volume_g",
     "origin_volume_quadrature",
@@ -170,12 +142,8 @@ __all__ = [
     "sample_full_coords",
     "sample_gates",
     "sample_invariants",
-    "su2_density",
-    "su2_factor",
     "summarize_samples",
     "validate_invariant_ranges",
     "weyl_density",
-    "weyl_density_cosine",
     "weyl_density_max_point",
-    "zeta_frame",
 ]

@@ -437,11 +437,8 @@ def mesh():
 @click.option("-o", "--output", default="-", show_default=True)
 def mesh_weyl_c(resolution, output):
     """Chamber membership grid with PE flags, CSV c1,c2,c3,is_pe."""
-    rows = [
-        (c1, c2, c3, int(vol.is_perfect_entangler(np.array([c1, c2, c3]))))
-        for c1, c2, c3 in _chamber_grid(resolution)
-    ]
-    _write_rows(output, "c1,c2,c3,is_pe", rows)
+    pts = _chamber_grid(resolution)
+    _write_rows(output, "c1,c2,c3,is_pe", np.column_stack([pts, vol.is_perfect_entangler(pts)]))
 
 
 @mesh.command("weyl-g")
@@ -449,9 +446,7 @@ def mesh_weyl_c(resolution, output):
 @click.option("-o", "--output", default="-", show_default=True)
 def mesh_weyl_g(resolution, output):
     """Image of the chamber grid in invariant space, CSV g1,g2,g3."""
-    pts = np.array(_chamber_grid(resolution))
-    g = g_from_c(pts)
-    _write_rows(output, "g1,g2,g3", [tuple(row) for row in g])
+    _write_rows(output, "g1,g2,g3", g_from_c(_chamber_grid(resolution)))
 
 
 @mesh.command("density-slice")
@@ -469,31 +464,28 @@ def mesh_density_slice(c3_text, resolution, output):
     c3 = parse_angle(c3_text)
     if not 0.0 <= c3 <= np.pi / 2:
         raise ValidationError("slice height must lie in [0, pi/2]")
-    rows = []
-    for a in np.linspace(0.0, np.pi, resolution):
-        for b in np.linspace(0.0, np.pi / 2, resolution):
-            inside = in_weyl_chamber(a, b, c3)
-            dens = float(weyl_density(np.array([a, b, c3]))) if inside else 0.0
-            rows.append((a, b, dens))
-    _write_rows(output, "c1,c2,density", rows)
+    grid = _grid(np.linspace(0.0, np.pi, resolution), np.linspace(0.0, np.pi / 2, resolution), [c3])
+    inside = in_weyl_chamber(grid[:, 0], grid[:, 1], grid[:, 2])
+    dens = np.where(inside, weyl_density(grid), 0.0)
+    _write_rows(output, "c1,c2,density", np.column_stack([grid[:, :2], dens]))
 
 
-def _chamber_grid(resolution: int) -> list[tuple[float, float, float]]:
+def _grid(*axes) -> np.ndarray:
+    """All points of the axes' product, (n, 3), the first axis slowest."""
+    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 3)
+
+
+def _chamber_grid(resolution: int) -> np.ndarray:
+    """The chamber's points on a regular grid, (n, 3), c1 slowest."""
     if resolution < 2:
         raise ValidationError("mesh resolution must be at least 2")
-    ax1 = np.linspace(0.0, np.pi, 2 * resolution - 1)
     ax2 = np.linspace(0.0, np.pi / 2, resolution)
-    return [
-        (a, b, c)
-        for a in ax1
-        for b in ax2
-        for c in ax2
-        if in_weyl_chamber(a, b, c)
-    ]
+    grid = _grid(np.linspace(0.0, np.pi, 2 * resolution - 1), ax2, ax2)
+    return grid[in_weyl_chamber(grid[:, 0], grid[:, 1], grid[:, 2])]
 
 
-def _write_rows(output: str, header: str, rows) -> None:
-    lines = [header] + [",".join(_fmt(v) for v in row) for row in rows]
+def _write_rows(output: str, header: str, rows: np.ndarray) -> None:
+    lines = [header] + [",".join(_FMT % v for v in row) for row in rows.tolist()]
     text = "\n".join(lines) + "\n"
     if output == "-":
         click.echo(text, nl=False)

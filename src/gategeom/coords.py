@@ -26,9 +26,9 @@ from .errors import ValidationError
 TWO_PI = 2.0 * np.pi
 FOUR_PI = 4.0 * np.pi
 
-#: Default tolerance for Weyl-chamber membership tests.  Boundary points
-#: count as inside.
-CHAMBER_TOL = 1e-9
+#: Tolerance of Weyl-chamber membership tests.  Boundary points count as
+#: inside.
+_CHAMBER_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -79,11 +79,7 @@ class Su2Params:
         return (self.alpha, self.theta, self.phi)
 
 
-#: The trivial rotation.
-SU2_IDENTITY = Su2Params(0.0, 0.0, 0.0)
-
-
-def in_weyl_chamber(c1, c2, c3, tol: float = CHAMBER_TOL):
+def in_weyl_chamber(c1, c2, c3, tol: float = _CHAMBER_TOL):
     """Weyl-chamber membership test; accepts scalars or broadcastable arrays.
 
     The chamber is the tetrahedron with vertices (0,0,0), (pi,0,0),
@@ -112,7 +108,7 @@ class CanonicalCoords:
     """A point in canonical-coordinate space.
 
     Not restricted to the Weyl chamber at construction; use
-    :meth:`in_chamber` to test membership.
+    :func:`in_weyl_chamber` to test membership.
     """
 
     c1: float
@@ -122,9 +118,6 @@ class CanonicalCoords:
     def __post_init__(self):
         if not all(map(math.isfinite, (self.c1, self.c2, self.c3))):
             raise ValidationError("canonical coordinates must be finite")
-
-    def in_chamber(self, tol: float = CHAMBER_TOL) -> bool:
-        return in_weyl_chamber(self.c1, self.c2, self.c3, tol)
 
     def as_tuple(self) -> tuple[float, float, float]:
         return (self.c1, self.c2, self.c3)

@@ -25,18 +25,6 @@ PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 PAULI = {"0": IDENTITY_2, "x": PAULI_X, "y": PAULI_Y, "z": PAULI_Z}
 
-#: Computational-basis to Bell-basis change of basis.  Columns are the
-#: Bell-type states in which every local gate becomes real orthogonal.
-MAGIC_BASIS = (1.0 / np.sqrt(2.0)) * np.array(
-    [
-        [1, 0, 0, 1j],
-        [0, 1j, 1, 0],
-        [0, 1j, -1, 0],
-        [1, 0, 0, -1j],
-    ],
-    dtype=complex,
-)
-
 #: The 15 generator labels (i, j) with i, j in {0, x, y, z}, (0, 0) excluded.
 #: First-qubit-only generators come first, then second-qubit-only, then the
 #: nine genuinely two-body ones.
@@ -65,35 +53,37 @@ def generator(i: str, j: str) -> np.ndarray:
 
 
 @functools.cache
-def generators() -> np.ndarray:
+def _generators() -> np.ndarray:
     """All fifteen generators stacked as a (15, 4, 4) array, in label order."""
     out = np.array([generator(i, j) for i, j in GENERATOR_LABELS])
     out.setflags(write=False)  # shared by every caller
     return out
 
 
-def require_unitary(U, tol: float = UNITARITY_INPUT_TOL, what: str = "matrix") -> np.ndarray:
-    """Validate and return ``U`` as a (4, 4) complex unitary array."""
+def require_unitary(U, what: str = "matrix") -> np.ndarray:
+    """Validate and return ``U`` as a (4, 4) complex unitary array.
+
+    ``what`` names the input in the error message.  The check is
+    max|U^dag U - I| <= ``UNITARITY_INPUT_TOL``.
+    """
     U = np.asarray(U, dtype=complex)
     if U.shape != (4, 4):
         raise ValidationError(f"{what} must be 4x4, got shape {U.shape}")
-    return require_unitary_stack(U[None], tol, what)[0]
+    return require_unitary_stack(U[None], what)[0]
 
 
-def require_unitary_stack(
-    U, tol: float = UNITARITY_INPUT_TOL, what: str = "matrix"
-) -> np.ndarray:
+def require_unitary_stack(U, what: str = "matrix") -> np.ndarray:
     """Validate and return ``U`` as an (n, 4, 4) stack, one residual per row."""
     U = np.asarray(U, dtype=complex)
     if U.ndim != 3 or U.shape[1:] != (4, 4):
         raise ValidationError(f"expected a stack of 4x4 matrices, got shape {U.shape}")
     dev = np.abs(U.conj().transpose(0, 2, 1) @ U - _IDENTITY_4).max(axis=(1, 2))
     worst = int(np.argmax(dev))  # the first NaN, if any
-    if not dev[worst] <= tol:  # also rejects NaN and infinite entries
+    if not dev[worst] <= UNITARITY_INPUT_TOL:  # also rejects NaN and infinite entries
         where = f" at index {worst}" if U.shape[0] > 1 else ""
         raise ValidationError(
             f"{what}: unitarity violation{where}: "
-            f"max|U^dag U - I| = {dev[worst]:.3e} exceeds {tol:.1e}"
+            f"max|U^dag U - I| = {dev[worst]:.3e} exceeds {UNITARITY_INPUT_TOL:.1e}"
         )
     return U
 
@@ -103,6 +93,9 @@ def _su2_matrix(alpha, theta, phi):
 
     Returns ``I cos(alpha/2) - i (axis . sigma) sin(alpha/2)`` with axis
     given by the spherical angles.  Shape: broadcast(...) + (2, 2).
+
+    >>> np.allclose(_su2_matrix(0.0, 0.0, 0.0), np.eye(2))
+    True
     """
     alpha = np.asarray(alpha, dtype=float)
     theta = np.asarray(theta, dtype=float)
@@ -122,23 +115,6 @@ def _su2_matrix(alpha, theta, phi):
 
 def _su2_params(v) -> Su2Params:
     return v if isinstance(v, Su2Params) else Su2Params(*v)
-
-
-def su2_factor(v: Su2Params) -> np.ndarray:
-    """The 2x2 special unitary for one axis-angle triple.
-
-    >>> np.allclose(su2_factor(Su2Params(0.0, 0.0, 0.0)), np.eye(2))
-    True
-    """
-    return _su2_matrix(*_su2_params(v).as_tuple())
-
-
-def local_gate(a: Su2Params, b: Su2Params) -> np.ndarray:
-    """Tensor product of two single-qubit rotations, ``u(a) (x) u(b)``.
-
-    ``a`` acts on the first qubit, ``b`` on the second.
-    """
-    return _kron_batch(su2_factor(a)[None], su2_factor(b)[None])[0]
 
 
 def _kron_batch(A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -199,26 +175,19 @@ def _assemble_batch(params: np.ndarray) -> np.ndarray:
     return _kron_batch(u[0], u[1]) @ _abelian_batch(params[:, 12:15]) @ _kron_batch(u[2], u[3])
 
 
-def matrix_to_json_dict(U: np.ndarray) -> dict:
-    """Encode a 4x4 complex matrix as ``{"matrix": [[[re, im], ...], ...]}``."""
-    U = np.asarray(U, dtype=complex)
-    if U.shape != (4, 4):
-        raise ValidationError(f"matrix must be 4x4, got shape {U.shape}")
-    return {
-        "matrix": [
-            [[float(U[r, c].real), float(U[r, c].imag)] for c in range(4)]
-            for r in range(4)
-        ]
-    }
+def load_matrix_json(source: str | IO) -> np.ndarray:
+    """Load a matrix from a JSON file path or open file object.
 
-
-def matrix_from_json_dict(obj) -> np.ndarray:
-    """Decode the ``{"matrix": ...}`` representation into a complex array.
-
-    Rejects anything that is not exactly a 4x4 grid of [re, im] pairs
-    with finite entries.  Unitarity is *not* checked here; callers that
-    need it go through :func:`require_unitary`.
+    The JSON holds ``{"matrix": [[[re, im], ...], ...]}``.  Anything that
+    is not exactly a 4x4 grid of [re, im] pairs with finite entries is
+    rejected.  Unitarity is *not* checked here; callers that need it go
+    through :func:`require_unitary`.
     """
+    if hasattr(source, "read"):
+        obj = json.load(source)
+    else:
+        with open(source, "r", encoding="utf-8") as fh:
+            obj = json.load(fh)
     if not isinstance(obj, dict) or "matrix" not in obj:
         raise ValidationError('expected a JSON object with a "matrix" key')
     rows = obj["matrix"]
@@ -243,16 +212,6 @@ def matrix_from_json_dict(obj) -> np.ndarray:
     return out
 
 
-def load_matrix_json(source: str | IO) -> np.ndarray:
-    """Load a matrix from a JSON file path or open file object."""
-    if hasattr(source, "read"):
-        obj = json.load(source)
-    else:
-        with open(source, "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
-    return matrix_from_json_dict(obj)
-
-
 # Named gates, by their canonical-coordinate class points.  cnot and
 # cphase are locally equivalent and share a point; the unnamed seventh
 # closed-form centre (pi/2, pi/4, pi/4) is reachable by explicit centre.
@@ -265,10 +224,3 @@ NAMED_GATE_POINTS: dict[str, tuple[float, float, float]] = {
     "sqrt-swap": (np.pi / 4, np.pi / 4, np.pi / 4),
     "b-gate": (np.pi / 2, np.pi / 4, 0.0),
 }
-
-CNOT = np.array(
-    [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex
-)
-SWAP = np.array(
-    [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex
-)

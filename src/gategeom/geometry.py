@@ -3,9 +3,9 @@
 The fifteen coordinates of :class:`~gategeom.coords.FullCoords` chart the
 determinant-one two-qubit gates almost everywhere.  This module supplies
 the metric tensor in that chart, its closed-form determinant, the
-probability densities it induces (on the full group, on the chamber, and
-pushed forward to invariant space), and a finite-difference frame used
-to cross-check all of the above from nothing but matrix derivatives.
+probability densities it induces (on the chamber, and pushed forward to
+invariant space), and a finite-difference frame used to cross-check all
+of the above from nothing but matrix derivatives.
 """
 from __future__ import annotations
 
@@ -13,16 +13,15 @@ import numpy as np
 
 from .coords import CanonicalCoords, FullCoords, in_weyl_chamber
 from .errors import ConsistencyError, SingularDensityError, ValidationError
-from .gates import generators, _assemble_batch
+from .gates import _assemble_batch, _generators
 
 #: Peak of the chamber density, attained at (pi/2, pi/4, 0).
 WEYL_DENSITY_MAX = 12.0 / np.pi
 
 _NORMALIZATION_CHAMBER = 48.0 / np.pi
-_NORMALIZATION_FULL = 3.0 / (256.0 * np.pi**9)
 
 
-def zeta_frame(alpha: float, theta: float, phi: float) -> np.ndarray:
+def _zeta_frame(alpha: float, theta: float, phi: float) -> np.ndarray:
     """Pullback one-forms of a single-qubit rotation in axis-angle angles.
 
     Row A in (x, y, z), column mu in (d alpha, d theta, d phi): the
@@ -48,7 +47,7 @@ def _zeta_negated(alpha: float, theta: float, phi: float) -> np.ndarray:
     Substituting alpha -> -alpha and then negating the d alpha column
     accounts for differentiating with respect to the *original* alpha.
     """
-    z = zeta_frame(-alpha, theta, phi)
+    z = _zeta_frame(-alpha, theta, phi)
     z[:, 0] = -z[:, 0]
     return z
 
@@ -56,8 +55,8 @@ def _zeta_negated(alpha: float, theta: float, phi: float) -> np.ndarray:
 def metric_tensor(x: FullCoords) -> np.ndarray:
     """The 15x15 metric in coordinate order (a1, b1, a2, b2, c)."""
     c1, c2, c3 = x.c.as_tuple()
-    z1a = zeta_frame(*x.a1.as_tuple())
-    z1b = zeta_frame(*x.b1.as_tuple())
+    z1a = _zeta_frame(*x.a1.as_tuple())
+    z1b = _zeta_frame(*x.b1.as_tuple())
     z2a = _zeta_negated(*x.a2.as_tuple())
     z2b = _zeta_negated(*x.b2.as_tuple())
 
@@ -113,7 +112,7 @@ def weyl_density(c) -> np.ndarray:
 _COSINE_FORM = np.array([[0.0, 1.0, -1.0], [-1.0, 0.0, 1.0], [1.0, -1.0, 0.0]])
 
 
-def weyl_density_cosine(c) -> np.ndarray:
+def _weyl_density_cosine(c) -> np.ndarray:
     """The same chamber density written as a sum of cosine products.
 
     Equals :func:`weyl_density` inside the chamber; outside, it carries
@@ -132,24 +131,6 @@ def _cosine_density_derivatives(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     hess = np.diag(-4.0 * a * mb - 16.0 * b * am)
     hess += _COSINE_FORM * (np.outer(da, db) - np.outer(db, da))
     return (3.0 / np.pi) * (da * mb + db * am), (3.0 / np.pi) * hess
-
-
-def su2_density(alpha, theta, phi=None) -> np.ndarray:
-    """Haar density of one single-qubit factor in axis-angle angles.
-
-    The azimuth is accepted for signature symmetry but does not enter.
-    """
-    alpha = np.asarray(alpha, dtype=float)
-    theta = np.asarray(theta, dtype=float)
-    return np.sin(alpha / 2) ** 2 * np.sin(theta) / (8.0 * np.pi**2)
-
-
-def full_haar_density(x: FullCoords) -> float:
-    """Invariant density in the fifteen-coordinate chart."""
-    val = _NORMALIZATION_FULL * abs(_chamber_sine_product(np.asarray(x.c.as_tuple())))
-    for v in (x.a1, x.b1, x.a2, x.b2):
-        val *= np.sin(v.alpha / 2) ** 2 * np.sin(v.theta)
-    return float(val)
 
 
 def makhlin_density(g1, g2, g3=None) -> np.ndarray:
@@ -202,9 +183,11 @@ def jjt_closed(g1, g2, g3) -> np.ndarray:
 #: Minimum distance from any chart singularity accepted by the
 #: finite-difference frame (the chart degenerates there).
 FRAME_SINGULARITY_TOL = 1e-3
+#: Step of the frame's central differences.
+_FRAME_STEP = 1e-5
 
 
-def frame_finite_difference(x: FullCoords, h: float = 1e-5) -> np.ndarray:
+def frame_finite_difference(x: FullCoords) -> np.ndarray:
     """Frame matrix E[A, mu] = i tr(T_A U^{-1} dU/dx^mu) by central differences.
 
     Satisfies E^T E = metric and |det E| = sqrt(det metric).  Points too
@@ -222,6 +205,7 @@ def frame_finite_difference(x: FullCoords, h: float = 1e-5) -> np.ndarray:
             "the finite-difference frame is not reliable there"
         )
 
+    h = _FRAME_STEP
     base = x.as_array()
     probes = np.repeat(base[None, :], 30, axis=0)
     for mu in range(15):
@@ -231,7 +215,7 @@ def frame_finite_difference(x: FullCoords, h: float = 1e-5) -> np.ndarray:
     U0, U_pm = U_all[0], U_all[1:]
     dU = (U_pm[0::2] - U_pm[1::2]) / (2.0 * h)  # (15, 4, 4)
     omega = np.einsum("ij,mjk->mik", U0.conj().T, dU)
-    E = 1j * np.einsum("aij,mji->am", generators(), omega)
+    E = 1j * np.einsum("aij,mji->am", _generators(), omega)
     worst_imag = np.abs(E.imag).max()
     if worst_imag > 10.0 * h * h:
         raise ConsistencyError(
@@ -262,4 +246,4 @@ def weyl_density_max_point() -> tuple[CanonicalCoords, float]:
     else:
         raise ConsistencyError("Newton polish of the density peak did not converge")
     c = np.clip(c, 0.0, None)
-    return CanonicalCoords(float(c[0]), float(c[1]), float(c[2])), float(weyl_density_cosine(c))
+    return CanonicalCoords(float(c[0]), float(c[1]), float(c[2])), float(_weyl_density_cosine(c))

@@ -15,9 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coords import CanonicalCoords, coerce_triple, in_weyl_chamber
+from .coords import CanonicalCoords, in_weyl_chamber
 from .errors import ConsistencyError, InvalidInvariantsError, ValidationError
-from .gates import MAGIC_BASIS, require_unitary, require_unitary_stack
+from .gates import require_unitary, require_unitary_stack
 
 #: Slack allowed on the exact ranges |g1| <= 1, |g2| <= 1/4, |g3| <= 3.
 INVARIANT_RANGE_TOL = 1e-9
@@ -27,6 +27,18 @@ CLAMP_BUDGET = 1e-12
 #: On the face c3 <= FACE_TOL, (c1, c2, c3) and (pi - c1, c2, c3) are taken
 #: as one class, and the form with c1 <= pi/2 is returned.
 FACE_TOL = 1e-13
+
+#: Computational-basis to Bell-basis change of basis.  Columns are the
+#: Bell-type states in which every local gate becomes real orthogonal.
+_MAGIC_BASIS = (1.0 / np.sqrt(2.0)) * np.array(
+    [
+        [1, 0, 0, 1j],
+        [0, 1j, 1, 0],
+        [0, 1j, -1, 0],
+        [1, 0, 0, -1j],
+    ],
+    dtype=complex,
+)
 
 #: Weight of Im m in the real symmetric mix that the Jacobi sweeps
 #: diagonalise; irrational, so that distinct eigenvalues of m stay apart.
@@ -56,8 +68,8 @@ _SYM_OFF = _SYM[np.triu_indices(4, 1)]
 #: The fold's eigenphase pairs: c = -(lam[_PAIR_A] + lam[_PAIR_B]).
 _PAIR_A, _PAIR_B = np.array([0, 1, 0]), np.array([1, 3, 3])
 _TINY = np.finfo(float).tiny
-#: (row, column) of each nonzero entry of MAGIC_BASIS.
-_MAGIC_TERMS = tuple(zip(*np.nonzero(MAGIC_BASIS)))
+#: (row, column) of each nonzero entry of _MAGIC_BASIS.
+_MAGIC_TERMS = tuple(zip(*np.nonzero(_MAGIC_BASIS)))
 #: One sweep: for each pair (p, q), the rows of (p, p), (q, q), (p, q) and
 #: of (r, p), (r, q) for the two other indices r.
 _JACOBI_PAIRS = tuple(
@@ -92,7 +104,10 @@ class LocalInvariants:
 
 @dataclass(frozen=True)
 class PhaseAngle:
-    """Global-phase angle chi in [0, pi/2) stripped by determinant projection."""
+    """Global-phase angle chi in [0, pi/2) stripped by determinant projection.
+
+    The type of :func:`project_su4`'s second value; not exported.
+    """
 
     chi: float
 
@@ -151,7 +166,7 @@ def _spectral_coords(U: np.ndarray) -> np.ndarray:
     to about 1e-15.
     """
     if U.shape[0] < _JACOBI_MIN_ROWS:
-        V = U @ MAGIC_BASIS
+        V = U @ _MAGIC_BASIS
         # m = V^T P V with P = conj(Q) Q^dag = antidiag(1, -1, -1, 1).
         X = V[:, 0, :, None] * V[:, 3, None, :] - V[:, 1, :, None] * V[:, 2, None, :]
         det, eig = np.linalg.det(U), np.linalg.eigvals(X + X.transpose(0, 2, 1))
@@ -248,13 +263,13 @@ def _jacobi_spectrum(u: np.ndarray) -> np.ndarray:
 def _upper_congruence(u: np.ndarray) -> np.ndarray:
     """m = U_B^T U_B of a (4, 4, n) stack as its upper triangle, (10, n).
 
-    V = U @ MAGIC_BASIS over the basis' nonzero entries, then m = V^T P V
+    V = U @ _MAGIC_BASIS over the basis' nonzero entries, then m = V^T P V
     as in :func:`_spectral_coords`: entry (i, j) is X[i, j] + X[j, i] with
     X[i, j] = v0i v3j - v1i v2j.
     """
     v = np.zeros_like(u)
     for k, j in _MAGIC_TERMS:
-        v[:, j] += MAGIC_BASIS[k, j] * u[:, k]
+        v[:, j] += _MAGIC_BASIS[k, j] * u[:, k]
     m = np.empty((10, u.shape[2]), dtype=complex)
     for row, (i, j) in enumerate(_UPPER_PAIRS):
         m[row] = (v[0, i] * v[3, j] - v[1, i] * v[2, j]) + (v[0, j] * v[3, i] - v[1, j] * v[2, i])
@@ -279,8 +294,8 @@ def makhlin_invariants(U) -> LocalInvariants:
 def g_from_c(c, /):
     """Invariant triple from chamber coordinates; broadcasts over (..., 3).
 
-    Returns an array of shape (..., 3).  Scalar callers who want a
-    :class:`LocalInvariants` should use :func:`invariants_at`.
+    Returns an array of shape (..., 3); ``LocalInvariants(*g_from_c(c).tolist())``
+    gives the validated triple of one point.
     """
     c = np.asarray(c, dtype=float)
     two = np.cos(2 * c)
@@ -289,12 +304,6 @@ def g_from_c(c, /):
     g2 = 0.25 * s2.prod(axis=-1)
     g3 = two.sum(axis=-1)
     return np.stack([g1, g2, g3], axis=-1)
-
-
-def invariants_at(c) -> LocalInvariants:
-    """Invariant triple at one chamber point, as a validated dataclass."""
-    g = g_from_c(np.asarray(coerce_triple(c)))
-    return LocalInvariants(float(g[0]), float(g[1]), float(g[2]))
 
 
 def _c_from_g_batch(g: np.ndarray) -> np.ndarray:
@@ -355,10 +364,3 @@ def c_from_g(g1: float, g2: float, g3: float) -> CanonicalCoords:
             f"recovered coordinates {tuple(c)} are outside the chamber"
         )
     return CanonicalCoords(float(c[0]), float(c[1]), float(c[2]))
-
-
-def locally_equivalent(U, V, tol: float = 1e-9) -> bool:
-    """Whether two gates agree up to single-qubit rotations and phase."""
-    a = makhlin_invariants(U).as_array()
-    b = makhlin_invariants(V).as_array()
-    return bool(np.abs(a - b).max() <= tol)

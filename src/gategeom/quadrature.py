@@ -128,9 +128,9 @@ def _integrate_line(fn, lo: float, hi: float) -> float:
     return float(np.sum(wx * fn(x)))
 
 
-def integrate_over_chamber(fn=None, order: int = REGION_ORDER) -> float:
+def integrate_over_chamber(fn=None) -> float:
     """Integral over the chamber; defaults to the density (so ~1.0)."""
-    return _integrate(fn or weyl_density, _CHAMBER, order)
+    return _integrate(fn or weyl_density, _CHAMBER, REGION_ORDER)
 
 
 def integrate_pe_region(fn=None, order: int = REGION_ORDER) -> float:
@@ -258,25 +258,29 @@ def box_integral_chamber_clipped(lo, hi, order: int = 20) -> float:
     return _integrate(weyl_density, _clipped_blocks(lo, hi), order)
 
 
-def bin_probabilities(bins: tuple[int, int, int] = (30, 30, 30), order: int = 8) -> np.ndarray:
+#: Cells per axis of the bin grid over [0, pi] x [0, pi/2] x [0, pi/2];
+#: even, so that c1 = pi/2 is a cell edge.
+_BINS = 30
+#: Gauss-Legendre order per axis in each piece of a bin cell.
+_BIN_ORDER = 8
+
+
+def bin_probabilities() -> np.ndarray:
     """Exact chamber-density mass of each cell of a regular coordinate grid.
 
-    The grid covers [0, pi] x [0, pi/2] x [0, pi/2] and must be cubic with
-    an even side count (the distribution checks use the default), so that
-    c1 = pi/2 is a cell edge.  Each cell is the chamber clipped to a box;
+    The grid has 30 cells (``_BINS``) along each axis of [0, pi] x
+    [0, pi/2] x [0, pi/2].  Each cell is the chamber clipped to a box;
     the result sums to 1 up to quadrature error.
     """
-    n1, n2, n3 = bins
-    if n1 % 2 or n2 != n1 or n3 != n1:
-        raise ValidationError("bin grid must be cubic with an even side count")
-    e1 = np.linspace(0.0, _PI, n1 + 1)
-    e2 = np.linspace(0.0, _PI / 2, n2 + 1)
+    n = _BINS
+    e1 = np.linspace(0.0, _PI, n + 1)
+    e2 = np.linspace(0.0, _PI / 2, n + 1)
     rows, groups = [], []
-    for i in range(n1):
-        for j in range(n2):
+    for i in range(n):
+        for j in range(n):
             for k in range(j + 1):  # z <= y in the chamber
                 cell = _clipped_blocks((e1[i], e2[j], e2[k]), (e1[i + 1], e2[j + 1], e2[k + 1]))
                 rows += cell
-                groups += [(i * n2 + j) * n3 + k] * len(cell)
-    out = _integrate(weyl_density, rows, order, np.array(groups, dtype=np.intp), n1 * n2 * n3)
-    return out.reshape(n1, n2, n3)
+                groups += [(i * n + j) * n + k] * len(cell)
+    out = _integrate(weyl_density, rows, _BIN_ORDER, np.array(groups, dtype=np.intp), n**3)
+    return out.reshape(n, n, n)

@@ -290,20 +290,19 @@ def export_csv(path, coords: np.ndarray) -> None:
             writer.writerows([*ci, *gi, flag] for ci, gi, flag in rows)
 
 
-def export_jsonl(path, gates: np.ndarray, include_invariants: bool = True) -> None:
+def export_jsonl(path, gates: np.ndarray) -> None:
     """Write gate matrices as JSON lines.
 
     ``path`` may also be an open text stream; every matrix must be
     unitary.  Each line carries the matrix in the ``[[re, im], ...]`` grid
-    format; with ``include_invariants`` the canonical coordinates and
-    invariant triple are attached as well.
+    format, its canonical coordinates ``c``, invariant triple ``g`` and
+    perfect-entangler flag ``is_pe``.
     """
     gates = require_unitary_stack(gates, what="gate stack")
     # A complex entry viewed as two floats is its [re, im] pair.
-    fields = {"matrix": np.ascontiguousarray(gates).view(float).reshape(*gates.shape, 2)}
-    if include_invariants:
-        c = _spectral_coords(gates)
-        fields.update(c=c, g=g_from_c(c), is_pe=is_perfect_entangler(c))
+    matrix = np.ascontiguousarray(gates).view(float).reshape(*gates.shape, 2)
+    c = _spectral_coords(gates)
+    fields = {"matrix": matrix, "c": c, "g": g_from_c(c), "is_pe": is_perfect_entangler(c)}
     with _sink(path) as fh:
         for rows in _row_chunks(*fields.values()):
             fh.writelines(json.dumps(dict(zip(fields, row))) + "\n" for row in rows)

@@ -27,6 +27,8 @@ from .coords import CanonicalCoords, FullCoords, Su2Params, in_weyl_chamber
 
 @dataclass(frozen=True)
 class CheckResult:
+    """One check's outcome, as :func:`run_checks` returns it; not exported."""
+
     name: str
     passed: bool
     detail: str
@@ -317,10 +319,14 @@ def _gamma_q(a: float, x: float) -> float:
             return front * h
 
 
-def chi_square_pvalue(coords: np.ndarray, probabilities: np.ndarray, min_expected: float = 10.0) -> float:
+#: Bins expecting fewer samples than this are pooled into one cell.
+_MIN_EXPECTED = 10.0
+
+
+def chi_square_pvalue(coords: np.ndarray, probabilities: np.ndarray) -> float:
     """Chi-square goodness-of-fit of sampled coordinates on the bin grid.
 
-    Bins with expected count below ``min_expected`` are pooled into one
+    Bins with expected count below ``_MIN_EXPECTED`` are pooled into one
     cell, the standard guard for the asymptotic distribution.  The
     p-value is Q(dof / 2, chi^2 / 2) for dof one less than the cells.
     """
@@ -333,7 +339,7 @@ def chi_square_pvalue(coords: np.ndarray, probabilities: np.ndarray, min_expecte
     )
     counts, _ = np.histogramdd(coords, bins=edges)
     expected = probabilities * n
-    big = expected >= min_expected
+    big = expected >= _MIN_EXPECTED
     f_obs = np.concatenate([counts[big], [counts[~big].sum()]])
     f_exp = np.concatenate([expected[big], [expected[~big].sum()]])
     # Guard the degenerate all-pooled case; with the default grid it

@@ -51,36 +51,42 @@ class VolumeResult:
     error_estimate: float | None = None
 
 
-def is_perfect_entangler(c, tol: float = 1e-9):
+#: Slack of the perfect-entangler and chamber tests; boundary points
+#: count as inside.
+_PE_TOL = 1e-9
+
+
+def is_perfect_entangler(c):
     """Whether chamber coordinates describe a perfect entangler.
 
     Broadcasts over (..., 3) and returns a bool (or bool array).  The
-    wedge is closed: boundary points count as inside, up to ``tol``.
+    wedge is closed: boundary points count as inside, up to ``_PE_TOL``.
     Coordinates outside the chamber are rejected outright, since the
     half-space test below is only meaningful on the fundamental cell.
     """
     arr = np.asarray(c, dtype=float)
     c1, c2, c3 = arr[..., 0], arr[..., 1], arr[..., 2]
-    inside = in_weyl_chamber(c1, c2, c3, tol=tol)
+    inside = in_weyl_chamber(c1, c2, c3, tol=_PE_TOL)
     if not np.all(inside):
         raise ValidationError(
             "coordinates outside the chamber have no perfect-entangler status"
         )
     ok = (
-        (c1 + c2 >= np.pi / 2 - tol)
-        & (c1 - c2 <= np.pi / 2 + tol)
-        & (c2 + c3 <= np.pi / 2 + tol)
+        (c1 + c2 >= np.pi / 2 - _PE_TOL)
+        & (c1 - c2 <= np.pi / 2 + _PE_TOL)
+        & (c2 + c3 <= np.pi / 2 + _PE_TOL)
     )
     return bool(ok) if ok.ndim == 0 else ok
 
 
-def pe_volume(method: str = "closed", samples: int = 1_000_000, seed: int = 0) -> VolumeResult:
-    """Mass of the perfect-entangler wedge by the requested route.
+def pe_volume(method: str = "closed") -> VolumeResult:
+    """Mass of the perfect-entangler wedge, in closed form or by quadrature.
 
     The quadrature value uses four nodes per axis more than the default
     order; its error estimate is the change from the default order,
     floored at 1e-14 relative so that the reported digits do not hang on
-    summation order.
+    summation order.  The sampled mass is
+    ``region_volume_mc(Region("pe"), ...)``.
     """
     if method == "closed":
         return VolumeResult(PE_VOLUME_CLOSED, "closed")
@@ -88,9 +94,7 @@ def pe_volume(method: str = "closed", samples: int = 1_000_000, seed: int = 0) -
         fine = integrate_pe_region(order=REGION_ORDER + 4)
         error = max(abs(fine - integrate_pe_region()), 1e-14 * abs(fine))
         return VolumeResult(fine, "quadrature", error)
-    if method == "mc":
-        return region_volume_mc(Region("pe"), samples=samples, seed=seed)
-    raise ValidationError(f"unknown method {method!r}; use closed, quadrature or mc")
+    raise ValidationError(f"unknown method {method!r}; use closed or quadrature")
 
 
 # ---------------------------------------------------------------------------

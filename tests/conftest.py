@@ -4,7 +4,16 @@ import numpy as np
 import pytest
 
 from gategeom.coords import CanonicalCoords, FullCoords, Su2Params
-from gategeom.gates import matrix_to_json_dict
+from gategeom.gates import assemble
+
+#: The trivial rotation.
+SU2_IDENTITY = Su2Params(0.0, 0.0, 0.0)
+CNOT = np.array(
+    [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex
+)
+SWAP = np.array(
+    [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex
+)
 
 
 @pytest.fixture
@@ -50,6 +59,19 @@ def interior_chamber_points(rng, n: int, margin: float = 0.05) -> np.ndarray:
         out[have : have + got.shape[0]] = got
         have += got.shape[0]
     return out
+
+
+def local_gate(a: Su2Params, b: Su2Params) -> np.ndarray:
+    """``u(a) (x) u(b)``: the gate assembled from a trivial core and right factor."""
+    return assemble(FullCoords(a, b, SU2_IDENTITY, SU2_IDENTITY, (0.0, 0.0, 0.0)))
+
+
+def matrix_to_json_dict(U: np.ndarray) -> dict:
+    """Encode a 4x4 complex matrix as ``{"matrix": [[[re, im], ...], ...]}``,
+    the format ``load_matrix_json`` reads."""
+    U = np.asarray(U, dtype=complex)
+    assert U.shape == (4, 4)
+    return {"matrix": [[[float(v.real), float(v.imag)] for v in row] for row in U]}
 
 
 def write_matrix_json(path, matrix) -> str:

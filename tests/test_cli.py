@@ -7,10 +7,10 @@ import pytest
 from click.testing import CliRunner
 
 import gategeom.volumes
-from conftest import random_full_coords, write_matrix_json
+from conftest import CNOT, matrix_to_json_dict, random_full_coords, write_matrix_json
 from gategeom.cli import _FMT, cli, parse_angle
 from gategeom.coords import in_weyl_chamber
-from gategeom.gates import CNOT, assemble, matrix_to_json_dict
+from gategeom.gates import assemble
 from gategeom.invariants import canonical_coords, g_from_c
 from gategeom.quadrature import box_integral_chamber_clipped
 from gategeom.volumes import is_perfect_entangler
@@ -374,7 +374,7 @@ class TestMeshCommands:
         assert lines[0] == "c1,c2,c3,is_pe"
         rows = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
         assert in_weyl_chamber(rows[:, 0], rows[:, 1], rows[:, 2]).all()
-        recomputed = is_perfect_entangler(rows[:, :3], tol=1e-6)
+        recomputed = is_perfect_entangler(rows[:, :3])
         np.testing.assert_array_equal(rows[:, 3].astype(bool), recomputed)
 
     def test_weyl_g_second_invariant_bound(self, runner):

@@ -1,35 +1,48 @@
+import io
 import json
 
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from conftest import random_full_coords, random_su2_params, write_matrix_json
-from gategeom.coords import FullCoords, SU2_IDENTITY, Su2Params
+from conftest import (
+    CNOT,
+    SU2_IDENTITY,
+    SWAP,
+    local_gate,
+    matrix_to_json_dict,
+    random_full_coords,
+    random_su2_params,
+    write_matrix_json,
+)
+from gategeom.coords import FullCoords, Su2Params
 from gategeom.errors import ValidationError
 from gategeom.gates import (
-    CNOT,
     GENERATOR_LABELS,
-    MAGIC_BASIS,
     NAMED_GATE_POINTS,
     PAULI,
-    SWAP,
     _abelian_batch,
     _assemble_batch,
+    _generators,
+    _su2_matrix,
     abelian_gate,
     assemble,
     generator,
-    generators,
     load_matrix_json,
-    local_gate,
-    matrix_from_json_dict,
-    matrix_to_json_dict,
     require_unitary,
-    su2_factor,
 )
+from gategeom.invariants import _MAGIC_BASIS as MAGIC_BASIS
 
 I2 = np.eye(2)
 I4 = np.eye(4)
+
+
+def su2_factor(v: Su2Params) -> np.ndarray:
+    return _su2_matrix(*v.as_tuple())
+
+
+def load_matrix_dict(obj) -> np.ndarray:
+    return load_matrix_json(io.StringIO(json.dumps(obj)))
 
 
 class TestGenerators:
@@ -42,12 +55,12 @@ class TestGenerators:
         np.testing.assert_allclose(got, 0.5 * np.fliplr(np.eye(4)), atol=0)
 
     def test_trace_orthonormal_exactly(self):
-        T = generators()
+        T = _generators()
         gram = np.einsum("aij,bji->ab", T, T)
         np.testing.assert_allclose(gram, np.eye(15), atol=0)
 
     def test_all_hermitian(self):
-        T = generators()
+        T = _generators()
         np.testing.assert_allclose(T, np.conj(np.swapaxes(T, 1, 2)), atol=0)
 
     def test_identity_pair_rejected(self):
@@ -184,21 +197,21 @@ class TestUnitarityChecks:
 class TestMatrixJson:
     def test_round_trip(self, rng):
         U = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))[0]
-        back = matrix_from_json_dict(matrix_to_json_dict(U))
+        back = load_matrix_dict(matrix_to_json_dict(U))
         np.testing.assert_allclose(back, U, atol=0)
 
     def test_rejects_wrong_shape(self):
         with pytest.raises(ValidationError):
-            matrix_from_json_dict({"matrix": [[[1.0, 0.0]] * 3] * 4})
+            load_matrix_dict({"matrix": [[[1.0, 0.0]] * 3] * 4})
 
     def test_rejects_missing_key(self):
         with pytest.raises(ValidationError):
-            matrix_from_json_dict({"rows": []})
+            load_matrix_dict({"rows": []})
 
     def test_rejects_non_numeric_entries(self):
         grid = [[[True, 0.0]] * 4 for _ in range(4)]
         with pytest.raises(ValidationError):
-            matrix_from_json_dict({"matrix": grid})
+            load_matrix_dict({"matrix": grid})
 
     def test_load_from_file(self, tmp_path):
         path = write_matrix_json(tmp_path / "swap.json", SWAP)

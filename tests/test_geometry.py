@@ -10,19 +10,37 @@ from gategeom.geometry import (
     WEYL_DENSITY_MAX,
     det_g_closed,
     frame_finite_difference,
+    _chamber_sine_product,
     _cosine_density_derivatives,
-    full_haar_density,
+    _weyl_density_cosine as weyl_density_cosine,
+    _zeta_frame as zeta_frame,
     jacobian,
     jjt_closed,
     makhlin_density,
     metric_tensor,
-    su2_density,
     weyl_density,
-    weyl_density_cosine,
     weyl_density_max_point,
-    zeta_frame,
 )
 from gategeom.invariants import g_from_c
+
+
+def su2_density(alpha, theta, phi=None) -> np.ndarray:
+    """Haar density of one single-qubit factor in axis-angle angles.
+
+    The azimuth is accepted for signature symmetry but does not enter.
+    """
+    alpha = np.asarray(alpha, dtype=float)
+    theta = np.asarray(theta, dtype=float)
+    return np.sin(alpha / 2) ** 2 * np.sin(theta) / (8.0 * np.pi**2)
+
+
+def full_haar_density(x: FullCoords) -> float:
+    """Invariant density in the fifteen-coordinate chart: the chamber
+    density times one single-qubit density per factor."""
+    val = 3.0 / (256.0 * np.pi**9) * abs(_chamber_sine_product(x.c.as_array()))
+    for v in (x.a1, x.b1, x.a2, x.b2):
+        val *= np.sin(v.alpha / 2) ** 2 * np.sin(v.theta)
+    return float(val)
 
 
 def healthy_full_coords(rng, n):

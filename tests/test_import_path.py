@@ -15,7 +15,8 @@ import gategeom
 PROBE = """
 import sys
 import gategeom, gategeom.cli
-from gategeom import CheckResult, run_checks
+from gategeom import run_checks
+from gategeom.verify import CheckResult
 assert gategeom.run_checks is run_checks
 assert CheckResult.__module__ == "gategeom.verify"
 """

@@ -3,19 +3,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import interior_chamber_points, random_full_coords, random_su2_params
-from gategeom.coords import SU2_IDENTITY, FullCoords, in_weyl_chamber
+from conftest import (
+    CNOT,
+    SWAP,
+    interior_chamber_points,
+    local_gate,
+    random_full_coords,
+    random_su2_params,
+)
+from gategeom.coords import in_weyl_chamber
 from gategeom.errors import ConsistencyError, InvalidInvariantsError, ValidationError
 from gategeom import invariants
 from gategeom.gates import (
-    CNOT,
-    SWAP,
     _abelian_batch,
     _kron_batch,
     _su2_matrix,
     abelian_gate,
     assemble,
-    local_gate,
 )
 from gategeom.invariants import (
     FACE_TOL,
@@ -27,8 +31,6 @@ from gategeom.invariants import (
     canonical_coords,
     canonical_coords_batch,
     g_from_c,
-    invariants_at,
-    locally_equivalent,
     makhlin_invariants,
     project_su4,
     validate_invariant_ranges,
@@ -36,6 +38,13 @@ from gategeom.invariants import (
 
 SQRT_SWAP_POINT = (np.pi / 4, np.pi / 4, np.pi / 4)
 B_GATE_POINT = (np.pi / 2, np.pi / 4, 0.0)
+
+
+def locally_equivalent(U, V, tol: float = 1e-9) -> bool:
+    """Whether two gates agree up to single-qubit rotations and phase."""
+    a = makhlin_invariants(U).as_array()
+    b = makhlin_invariants(V).as_array()
+    return bool(np.abs(a - b).max() <= tol)
 
 
 class TestMakhlinInvariants:
@@ -75,7 +84,7 @@ class TestMakhlinInvariants:
         gates = [assemble(random_full_coords(rng)) for _ in range(30)] + [np.eye(4), CNOT, SWAP]
         for U in gates:
             got = makhlin_invariants(U).as_tuple()
-            assert got == invariants_at(canonical_coords(U)).as_tuple()
+            assert got == tuple(g_from_c(canonical_coords(U).as_array()).tolist())
 
 
 class TestInvariantRanges:
@@ -200,7 +209,7 @@ class TestCanonicalCoords:
 
     def test_invariants_at_matches_forward_map(self, rng):
         c = interior_chamber_points(rng, 1)[0]
-        got = invariants_at(tuple(c))
+        got = LocalInvariants(*g_from_c(c).tolist())
         np.testing.assert_allclose(got.as_tuple(), g_from_c(c), atol=1e-15)
 
 
@@ -286,7 +295,7 @@ class TestSpectralKernel:
     def test_boundary_points_recovered(self, simplex, weights, seed):
         c = boundary_point(simplex, weights)
         got = canonical_coords(dressed(np.random.default_rng(seed), c))
-        assert got.in_chamber(tol=1e-15)
+        assert in_weyl_chamber(*got.as_tuple(), tol=1e-15)
         assert class_distance(got.as_tuple(), c) <= 1e-12
 
     @pytest.mark.parametrize(
@@ -519,5 +528,5 @@ class TestInverseMapOnBoundary:
         """Walls cost accuracy (documented at c_from_g), never an exception."""
         c = boundary_point(simplex, weights)
         got = c_from_g(*g_from_c(c))
-        assert got.in_chamber(tol=1e-8)
+        assert in_weyl_chamber(*got.as_tuple(), tol=1e-8)
         assert class_distance(got.as_tuple(), c) <= 1e-2

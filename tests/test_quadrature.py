@@ -177,9 +177,3 @@ class TestBinProbabilities:
             [e1[i], e2[j], e2[k]], [e1[i + 1], e2[j + 1], e2[k + 1]]
         )
         assert box == pytest.approx(bins[i, j, k], rel=0, abs=1e-15)
-
-    def test_grid_validation(self):
-        with pytest.raises(ValidationError):
-            bin_probabilities(bins=(29, 29, 29))
-        with pytest.raises(ValidationError):
-            bin_probabilities(bins=(30, 30, 60))

@@ -8,10 +8,11 @@ import numpy as np
 import pytest
 from scipy.stats import ks_2samp, kstest
 
+from conftest import matrix_to_json_dict
 from gategeom import sampling
 from gategeom.coords import in_weyl_chamber
 from gategeom.errors import ValidationError
-from gategeom.gates import matrix_from_json_dict, matrix_to_json_dict
+from gategeom.gates import load_matrix_json
 from gategeom.geometry import WEYL_DENSITY_MAX, weyl_density
 from gategeom.invariants import canonical_coords_batch, g_from_c
 from gategeom.sampling import (
@@ -357,25 +358,17 @@ class TestExports:
         export_jsonl(path, gates)
         records = [json.loads(line) for line in path.read_text().splitlines()]
         assert len(records) == 10
-        rebuilt = matrix_from_json_dict(records[0])
+        rebuilt = load_matrix_json(io.StringIO(json.dumps(records[0])))
         np.testing.assert_allclose(rebuilt, gates[0], atol=1e-15)
         assert {"c", "g", "is_pe"} <= set(records[0])
         assert in_weyl_chamber(*records[3]["c"])
-
-    def test_jsonl_without_invariants(self, tmp_path):
-        gates = sample_gates(3, SamplerConfig(seed=18))
-        path = tmp_path / "bare.jsonl"
-        export_jsonl(path, gates, include_invariants=False)
-        record = json.loads(path.read_text().splitlines()[0])
-        assert "c" not in record and "g" not in record
 
     def test_jsonl_validates_shape(self, tmp_path):
         with pytest.raises(ValidationError):
             export_jsonl(tmp_path / "x.jsonl", np.zeros((3, 2, 2)))
 
-    @pytest.mark.parametrize("include_invariants", [True, False])
-    def test_jsonl_rejects_non_unitary_rows(self, tmp_path, include_invariants):
+    def test_jsonl_rejects_non_unitary_rows(self, tmp_path):
         gates = sample_gates(4, SamplerConfig(seed=20))
         gates[2, 0, 0] += 1e-6
         with pytest.raises(ValidationError, match="index 2"):
-            export_jsonl(tmp_path / "x.jsonl", gates, include_invariants=include_invariants)
+            export_jsonl(tmp_path / "x.jsonl", gates)

@@ -65,7 +65,7 @@ class TestPeVolume:
         assert result.error_estimate is not None
 
     def test_monte_carlo_agrees(self):
-        result = pe_volume("mc", samples=200_000, seed=11)
+        result = region_volume_mc(Region("pe"), samples=200_000, seed=11)
         assert abs(result.value - PE_VOLUME_CLOSED) <= 3.0 * result.error_estimate
         assert result.error_estimate == pytest.approx(
             math.sqrt(PE_VOLUME_CLOSED * (1 - PE_VOLUME_CLOSED) / 200_000), rel=0.05
@@ -83,7 +83,8 @@ class TestCubeClosedForms:
         center = ALL_CLOSED_FORM_POINTS[name]
         closed = cube_volume_closed(center, side)
         quad = cube_volume_quadrature(center, side, order=30)
-        assert closed == pytest.approx(quad, rel=1e-10)
+        # Measured worst 2.2e-15 (cnot-swap midpoint, side 0.15).
+        assert closed == pytest.approx(quad, rel=2e-13, abs=0.0)
 
     def test_identity_and_swap_share_the_same_mass(self):
         for side in (0.2, 0.5):
@@ -95,7 +96,8 @@ class TestCubeClosedForms:
     def test_axis_family_matches_quadrature(self, c1):
         closed = cube_volume_closed((c1, 0.0, 0.0), 0.25)
         quad = cube_volume_quadrature((c1, 0.0, 0.0), 0.25, order=30)
-        assert closed == pytest.approx(quad, rel=1e-10)
+        # Measured worst 2.0e-15, at c1 = 0.3.
+        assert closed == pytest.approx(quad, rel=2e-13, abs=0.0)
 
     @pytest.mark.parametrize("c1", [1e-3, 0.02, 0.1, np.pi - 0.03])
     def test_axis_family_near_the_corners(self, c1):
@@ -110,7 +112,8 @@ class TestCubeClosedForms:
         center = (0.9, 0.5, 0.25)
         closed = cube_volume_closed(center, side)
         quad = cube_volume_quadrature(center, side, order=30)
-        assert closed == pytest.approx(quad, rel=1e-12)
+        # Measured worst 1.0e-15, at side 0.1.
+        assert closed == pytest.approx(quad, rel=1e-13, abs=0.0)
 
     def test_monotone_in_side(self):
         values = [
@@ -120,12 +123,13 @@ class TestCubeClosedForms:
         assert all(b > a for a, b in zip(values, values[1:]))
 
     def test_small_side_leading_terms(self):
+        # The next terms of the series leave 8.3e-5 and 5.4e-4 relative.
         a = 0.01
         b_gate = cube_volume_closed((np.pi / 2, np.pi / 4, 0.0), a)
-        assert b_gate == pytest.approx(12.0 * a**3 / np.pi, rel=1e-3)
+        assert b_gate == pytest.approx(12.0 * a**3 / np.pi, rel=1e-3, abs=0.0)
         a = 0.05
         identity = cube_volume_closed((0.0, 0.0, 0.0), a)
-        assert identity == pytest.approx(a**9 / (40.0 * np.pi), rel=2e-3)
+        assert identity == pytest.approx(a**9 / (40.0 * np.pi), rel=2e-3, abs=0.0)
 
     def test_small_side_exponent_table(self):
         # Leading small-side exponent of the cube mass at each centre.
@@ -200,7 +204,7 @@ class TestCylinderVolumes:
         # Measured worst 1.0e-15, at 0.5 * (1 + 1e-6).
         closed = cylinder_volume_g((0.5, 0.0), radius, 0.2)
         quad = cylinder_volume_quadrature((0.5, 0.0), radius, 0.2)
-        assert closed == pytest.approx(quad, rel=1e-13)
+        assert closed == pytest.approx(quad, rel=1e-13, abs=0.0)
 
     @pytest.mark.parametrize("k", [1e-5, 1e-3, 0.02])
     def test_thin_off_axis_cylinders(self, k):
@@ -222,7 +226,7 @@ class TestCylinderVolumes:
 
     def test_origin_axis_form(self):
         assert cylinder_volume_g((0.0, 0.0), 0.3, 0.4) == pytest.approx(
-            6.0 * 0.3 * 0.4, rel=1e-15
+            6.0 * 0.3 * 0.4, rel=1e-15, abs=0.0
         )
 
     def test_small_radius_asymptote(self):
@@ -248,7 +252,7 @@ class TestOriginVolumes:
     def test_cube_closed_form(self):
         a = 0.2
         assert origin_volume_g("cube", a) == pytest.approx(
-            12.0 * a * a / np.pi * math.log(1.0 + math.sqrt(2.0)), rel=1e-15
+            12.0 * a * a / np.pi * math.log(1.0 + math.sqrt(2.0)), rel=1e-15, abs=0.0
         )
 
     @pytest.mark.parametrize("shape", ["cube", "cylinder", "sphere"])
@@ -256,7 +260,7 @@ class TestOriginVolumes:
         kwargs = {"height": 0.15} if shape == "cylinder" else {}
         closed = origin_volume_g(shape, 0.2, **kwargs)
         quad = origin_volume_quadrature(shape, 0.2, **kwargs)
-        assert closed == pytest.approx(quad, rel=3e-14)  # measured worst 3.1e-16
+        assert closed == pytest.approx(quad, rel=3e-14, abs=0.0)  # measured worst 3.1e-16
 
     def test_sphere_and_cylinder_forms(self):
         assert origin_volume_g("sphere", 0.25) == pytest.approx(3.0 * np.pi * 0.0625)
