@@ -49,10 +49,7 @@ from .invariants import (
 )
 from .quadrature import (
     bin_probabilities,
-    box_integral_abs_density,
-    box_integral_chamber_clipped,
     integrate_over_chamber,
-    integrate_pe_region,
 )
 from .sampling import (
     SamplerConfig,
@@ -104,8 +101,6 @@ __all__ = [
     "WEYL_DENSITY_MAX",
     "assemble",
     "bin_probabilities",
-    "box_integral_abs_density",
-    "box_integral_chamber_clipped",
     "c_from_g",
     "canonical_coords",
     "canonical_coords_batch",
@@ -123,7 +118,6 @@ __all__ = [
     "generator",
     "in_weyl_chamber",
     "integrate_over_chamber",
-    "integrate_pe_region",
     "is_perfect_entangler",
     "jacobian",
     "jjt_closed",

@@ -241,31 +241,8 @@ def _parse_methods(text: str) -> list[str]:
     return list(dict.fromkeys(methods))
 
 
-def _volume_report(results: dict, notes: dict, as_json: bool) -> None:
-    """Print per-method values plus an agreement flag when comparable."""
-    checks = []
-    if "closed" in results and "quadrature" in results:
-        closed, quad = results["closed"].value, results["quadrature"].value
-        checks.append(abs(quad - closed) <= _AGREE_REL * max(abs(closed), 1e-300))
-    if "mc" in results:
-        ref = results.get("closed", results.get("quadrature"))
-        if ref is not None:
-            mc = results["mc"]
-            band = _AGREE_SIGMA * max(mc.error_estimate or 0.0, 1e-300)
-            checks.append(abs(mc.value - ref.value) <= band)
-    payload = {}
-    for name, res in results.items():
-        payload[name] = res.value
-        if res.error_estimate is not None:
-            payload[f"{name}_error"] = res.error_estimate
-    for name, note in notes.items():
-        payload[name] = note
-    if checks:
-        payload["agreement"] = all(checks)
-    _emit(payload, as_json)
-
-
 def _volume_options(fn):
+    """The options every volume command shares; they reach :func:`_run_volume`."""
     for opt in reversed(
         [
             click.option(
@@ -284,23 +261,61 @@ def _volume_options(fn):
     return fn
 
 
-def _mc(region: vol.Region, samples: int, seed: int, threads: int | None) -> vol.VolumeResult:
-    return vol.region_volume_mc(
-        region, samples=samples, seed=seed, worker_count=threads or _default_threads()
-    )
+def _run_volume(opts: dict, closed, quadrature, region: vol.Region) -> None:
+    """Run the chosen methods and print per-method values and agreement.
+
+    ``opts`` holds the shared options of :func:`_volume_options`.
+    ``closed`` and ``quadrature`` are calls returning a value or a
+    ``VolumeResult``; ``region`` is what the Monte-Carlo method samples.
+    A method out of its range becomes a note when other methods run.
+    """
+    wanted = _parse_methods(opts["methods"])
+    results, notes = {}, {}
+    for m in wanted:
+        if m == "mc":
+            results[m] = vol.region_volume_mc(
+                region,
+                samples=opts["samples"],
+                seed=opts["seed"],
+                worker_count=opts["threads"] or _default_threads(),
+            )
+            continue
+        try:
+            value = closed() if m == "closed" else quadrature()
+        except RangeError as exc:
+            if len(wanted) == 1:
+                raise
+            notes[m] = f"unavailable ({exc})"
+            continue
+        results[m] = value if isinstance(value, vol.VolumeResult) else vol.VolumeResult(value)
+    checks = []
+    if "closed" in results and "quadrature" in results:
+        exact, quad = results["closed"].value, results["quadrature"].value
+        checks.append(abs(quad - exact) <= _AGREE_REL * max(abs(exact), 1e-300))
+    if "mc" in results:
+        ref = results.get("closed", results.get("quadrature"))
+        if ref is not None:
+            mc = results["mc"]
+            band = _AGREE_SIGMA * max(mc.error_estimate or 0.0, 1e-300)
+            checks.append(abs(mc.value - ref.value) <= band)
+    payload = {}
+    for name, res in results.items():
+        payload[name] = res.value
+        if res.error_estimate is not None:
+            payload[f"{name}_error"] = res.error_estimate
+    payload.update(notes)
+    if checks:
+        payload["agreement"] = all(checks)
+    _emit(payload, opts["as_json"])
 
 
 @volume.command("pe")
 @_volume_options
-def volume_pe(methods, samples, seed, threads, as_json):
+def volume_pe(**opts):
     """Mass of the perfect-entangler wedge."""
-    results = {}
-    for m in _parse_methods(methods):
-        if m == "mc":
-            results[m] = _mc(vol.Region("pe"), samples, seed, threads)
-        else:
-            results[m] = vol.pe_volume(m)
-    _volume_report(results, {}, as_json)
+    _run_volume(
+        opts, lambda: vol.pe_volume("closed"), lambda: vol.pe_volume("quadrature"), vol.Region("pe")
+    )
 
 
 @volume.command("cube")
@@ -308,12 +323,8 @@ def volume_pe(methods, samples, seed, threads, as_json):
 @click.option("--center", help="cube center c1,c2,c3 (pi notation ok)")
 @click.option("--side", required=True, help="cube side length (pi notation ok)")
 @click.option("--clip", type=click.Choice(["none", "chamber"]), default="none", show_default=True)
-@click.option(
-    "--order", type=int, default=20, show_default=True,
-    help="Gauss-Legendre nodes per axis per block (both clip modes)",
-)
 @_volume_options
-def volume_cube(gate, center, side, clip, order, methods, samples, seed, threads, as_json):
+def volume_cube(gate, center, side, clip, **opts):
     """Mass of a coordinate cube.
 
     With the default clip=none this is the unclipped absolute-density
@@ -324,26 +335,14 @@ def volume_cube(gate, center, side, clip, order, methods, samples, seed, threads
         raise click.UsageError("provide exactly one of --gate or --center")
     ctr = NAMED_GATE_POINTS[gate] if gate else _parse_triple(center, "center")
     a = parse_angle(side)
-    wanted = _parse_methods(methods)
-    if "closed" in wanted and clip != "none":
+    if "closed" in _parse_methods(opts["methods"]) and clip != "none":
         raise click.UsageError("closed cube forms exist only for clip=none")
-    results, notes = {}, {}
-    for m in wanted:
-        if m == "closed":
-            try:
-                results[m] = vol.VolumeResult(vol.cube_volume_closed(ctr, a), "closed")
-            except RangeError as exc:
-                if len(wanted) == 1:
-                    raise
-                notes[m] = f"unavailable ({exc})"
-        elif m == "quadrature":
-            results[m] = vol.VolumeResult(
-                vol.cube_volume_quadrature(ctr, a, order=order, clip=clip), "quadrature"
-            )
-        else:
-            mode = "unclipped" if clip == "none" else "chamber"
-            results[m] = _mc(vol.Region("cube_c", tuple(ctr), a, clip=mode), samples, seed, threads)
-    _volume_report(results, notes, as_json)
+    _run_volume(
+        opts,
+        lambda: vol.cube_volume_closed(ctr, a),
+        lambda: vol.cube_volume_quadrature(ctr, a, clip=clip),
+        vol.Region("cube_c", tuple(ctr), a, clip="unclipped" if clip == "none" else "chamber"),
+    )
 
 
 @volume.command("cylinder")
@@ -351,40 +350,32 @@ def volume_cube(gate, center, side, clip, order, methods, samples, seed, threads
 @click.option("--radius", required=True, type=float)
 @click.option("--height", required=True, type=float)
 @_volume_options
-def volume_cylinder(center, radius, height, methods, samples, seed, threads, as_json):
+def volume_cylinder(center, radius, height, **opts):
     """Mass of a g3-aligned cylinder in invariant space."""
     parts = [p for p in center.split(",") if p.strip()]
     if len(parts) != 3:
         raise click.BadParameter("center must be g1,g2,g3")
     ctr = tuple(float(p) for p in parts)
     validate_invariant_ranges(*ctr)
-    results = {}
-    for m in _parse_methods(methods):
-        if m == "closed":
-            results[m] = vol.VolumeResult(vol.cylinder_volume_g(ctr[:2], radius, height), "closed")
-        elif m == "quadrature":
-            results[m] = vol.VolumeResult(
-                vol.cylinder_volume_quadrature(ctr[:2], radius, height), "quadrature"
-            )
-        else:
-            results[m] = _mc(vol.Region("cylinder_g", ctr, radius, height), samples, seed, threads)
-    _volume_report(results, {}, as_json)
+    _run_volume(
+        opts,
+        lambda: vol.cylinder_volume_g(ctr[:2], radius, height),
+        lambda: vol.cylinder_volume_quadrature(ctr[:2], radius, height),
+        vol.Region("cylinder_g", ctr, radius, height),
+    )
 
 
 @volume.command("sphere")
 @click.option("--radius", required=True, type=float)
 @_volume_options
-def volume_sphere(radius, methods, samples, seed, threads, as_json):
+def volume_sphere(radius, **opts):
     """Mass of an origin-centred sphere in invariant space."""
-    results = {}
-    for m in _parse_methods(methods):
-        if m == "closed":
-            results[m] = vol.VolumeResult(vol.origin_volume_g("sphere", radius), "closed")
-        elif m == "quadrature":
-            results[m] = vol.VolumeResult(vol.origin_volume_quadrature("sphere", radius), "quadrature")
-        else:
-            results[m] = _mc(vol.Region("sphere_g", (0.0, 0.0, 0.0), radius), samples, seed, threads)
-    _volume_report(results, {}, as_json)
+    _run_volume(
+        opts,
+        lambda: vol.origin_volume_g("sphere", radius),
+        lambda: vol.origin_volume_quadrature("sphere", radius),
+        vol.Region("sphere_g", (0.0, 0.0, 0.0), radius),
+    )
 
 
 @cli.command()
@@ -417,12 +408,7 @@ def sample(count, seed, method, threads, fmt, output):
         return
     coords = sample_canonical(count, cfg)
     if fmt == "summary":
-        text = _dumps(summarize_samples(coords)) + "\n"
-        if output == "-":
-            click.echo(text, nl=False)
-        else:
-            with open(output, "w", encoding="utf-8") as fh:
-                fh.write(text)
+        _write_text(output, _dumps(summarize_samples(coords)) + "\n")
         return
     export_csv(sys.stdout if output == "-" else output, coords)
 
@@ -486,7 +472,11 @@ def _chamber_grid(resolution: int) -> np.ndarray:
 
 def _write_rows(output: str, header: str, rows: np.ndarray) -> None:
     lines = [header] + [",".join(_FMT % v for v in row) for row in rows.tolist()]
-    text = "\n".join(lines) + "\n"
+    _write_text(output, "\n".join(lines) + "\n")
+
+
+def _write_text(output: str, text: str) -> None:
+    """Write ``text`` to stdout for '-', else to the named file."""
     if output == "-":
         click.echo(text, nl=False)
     else:

@@ -39,8 +39,8 @@ class Su2Params:
     coordinates of the rotation axis.  Ranges: ``alpha in [0, 4*pi)``,
     ``theta in [0, pi]``, ``phi in [0, 2*pi)``.
 
-    >>> Su2Params(0.0, 0.0, 0.0).axis()
-    array([0., 0., 1.])
+    >>> Su2Params(0.0, 0.0, 0.0).as_tuple()
+    (0.0, 0.0, 0.0)
     """
 
     alpha: float
@@ -56,24 +56,6 @@ class Su2Params:
             raise ValidationError(f"theta={self.theta} outside [0, pi]")
         if not 0.0 <= self.phi < TWO_PI:
             raise ValidationError(f"phi={self.phi} outside [0, 2*pi)")
-
-    @classmethod
-    def wrapped(cls, alpha: float, theta: float, phi: float) -> "Su2Params":
-        """Construct after reducing the angles into their fundamental ranges.
-
-        ``theta`` outside ``[0, pi]`` is folded back (reflecting ``phi``),
-        so the described rotation is preserved.
-        """
-        theta = float(theta) % TWO_PI
-        if theta > np.pi:
-            theta = TWO_PI - theta
-            phi = phi + np.pi
-        return cls(float(alpha) % FOUR_PI, theta, float(phi) % TWO_PI)
-
-    def axis(self) -> np.ndarray:
-        """Unit vector of the rotation axis."""
-        st = np.sin(self.theta)
-        return np.array([st * np.cos(self.phi), st * np.sin(self.phi), np.cos(self.theta)])
 
     def as_tuple(self) -> tuple[float, float, float]:
         return (self.alpha, self.theta, self.phi)

@@ -124,7 +124,19 @@ def _kron_batch(A: np.ndarray, B: np.ndarray) -> np.ndarray:
 
 
 def _abelian_batch(c: np.ndarray) -> np.ndarray:
-    """Commuting cores of stacked triples (n, 3) -> (n, 4, 4); see :func:`abelian_gate`."""
+    """Commuting cores of stacked triples (n, 3) -> (n, 4, 4).
+
+    Closed form of ``exp(-i/2 sum_j c_j sigma_j(x)sigma_j)``, whose only
+    nonzero entries lie on the diagonal and the anti-diagonal: on the
+    basis pair {00, 11} it is ``e^{-i c3/2} exp(-i (c1 - c2)/2 sigma_x)``,
+    that is ``e^{-i c3/2} cos((c1 - c2)/2)`` at (0, 0) and (3, 3) and
+    ``-i e^{-i c3/2} sin((c1 - c2)/2)`` at (0, 3) and (3, 0); on {01, 10}
+    it is ``e^{i c3/2} exp(-i (c1 + c2)/2 sigma_x)``.  The coordinates
+    are not required to lie in the Weyl chamber.
+
+    >>> np.allclose(_abelian_batch(np.zeros((1, 3)))[0], np.eye(4))
+    True
+    """
     c = np.asarray(c, dtype=float)
     out = np.zeros((c.shape[0], 4, 4), dtype=complex)
     for i, j, angle, phase in (
@@ -134,24 +146,6 @@ def _abelian_batch(c: np.ndarray) -> np.ndarray:
         out[:, i, i] = out[:, j, j] = phase * np.cos(angle / 2)
         out[:, i, j] = out[:, j, i] = -1j * phase * np.sin(angle / 2)
     return out
-
-
-def abelian_gate(c) -> np.ndarray:
-    """Gate generated by the three commuting two-body generators.
-
-    Closed form of ``exp(-i/2 sum_j c_j sigma_j(x)sigma_j)``, whose only
-    nonzero entries lie on the diagonal and the anti-diagonal: on the
-    basis pair {00, 11} it is ``e^{-i c3/2} exp(-i (c1 - c2)/2 sigma_x)``,
-    that is ``e^{-i c3/2} cos((c1 - c2)/2)`` at (0, 0) and (3, 3) and
-    ``-i e^{-i c3/2} sin((c1 - c2)/2)`` at (0, 3) and (3, 0); on {01, 10}
-    it is ``e^{i c3/2} exp(-i (c1 + c2)/2 sigma_x)``.  Accepts a
-    :class:`CanonicalCoords` or any length-3 sequence; the coordinates are
-    not required to lie in the Weyl chamber.
-
-    >>> np.allclose(abelian_gate((0, 0, 0)), np.eye(4))
-    True
-    """
-    return _abelian_batch(np.array([coerce_triple(c)]))[0]
 
 
 def assemble(x: FullCoords) -> np.ndarray:

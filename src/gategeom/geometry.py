@@ -133,7 +133,7 @@ def _cosine_density_derivatives(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return (3.0 / np.pi) * (da * mb + db * am), (3.0 / np.pi) * hess
 
 
-def makhlin_density(g1, g2, g3=None) -> np.ndarray:
+def makhlin_density(g1, g2) -> np.ndarray:
     """Density of the invariant triple; radially divergent at g1 = g2 = 0.
 
     The third invariant does not enter: conditioned on (g1, g2) it is

@@ -96,11 +96,6 @@ class LocalInvariants:
     def as_array(self) -> np.ndarray:
         return np.array(self.as_tuple())
 
-    @property
-    def radial(self) -> float:
-        """Distance from the (g1, g2) origin, the radial invariant."""
-        return float(np.hypot(self.g1, self.g2))
-
 
 @dataclass(frozen=True)
 class PhaseAngle:
@@ -353,9 +348,14 @@ def c_from_g(g1: float, g2: float, g3: float) -> CanonicalCoords:
     the chamber.
 
     Accuracy is that of the cubic's roots, measured on ``g_from_c`` of
-    chamber points: about 1e-15 in the bulk, ~sqrt(eps) on faces (worst
-    3e-7), 3e-4 on the edges c2 = c3 = 0 and c1 = c2 = pi/2, and 2e-3 within
-    1e-2 of a vertex.  :func:`canonical_coords` of a matrix has no such loss.
+    chamber points.  Most of the bulk comes back to about 1e-15, but not
+    all of it: near the interior plane c1 = pi/2, which is no chamber face,
+    the arccos of cos(2 c1) ~ -1 is ill-conditioned, and points within
+    1e-2 of it lose up to 1.3e-9 (7e-9 within 1e-4); within 0.15 of the
+    identity vertex the loss reaches 6e-11.  On faces it is ~sqrt(eps)
+    (worst 3e-7), 3e-4 on the edges c2 = c3 = 0 and c1 = c2 = pi/2, and
+    2e-3 within 1e-2 of a vertex.  :func:`canonical_coords` of a matrix has
+    no such loss.
     """
     validate_invariant_ranges(g1, g2, g3)
     c = _c_from_g_batch(np.array([[g1, g2, g3]], dtype=float))[0]

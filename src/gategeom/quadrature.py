@@ -7,7 +7,8 @@ the elliptic check through its line form, :func:`_integrate_line`.  A
 region is a list of blocks with affine limits, cut so that the integrand
 is analytic inside each block, and tensor Gauss-Legendre places
 ``order`` nodes per axis in every block.  Convergence is spectral, and
-``order`` (nodes per axis per block) is the only accuracy parameter.
+each kind of region has its order as a module constant, at which its
+rule is converged to round-off.
 
 A block is one row of 12 floats::
 
@@ -26,15 +27,17 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import ValidationError
 from .geometry import weyl_density
 
 _PI = np.pi
 _EPS = 1e-12
 
-#: Default Gauss-Legendre order for the chamber and the wedge, whose
-#: blocks are few and large; exact to about 1e-15.
+#: Gauss-Legendre order for the chamber and the wedge, whose blocks are
+#: few and large; exact to about 1e-15.
 REGION_ORDER = 12
+#: Gauss-Legendre order in every block of a box; orders 12 to 40 agree
+#: within 2e-14 on random boxes of either clip mode.
+_BOX_ORDER = 20
 
 # Nodes per vectorised pass; bounds the temporaries at a few megabytes.
 _NODES_PER_PASS = 1 << 16
@@ -128,14 +131,14 @@ def _integrate_line(fn, lo: float, hi: float) -> float:
     return float(np.sum(wx * fn(x)))
 
 
-def integrate_over_chamber(fn=None) -> float:
-    """Integral over the chamber; defaults to the density (so ~1.0)."""
-    return _integrate(fn or weyl_density, _CHAMBER, REGION_ORDER)
+def integrate_over_chamber() -> float:
+    """Mass of the chamber under the density, 1 up to quadrature error."""
+    return _integrate(weyl_density, _CHAMBER, REGION_ORDER)
 
 
-def integrate_pe_region(fn=None, order: int = REGION_ORDER) -> float:
-    """Integral over the perfect-entangler wedge; defaults to its mass."""
-    return _integrate(fn or weyl_density, _PE_WEDGE, order)
+def _pe_mass(order: int) -> float:
+    """Mass of the perfect-entangler wedge at the given order."""
+    return _integrate(weyl_density, _PE_WEDGE, order)
 
 
 # ---------------------------------------------------------------------------
@@ -165,16 +168,6 @@ def _traces(v: float, lo: float, hi: float) -> list[tuple[float, float]]:
 def _shifted(vals, lo: float, hi: float) -> list[float]:
     """All points +-v + m pi strictly inside (lo, hi)."""
     return [sign * v + off for v in vals for off, sign in _traces(v, lo, hi)]
-
-
-def _check_box(lo, hi) -> tuple[np.ndarray, np.ndarray]:
-    lo = np.asarray(lo, dtype=float)
-    hi = np.asarray(hi, dtype=float)
-    if lo.shape != (3,) or hi.shape != (3,):
-        raise ValidationError("box corners must be length-3 coordinate triples")
-    if np.any(hi < lo):
-        raise ValidationError("box upper corner must dominate the lower corner")
-    return lo, hi
 
 
 def _crease_blocks(lo, hi) -> list[list[float]]:
@@ -209,16 +202,15 @@ def _crease_blocks(lo, hi) -> list[list[float]]:
     return rows
 
 
-def box_integral_abs_density(lo, hi, order: int = 20) -> float:
+def _box_abs_mass(lo, hi) -> float:
     """Integral of the absolute reflected density over an axis-aligned box.
 
-    ``lo`` and ``hi`` are length-3 corner coordinates (c1, c2, c3 axes).
-    The box is cut along every crease of |density| (see
-    :func:`_crease_blocks`), so every block sees an analytic integrand and
-    convergence is spectral in ``order``.
+    ``lo`` and ``hi`` are length-3 corner coordinates (c1, c2, c3 axes),
+    ``hi`` dominating ``lo``.  The box is cut along every crease of
+    |density| (see :func:`_crease_blocks`), so every block sees an
+    analytic integrand and convergence is spectral in the order.
     """
-    lo, hi = _check_box(lo, hi)
-    return _integrate(weyl_density, _crease_blocks(lo, hi), order)
+    return _integrate(weyl_density, _crease_blocks(lo, hi), _BOX_ORDER)
 
 
 def _clipped_blocks(lo, hi) -> list[list[float]]:
@@ -252,10 +244,9 @@ def _clipped_blocks(lo, hi) -> list[list[float]]:
     return rows
 
 
-def box_integral_chamber_clipped(lo, hi, order: int = 20) -> float:
+def _box_clipped_mass(lo, hi) -> float:
     """Mass of the chamber density inside box-and-chamber intersection."""
-    lo, hi = _check_box(lo, hi)
-    return _integrate(weyl_density, _clipped_blocks(lo, hi), order)
+    return _integrate(weyl_density, _clipped_blocks(lo, hi), _BOX_ORDER)
 
 
 #: Cells per axis of the bin grid over [0, pi] x [0, pi/2] x [0, pi/2];

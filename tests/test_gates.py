@@ -9,6 +9,7 @@ from conftest import (
     CNOT,
     SU2_IDENTITY,
     SWAP,
+    abelian_gate,
     local_gate,
     matrix_to_json_dict,
     random_full_coords,
@@ -25,7 +26,6 @@ from gategeom.gates import (
     _assemble_batch,
     _generators,
     _su2_matrix,
-    abelian_gate,
     assemble,
     generator,
     load_matrix_json,
@@ -245,7 +245,3 @@ class TestSu2ParamRanges:
         with pytest.raises(ValidationError):
             Su2Params(4 * np.pi, 0.5, 0.5)
 
-    def test_wrapped_brings_angles_into_range(self):
-        v = Su2Params.wrapped(-0.5, 0.5, -0.25)
-        assert 0 <= v.alpha < 4 * np.pi
-        assert 0 <= v.phi < 2 * np.pi

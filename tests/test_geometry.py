@@ -280,9 +280,6 @@ class TestMakhlinDensity:
         with pytest.raises(SingularDensityError):
             makhlin_density(0.0, 0.0)
 
-    def test_third_argument_ignored(self):
-        assert makhlin_density(0.1, 0.2, -3.0) == makhlin_density(0.1, 0.2, 3.0)
-
 
 class TestJacobian:
     def test_third_row_closed_form(self, rng):

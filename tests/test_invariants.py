@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from conftest import (
     CNOT,
     SWAP,
+    abelian_gate,
     interior_chamber_points,
     local_gate,
     random_full_coords,
@@ -18,7 +19,6 @@ from gategeom.gates import (
     _abelian_batch,
     _kron_batch,
     _su2_matrix,
-    abelian_gate,
     assemble,
 )
 from gategeom.invariants import (
@@ -95,11 +95,6 @@ class TestInvariantRanges:
     def test_user_facing_validation(self):
         with pytest.raises(ValidationError):
             validate_invariant_ranges(0.0, 0.3, 0.0)
-
-    def test_radial_part(self):
-        assert LocalInvariants(0.6, -0.8 / 4, 0.0).radial == pytest.approx(
-            np.hypot(0.6, 0.2)
-        )
 
 
 class TestForwardMap:

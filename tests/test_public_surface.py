@@ -1,8 +1,11 @@
 """The public surface is a contract: ``gategeom.__all__`` is frozen here.
 
 README's "Library" section documents every name below.  A change that
-adds or removes a public name edits this tuple and that section together.
+adds or removes a public name edits this tuple and that section together,
+and a change that adds or removes an option edits ``PUBLIC_OPTIONS``.
 """
+import dataclasses
+import inspect
 import re
 from pathlib import Path
 
@@ -26,8 +29,6 @@ PUBLIC_NAMES = (
     "WEYL_DENSITY_MAX",
     "assemble",
     "bin_probabilities",
-    "box_integral_abs_density",
-    "box_integral_chamber_clipped",
     "c_from_g",
     "canonical_coords",
     "canonical_coords_batch",
@@ -45,7 +46,6 @@ PUBLIC_NAMES = (
     "generator",
     "in_weyl_chamber",
     "integrate_over_chamber",
-    "integrate_pe_region",
     "is_perfect_entangler",
     "jacobian",
     "jjt_closed",
@@ -79,8 +79,11 @@ RETIRED_NAMES = (
     "PhaseAngle",
     "SU2_IDENTITY",
     "SWAP",
+    "box_integral_abs_density",
+    "box_integral_chamber_clipped",
     "full_haar_density",
     "generators",
+    "integrate_pe_region",
     "invariants_at",
     "local_gate",
     "locally_equivalent",
@@ -96,6 +99,60 @@ RETIRED_NAMES = (
 def test_all_is_the_frozen_tuple():
     assert tuple(gategeom.__all__) == PUBLIC_NAMES
     assert len(PUBLIC_NAMES) <= 60
+
+
+#: Every option of the surface: (public name, defaulted parameter or
+#: defaulted dataclass field).  An option needs a caller outside the tests.
+PUBLIC_OPTIONS = frozenset(
+    {
+        ("Region", "center"),
+        ("Region", "clip"),
+        ("Region", "height"),
+        ("Region", "size"),
+        ("SamplerConfig", "method"),
+        ("SamplerConfig", "seed"),
+        ("SamplerConfig", "worker_count"),
+        ("VolumeResult", "error_estimate"),
+        ("cube_volume_quadrature", "clip"),
+        ("in_weyl_chamber", "tol"),
+        ("origin_volume_g", "height"),
+        ("origin_volume_quadrature", "height"),
+        ("pe_volume", "method"),
+        ("region_volume_mc", "samples"),
+        ("region_volume_mc", "seed"),
+        ("region_volume_mc", "worker_count"),
+        ("require_unitary", "what"),
+        ("run_checks", "level"),
+        ("run_checks", "names"),
+        ("run_checks", "seed"),
+        ("sample_canonical", "config"),
+        ("sample_full_coords", "config"),
+        ("sample_gates", "config"),
+        ("sample_invariants", "config"),
+        ("validate_invariant_ranges", "error"),
+    }
+)
+
+
+def _options(name):
+    obj = getattr(gategeom, name)
+    if dataclasses.is_dataclass(obj):
+        return {
+            f.name
+            for f in dataclasses.fields(obj)
+            if f.default is not dataclasses.MISSING
+            or f.default_factory is not dataclasses.MISSING
+        }
+    if inspect.isfunction(obj):
+        params = inspect.signature(obj).parameters.values()
+        return {p.name for p in params if p.default is not inspect.Parameter.empty}
+    return set()
+
+
+def test_options_are_the_frozen_ledger():
+    ledger = {(name, option) for name in PUBLIC_NAMES for option in _options(name)}
+    assert ledger == PUBLIC_OPTIONS
+    assert len(PUBLIC_OPTIONS) <= 25
 
 
 def test_every_public_name_resolves():

@@ -93,6 +93,31 @@ class TestRunChecks:
         pos_dev = np.abs(point.as_array() - np.array([np.pi / 2, np.pi / 4, 0.0])).max()
         assert value_dev > 1e-8 and pos_dev > 1e-4
 
+    @pytest.mark.parametrize(
+        "check,module,route,drift",
+        [
+            ("metric-determinant", gategeom.geometry, "det_g_closed", 4e-9),
+            ("jacobian-identities", gategeom.geometry, "makhlin_density", 1e-10),
+            ("elliptic-integrals", gategeom.volumes, "elliptic_K", 1e-12),
+        ],
+    )
+    def test_small_drift_is_caught(self, monkeypatch, check, module, route, drift):
+        """Each bound sits about 100x above what its check measures, so a
+        drift its earlier bound (1e-8, 1e-8, 1e-10) let through fails."""
+        exact = getattr(module, route)
+        monkeypatch.setattr(module, route, lambda *a: exact(*a) * (1.0 + drift))
+        for level in ("quick", "full"):
+            [result] = run_checks(level, names=[check])
+            assert not result.passed, result.detail
+
+    @pytest.mark.parametrize("level", ["quick", "full"])
+    def test_frame_check_passes_on_every_seed(self, level):
+        """The chart points keep every rotation angle clear of 2 pi, where
+        the finite-difference frame meets a chart singularity."""
+        for seed in range(10):
+            [result] = run_checks(level, seed=seed, names=["frame-vs-metric"])
+            assert result.passed, (seed, result.detail)
+
     def test_crashing_check_reports_failure(self, monkeypatch):
         def boom(k):
             raise RuntimeError("corrupted")
