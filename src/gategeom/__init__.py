@@ -11,6 +11,7 @@ from .coords import (
     FullCoords,
     Su2Params,
     in_weyl_chamber,
+    is_perfect_entangler,
 )
 from .errors import (
     ConsistencyError,
@@ -71,7 +72,6 @@ from .volumes import (
     cylinder_volume_quadrature,
     elliptic_E,
     elliptic_K,
-    is_perfect_entangler,
     origin_volume_g,
     origin_volume_quadrature,
     pe_volume,

@@ -12,7 +12,8 @@ package is::
 
 Angle normalisation happens only here, at construction boundaries;
 numerical kernels elsewhere accept raw floats and are global in their
-arguments.
+arguments.  The chamber and perfect-entangler membership tests live here
+too, so every module that needs them imports down to this one.
 """
 from __future__ import annotations
 
@@ -83,6 +84,34 @@ def in_weyl_chamber(c1, c2, c3, tol: float = _CHAMBER_TOL):
     if ok.ndim == 0:
         return bool(ok)
     return ok
+
+
+#: Slack of the perfect-entangler and chamber tests; boundary points
+#: count as inside.
+_PE_TOL = 1e-9
+
+
+def is_perfect_entangler(c):
+    """Whether chamber coordinates describe a perfect entangler.
+
+    Broadcasts over (..., 3) and returns a bool (or bool array).  The
+    wedge is closed: boundary points count as inside, up to ``_PE_TOL``.
+    Coordinates outside the chamber are rejected outright, since the
+    half-space test below is only meaningful on the fundamental cell.
+    """
+    arr = np.asarray(c, dtype=float)
+    c1, c2, c3 = arr[..., 0], arr[..., 1], arr[..., 2]
+    inside = in_weyl_chamber(c1, c2, c3, tol=_PE_TOL)
+    if not np.all(inside):
+        raise ValidationError(
+            "coordinates outside the chamber have no perfect-entangler status"
+        )
+    ok = (
+        (c1 + c2 >= np.pi / 2 - _PE_TOL)
+        & (c1 - c2 <= np.pi / 2 + _PE_TOL)
+        & (c2 + c3 <= np.pi / 2 + _PE_TOL)
+    )
+    return bool(ok) if ok.ndim == 0 else ok
 
 
 @dataclass(frozen=True)

@@ -29,11 +29,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .coords import is_perfect_entangler
 from .errors import ValidationError
 from .gates import _assemble_batch, require_unitary_stack
 from .geometry import WEYL_DENSITY_MAX, weyl_density
 from .invariants import _laplace_det, _spectral_coords, g_from_c
-from .volumes import is_perfect_entangler
 
 #: Samples per deterministic stream block.
 BLOCK_SIZE = 1 << 14
@@ -69,33 +69,28 @@ def _block_rng(seed: int, block: int) -> np.random.Generator:
 def _alpha_from_uniform(u: np.ndarray) -> np.ndarray:
     """Invert the rotation-angle CDF (alpha - sin alpha) / (4 pi).
 
-    Safeguarded Newton: steps that leave the current bracket fall back to
-    bisection, so the flat CDF spots at multiples of 2 pi cannot trap it.
-    One end of the bracket may never move, so each element stops once its
-    step or its bracket is at round-off; later rounds skip it.
+    alpha - sin alpha = 4 pi u is Kepler's equation E - sin E = M at
+    eccentricity 1.  The mean anomaly M = 4 pi u is brought into [0, pi]
+    by its period 2 pi and the reflection E -> 2 pi - E.  The start is the
+    cube-root law (6 M)^(1/3) near M = 0 and M + sin E beyond, and three
+    Halley steps, each clamped to [0, pi], take it to round-off (Danby and
+    Burkardt, Celest. Mech. 31, 1983; Markley, Celest. Mech. Dyn. Astron.
+    63, 1995).  Every element does the same work; ``tiny`` in the Halley
+    denominator keeps u = 0, where f, f' and f'' all vanish, at 0.
     """
-    u = np.asarray(u, dtype=float)
-    target = (4.0 * np.pi * u).ravel()
-    x = target.copy()  # exact for the linear part of the CDF
-    lo = np.zeros_like(x)
-    hi = np.full_like(x, 4.0 * np.pi)
-    active = np.arange(x.size)
-    for _ in range(64):
-        xa, la, ha = x[active], lo[active], hi[active]
-        f = xa - np.sin(xa) - target[active]
-        la = np.where(f < 0, xa, la)
-        ha = np.where(f > 0, xa, ha)
-        df = 1.0 - np.cos(xa)
-        step = np.divide(f, df, out=np.zeros_like(f), where=df > 1e-12)
-        cand = xa - step
-        bad = (cand <= la) | (cand >= ha) | (df <= 1e-12)
-        new = np.where(bad, 0.5 * (la + ha), cand)
-        x[active], lo[active], hi[active] = new, la, ha
-        tol = 4.0 * np.finfo(float).eps * np.maximum(1.0, new)
-        active = active[(np.abs(new - xa) > tol) & (ha - la > tol)]
-        if active.size == 0:
-            break
-    return x.reshape(u.shape)
+    m = 4.0 * np.pi * np.asarray(u, dtype=float)
+    period = np.where(m >= 2.0 * np.pi, 2.0 * np.pi, 0.0)
+    m -= period
+    reflect = m > np.pi
+    m = np.where(reflect, 2.0 * np.pi - m, m)
+    e = np.cbrt(6.0 * m)
+    e = np.where(e > 1.0, m + np.sin(np.minimum(e, np.pi)), e)
+    for _ in range(3):
+        sin_e, d = np.sin(e), 1.0 - np.cos(e)
+        f = e - sin_e - m
+        step = 2.0 * f * d / (2.0 * d * d - f * sin_e + np.finfo(float).tiny)
+        e = np.clip(e - step, 0.0, np.pi)
+    return np.where(reflect, 2.0 * np.pi - e, e) + period
 
 
 def _su2_block(rng: np.random.Generator, m: int) -> np.ndarray:

@@ -22,11 +22,13 @@ from typing import Sequence
 
 import numpy as np
 
-from .coords import in_weyl_chamber
+from .coords import in_weyl_chamber, is_perfect_entangler
 from .errors import RangeError, ValidationError
 from .gates import NAMED_GATE_POINTS
 from .geometry import weyl_density
+from .invariants import g_from_c
 from .quadrature import REGION_ORDER, _box_abs_mass, _box_clipped_mass, _integrate_line, _pe_mass
+from .sampling import SamplerConfig, sample_canonical
 
 #: Exact mass of the perfect-entangler wedge.
 PE_VOLUME_CLOSED = 8.0 / (3.0 * np.pi)
@@ -42,34 +44,6 @@ class VolumeResult:
 
     value: float
     error_estimate: float | None = None
-
-
-#: Slack of the perfect-entangler and chamber tests; boundary points
-#: count as inside.
-_PE_TOL = 1e-9
-
-
-def is_perfect_entangler(c):
-    """Whether chamber coordinates describe a perfect entangler.
-
-    Broadcasts over (..., 3) and returns a bool (or bool array).  The
-    wedge is closed: boundary points count as inside, up to ``_PE_TOL``.
-    Coordinates outside the chamber are rejected outright, since the
-    half-space test below is only meaningful on the fundamental cell.
-    """
-    arr = np.asarray(c, dtype=float)
-    c1, c2, c3 = arr[..., 0], arr[..., 1], arr[..., 2]
-    inside = in_weyl_chamber(c1, c2, c3, tol=_PE_TOL)
-    if not np.all(inside):
-        raise ValidationError(
-            "coordinates outside the chamber have no perfect-entangler status"
-        )
-    ok = (
-        (c1 + c2 >= np.pi / 2 - _PE_TOL)
-        & (c1 - c2 <= np.pi / 2 + _PE_TOL)
-        & (c2 + c3 <= np.pi / 2 + _PE_TOL)
-    )
-    return bool(ok) if ok.ndim == 0 else ok
 
 
 def pe_volume(method: str = "closed") -> VolumeResult:
@@ -420,9 +394,7 @@ def origin_volume_quadrature(shape: str, size: float, height: float | None = Non
 # Monte-Carlo region masses.
 
 
-#: Region kinds whose membership reads the invariants; the rest read c only.
-_INVARIANT_KINDS = ("cylinder_g", "sphere_g")
-_KINDS = ("pe", "cube_c") + _INVARIANT_KINDS
+_KINDS = ("pe", "cube_c", "cylinder_g", "sphere_g")
 
 
 @dataclass(frozen=True)
@@ -452,11 +424,10 @@ class Region:
         if self.clip == "unclipped" and self.kind != "cube_c":
             raise ValidationError("unclipped counting applies only to coordinate cubes")
 
-    def weights(self, c: np.ndarray, g: np.ndarray | None) -> np.ndarray:
-        """Per-sample contribution: 0/1 membership, or a copy count.
-
-        Only the invariant-space kinds read ``g``; the others accept None.
-        """
+    def weights(self, c: np.ndarray) -> np.ndarray:
+        """Per-sample contribution of chamber points ``c``: 0/1
+        membership, or a copy count.  The invariant-space kinds map
+        ``c`` to invariants themselves."""
         ctr = np.asarray(self.center, dtype=float)
         if self.kind == "pe":
             inside = is_perfect_entangler(c)
@@ -466,9 +437,11 @@ class Region:
                 return _cube_orbit_multiplicity(c, ctr - half, ctr + half)
             inside = np.all(np.abs(c - ctr) <= half, axis=-1)
         elif self.kind == "cylinder_g":
+            g = g_from_c(c)
             planar = (g[:, 0] - ctr[0]) ** 2 + (g[:, 1] - ctr[1]) ** 2 <= self.size**2
             inside = planar & (np.abs(g[:, 2] - ctr[2]) <= self.height / 2.0)
         else:
+            g = g_from_c(c)
             inside = np.einsum("ni,ni->n", g - ctr, g - ctr) <= self.size**2
         return inside.astype(float)
 
@@ -518,14 +491,8 @@ def region_volume_mc(
     reflected-copy count, matching the closed cube forms, with the
     sample standard error of that weight.
     """
-    from .invariants import g_from_c
-    from .sampling import SamplerConfig, sample_canonical
-
-    if samples <= 0:
-        raise ValidationError("sample count must be positive")
     c = sample_canonical(samples, SamplerConfig(seed=seed, worker_count=worker_count))
-    g = g_from_c(c) if region.kind in _INVARIANT_KINDS else None
-    w = region.weights(c, g)
+    w = region.weights(c)
     value = float(w.mean())
     se = float(w.std(ddof=1)) / math.sqrt(samples) if samples > 1 else 0.0
     return VolumeResult(value, se)

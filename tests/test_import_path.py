@@ -3,10 +3,15 @@
 scipy costs about a second of start-up and is needed only by the tests,
 which use it as an independent reference.  Each probe runs in a fresh
 process and then asserts that no scipy module was loaded.
+
+The package's own modules import one another at module level only, and
+those imports form no cycle, so the import order is one way.
 """
+import ast
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -72,3 +77,61 @@ def test_import_loads_no_scipy():
 def test_run_loads_no_scipy(run):
     done = run_fresh(RUNS[run])
     assert done.returncode == 0, done.stderr
+
+
+PACKAGE = Path(gategeom.__file__).parent
+MODULES = sorted(path.stem for path in PACKAGE.glob("*.py"))
+
+
+def package_targets(node):
+    """Package modules an import statement reads from; ``__init__``
+    stands for names taken from the package itself."""
+    if not isinstance(node, ast.ImportFrom):
+        return []
+    if node.level:
+        module = node.module or ""
+    elif (node.module or "").split(".")[0] == "gategeom":
+        module = node.module.partition(".")[2]
+    else:
+        return []
+    if module:
+        return [module.split(".")[0]]
+    return [a.name if a.name in MODULES else "__init__" for a in node.names]
+
+
+def parse(name):
+    return ast.parse((PACKAGE / f"{name}.py").read_text(encoding="utf-8"))
+
+
+def test_no_package_import_inside_a_function():
+    found = [
+        f"{name}.{fn.name}:{node.lineno}"
+        for name in MODULES
+        for fn in ast.walk(parse(name))
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for node in ast.walk(fn)
+        if package_targets(node)
+    ]
+    assert not found, found
+
+
+def test_package_imports_form_no_cycle():
+    graph = {
+        name: sorted({t for node in parse(name).body for t in package_targets(node)})
+        for name in MODULES
+    }
+    done, path = set(), []
+
+    def visit(name):
+        if name in path:
+            raise AssertionError(" -> ".join(path[path.index(name):] + [name]))
+        if name in done:
+            return
+        path.append(name)
+        for target in graph[name]:
+            visit(target)
+        path.pop()
+        done.add(name)
+
+    for name in MODULES:
+        visit(name)

@@ -4,6 +4,7 @@ import json
 import math
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.stats import ks_2samp, kstest
@@ -38,21 +39,11 @@ def rotation_angle_cdf(alpha):
     return (np.asarray(alpha) - np.sin(alpha)) / (4.0 * np.pi)
 
 
-def alpha_all_rounds(u):
-    """The rotation-angle inversion run for all 64 rounds on every element."""
-    lo = np.zeros_like(u)
-    hi = np.full_like(u, 4.0 * np.pi)
-    x = target = 4.0 * np.pi * u
-    for _ in range(64):
-        f = x - np.sin(x) - target
-        lo = np.where(f < 0, x, lo)
-        hi = np.where(f > 0, x, hi)
-        df = 1.0 - np.cos(x)
-        step = np.divide(f, df, out=np.zeros_like(f), where=df > 1e-12)
-        cand = x - step
-        bad = (cand <= lo) | (cand >= hi) | (df <= 1e-12)
-        x = np.where(bad, 0.5 * (lo + hi), cand)
-    return x
+def rotation_angle_cdf_50_digits(alpha):
+    """The rotation-angle CDF of each float alpha, evaluated at 50 digits."""
+    with mpmath.workdps(50):
+        four_pi = 4 * mpmath.pi
+        return [(mpmath.mpf(a) - mpmath.sin(mpmath.mpf(a))) / four_pi for a in alpha]
 
 
 def chamber_block_whole_rounds(rng, m):
@@ -167,14 +158,32 @@ class TestMarginals:
             stat = kstest(x[:, col], rotation_angle_cdf)
             assert stat.pvalue > 0.01, f"alpha column {col}: p={stat.pvalue}"
 
-    def test_rotation_angle_early_stop_matches_all_rounds(self):
+    def test_rotation_angle_backward_error_at_50_digits(self):
+        """The fixed three Halley steps reach round-off everywhere,
+        including the CDF's flat spots at u = 0, 1/2 and 1."""
         near = np.logspace(-15, -1, 300)
         u = np.concatenate(
-            [[0.0, 0.5], near, 0.5 - near, 0.5 + near, 1.0 - near, np.linspace(0.0, 1.0, 2001)]
+            [[0.0, 0.5], near, 0.25 - near, 0.25 + near, 0.5 - near, 0.5 + near, 1.0 - near,
+             np.linspace(0.0, 1.0, 2001), np.random.default_rng(11).random(3000)]
         )
         got = _alpha_from_uniform(u)
-        assert np.abs(got - alpha_all_rounds(u)).max() <= 1e-13
-        assert np.abs(rotation_angle_cdf(got) - u).max() <= 1e-14
+        backward = [abs(cdf - v) for cdf, v in zip(rotation_angle_cdf_50_digits(got), u)]
+        assert float(max(backward)) <= 5e-16
+        assert _alpha_from_uniform(np.array([0.0, 0.5])).tolist() == [0.0, 2.0 * np.pi]
+        assert _alpha_from_uniform(np.array([np.nextafter(1.0, 0.0)]))[0] < 4.0 * np.pi
+
+    def test_rotation_angle_kernel_draws_no_uniforms(self, monkeypatch):
+        """Every column but the rotation angles is the same whatever the
+        angle kernel computes: it reads the block's uniforms, never the
+        stream."""
+        config = SamplerConfig(seed=7, worker_count=2)
+        n = 2 * BLOCK_SIZE + 100
+        expected = sample_full_coords(n, config)
+        monkeypatch.setattr(sampling, "_alpha_from_uniform", lambda u: u)
+        got = sample_full_coords(n, config)
+        others = [col for col in range(15) if col not in (0, 3, 6, 9)]
+        np.testing.assert_array_equal(got[:, others], expected[:, others])
+        assert not np.array_equal(got[:, [0, 3, 6, 9]], expected[:, [0, 3, 6, 9]])
 
     def test_axis_direction_marginals(self):
         n = 100_000
