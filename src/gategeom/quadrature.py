@@ -15,14 +15,18 @@ A block is one row of 12 floats::
     x0, x1,  a0, a1, b0, b1,  p0, p1, p2, q0, q1, q2
 
 meaning x in [x0, x1], y in [a0 + a1 x, b0 + b1 x] and
-z in [p0 + p1 x + p2 y, q0 + q1 x + q2 y].  The generators below write
-the chamber, the perfect-entangler wedge, chamber-clipped boxes (and so
-histogram bins) and crease-split boxes of the reflected density as such
-lists.
+z in [p0 + p1 x + p2 y, q0 + q1 x + q2 y].  The chamber and the
+perfect-entangler wedge are fixed lists; every box is cut by one
+generator, :func:`_clipped_blocks`, which clips it to the chamber.  That
+serves histogram bins and chamber-clipped cubes directly, and unclipped
+boxes of the reflected density once :func:`_fold` has folded them into
+[0, pi/2]^3.
 """
 from __future__ import annotations
 
+import itertools
 import math
+from collections import Counter
 from functools import lru_cache
 
 import numpy as np
@@ -36,7 +40,7 @@ _EPS = 1e-12
 #: few and large; exact to about 1e-15.
 REGION_ORDER = 12
 #: Gauss-Legendre order in every block of a box; orders 12 to 40 agree
-#: within 2e-14 on random boxes of either clip mode.
+#: within 1.6e-14 absolute on 200 random boxes of either clip mode.
 _BOX_ORDER = 20
 
 # Nodes per vectorised pass; bounds the temporaries at a few megabytes.
@@ -155,91 +159,35 @@ def _split_points(lo: float, hi: float, candidates) -> list[float]:
     return pts
 
 
-def _traces(v: float, lo: float, hi: float) -> list[tuple[float, float]]:
-    """``(m pi, sign)`` of every line ``sign * v + m pi`` strictly inside (lo, hi)."""
-    out = []
-    for sign in (1.0, -1.0):
-        for m in range(math.floor((lo - sign * v) / _PI), math.ceil((hi - sign * v) / _PI) + 1):
-            if lo + _EPS < sign * v + m * _PI < hi - _EPS:
-                out.append((m * _PI, sign))
-    return out
-
-
-def _shifted(vals, lo: float, hi: float) -> list[float]:
-    """All points +-v + m pi strictly inside (lo, hi)."""
-    return [sign * v + off for v in vals for off, sign in _traces(v, lo, hi)]
-
-
-def _crease_blocks(lo, hi) -> list[list[float]]:
-    """An axis-aligned box cut along every crease of the reflected density.
-
-    The signed density changes sign only across the planes
-    c_i = +-c_j + m pi.  The z edges of a piece are the box faces and the
-    traces z = +-x + m pi and z = +-y + m pi; the y edges are the faces,
-    the traces y = +-x + m pi, the points where a z trace enters or
-    leaves the z range (y = +-z_end + m pi) and where two z traces cross
-    (y = m pi / 2); x is cut at the images of all of those.  No edge then
-    meets another inside a piece, so membership and order, classified at
-    the piece centre, hold throughout, every limit is affine and the
-    density keeps one sign inside every block.
-    """
-    (x0, y0, z0), (x1, y1, z1) = (float(v) for v in lo), (float(v) for v in hi)
-    xs = _split_points(x0, x1, _shifted([y0, y1, z0, z1, 0.0, _PI / 2], x0, x1))
-    y_cuts = [(v, 0.0) for v in _split_points(y0, y1, _shifted([z0, z1, 0.0, _PI / 2], y0, y1))]
-    rows = []
-    for xa, xb in zip(xs[:-1], xs[1:]):
-        xm = 0.5 * (xa + xb)
-        y_edges = sorted(y_cuts + _traces(xm, y0, y1), key=lambda e: e[0] + e[1] * xm)
-        zx = [(z0, 0.0, 0.0), (z1, 0.0, 0.0)] + [(off, s, 0.0) for off, s in _traces(xm, z0, z1)]
-        for (a0, a1), (b0, b1) in zip(y_edges[:-1], y_edges[1:]):
-            ym = 0.5 * (a0 + b0 + (a1 + b1) * xm)
-            z_edges = sorted(
-                zx + [(off, 0.0, s) for off, s in _traces(ym, z0, z1)],
-                key=lambda e: e[0] + e[1] * xm + e[2] * ym,
-            )
-            for zlo, zhi in zip(z_edges[:-1], z_edges[1:]):
-                rows.append([xa, xb, a0, a1, b0, b1, *zlo, *zhi])
-    return rows
-
-
-def _box_abs_mass(lo, hi) -> float:
-    """Integral of the absolute reflected density over an axis-aligned box.
-
-    ``lo`` and ``hi`` are length-3 corner coordinates (c1, c2, c3 axes),
-    ``hi`` dominating ``lo``.  The box is cut along every crease of
-    |density| (see :func:`_crease_blocks`), so every block sees an
-    analytic integrand and convergence is spectral in the order.
-    """
-    return _integrate(weyl_density, _crease_blocks(lo, hi), _BOX_ORDER)
-
-
 def _clipped_blocks(lo, hi) -> list[list[float]]:
     """The chamber cut by an axis-aligned box, as blocks with affine limits.
 
     In the chamber 0 <= z <= y <= cap(x) = min(x, pi - x), so inside the
-    box y runs from max(by0, 0) to min(by1, cap(x)) and z from
-    max(bz0, 0) to min(bz1, y).  Cutting x at pi/2 and wherever cap(x)
-    meets a y or z face, and y at the z faces, leaves a single affine
-    branch for each min and max on every piece.
+    box z runs from max(bz0, 0) to min(bz1, y), and y, which cannot lie
+    below z, from max(by0, bz0, 0) to min(by1, cap(x)).  Cutting x at
+    pi/2 and wherever cap(x) meets a y or z face, and y at bz1, leaves a
+    single affine branch for each min and max on every piece.  A branch
+    is chosen at the piece's middle, so a cut dropped because two faces
+    lie within ``_EPS`` of each other costs a sliver, never a sign.
     """
     (bx0, by0, bz0), (bx1, by1, bz1) = (float(v) for v in lo), (float(v) for v in hi)
     x0, x1 = max(bx0, 0.0), min(bx1, _PI)
-    y0, z0 = max(by0, 0.0), max(bz0, 0.0)
-    if x1 <= x0 or by1 <= max(y0, z0) or bz1 <= z0:
+    y0, z0 = max(by0, bz0, 0.0), max(bz0, 0.0)
+    if x1 <= x0 or by1 <= y0 or bz1 <= z0:
         return []
     faces = (by0, by1, bz0, bz1)
     xs = _split_points(x0, x1, [_PI / 2, *faces, *(_PI - v for v in faces)])
-    ys = _split_points(y0, by1, [bz0, bz1])
+    ys = _split_points(y0, by1, [bz1])
     rows = []
     for xa, xb in zip(xs[:-1], xs[1:]):
         xm = 0.5 * (xa + xb)
         cap = (0.0, 1.0) if xm < _PI / 2 else (_PI, -1.0)
         cap_mid = cap[0] + cap[1] * xm
         for ya, yb in zip(ys[:-1], ys[1:]):
-            if ya >= cap_mid or yb <= z0:
+            if ya >= cap_mid:
                 continue
             y_hi = (yb, 0.0) if yb <= cap_mid else cap
-            z_hi = (0.0, 0.0, 1.0) if yb <= bz1 else (bz1, 0.0, 0.0)
+            z_hi = (0.0, 0.0, 1.0) if ya + yb <= 2 * bz1 else (bz1, 0.0, 0.0)
             rows.append([xa, xb, ya, 0.0, *y_hi, z0, 0.0, 0.0, *z_hi])
     return rows
 
@@ -247,6 +195,48 @@ def _clipped_blocks(lo, hi) -> list[list[float]]:
 def _box_clipped_mass(lo, hi) -> float:
     """Mass of the chamber density inside box-and-chamber intersection."""
     return _integrate(weyl_density, _clipped_blocks(lo, hi), _BOX_ORDER)
+
+
+def _fold(lo: float, hi: float) -> Counter:
+    """[lo, hi] cut at multiples of pi/2, each piece reflected into [0, pi/2].
+
+    |density| is even and pi-periodic in each coordinate, so the piece in
+    [k pi/2, (k+1) pi/2] maps by c - k pi/2 for even k and (k+1) pi/2 - c
+    for odd k.  Each end takes one subtraction from the exact multiple,
+    and an end on a cut maps onto the wall, so no piece loses width.
+    Returns the (a, b) images with their multiplicities.
+    """
+    q, pieces = _PI / 2, Counter()
+    for k in range(math.floor(lo / q) - 1, math.ceil(hi / q) + 1):
+        m, n = k * q, (k + 1) * q
+        a, b = max(lo, m), min(hi, n)
+        if a < b and k % 2 == 0:
+            pieces[a - m, q if b == n else b - m] += 1
+        elif a < b:
+            pieces[n - b, q if a == m else n - a] += 1
+    return pieces
+
+
+def _box_abs_mass(lo, hi) -> float:
+    """Integral of the absolute reflected density over an axis-aligned box.
+
+    ``lo`` and ``hi`` are length-3 corner coordinates (c1, c2, c3 axes),
+    ``hi`` dominating ``lo``.  |density| is also symmetric in its
+    coordinates, so the box's mass is that of its folded images in
+    [0, pi/2]^3, each taken in all six orders of its sides and clipped to
+    the chamber part c3 <= c2 <= c1 there.  Identical images are
+    integrated once and weighted by their multiplicity.
+    """
+    images = Counter()
+    for pieces in itertools.product(*(_fold(float(a), float(b)).items() for a, b in zip(lo, hi))):
+        weight = math.prod(n for _, n in pieces)
+        for image in itertools.permutations(side for side, _ in pieces):
+            images[image] += weight
+    blocks = [_clipped_blocks(*zip(*image)) for image in images]
+    groups = np.repeat(np.arange(len(blocks)), [len(b) for b in blocks])
+    rows = list(itertools.chain.from_iterable(blocks))
+    sums = _integrate(weyl_density, rows, _BOX_ORDER, groups, len(blocks))
+    return float(sums @ np.array(list(images.values()), dtype=float))
 
 
 #: Cells per axis of the bin grid over [0, pi] x [0, pi/2] x [0, pi/2];

@@ -132,9 +132,9 @@ def test_criterion_04_cube_closed_forms(capsys):
     report(
         capsys,
         4,
-        worst <= 1e-5,
+        worst <= 3e-12,
         f"{len(cases)} closed-vs-quadrature cube cases, worst rel dev "
-        f"{worst:.2e} at {worst_case} (tol 1e-5)",
+        f"{worst:.2e} at {worst_case} (tol 3e-12)",
     )
 
 

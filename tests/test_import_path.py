@@ -4,6 +4,9 @@ scipy costs about a second of start-up and is needed only by the tests,
 which use it as an independent reference.  Each probe runs in a fresh
 process and then asserts that no scipy module was loaded.
 
+Importing the command line does no numerical work: no quadrature rule
+is built and no closed-form series is expanded until a command needs it.
+
 The package's own modules import one another at module level only, and
 those imports form no cycle, so the import order is one way.
 """
@@ -51,6 +54,15 @@ except SystemExit as exc:
 """,
 }
 
+STARTUP = """
+import gategeom.cli
+from gategeom import quadrature, volumes
+assert quadrature._gauss_legendre.cache_info().currsize == 0
+built = [n for n, v in vars(volumes).items()
+         if isinstance(v, volumes._TrigSeries) and "_coeffs" in vars(v)]
+assert not built, built
+"""
+
 NO_SCIPY = """
 import sys
 loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
@@ -70,6 +82,11 @@ def run_fresh(code: str) -> subprocess.CompletedProcess:
 
 def test_import_loads_no_scipy():
     done = run_fresh(PROBE)
+    assert done.returncode == 0, done.stderr
+
+
+def test_cli_import_builds_no_rule_and_no_series():
+    done = run_fresh(STARTUP)
     assert done.returncode == 0, done.stderr
 
 
