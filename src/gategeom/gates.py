@@ -89,63 +89,30 @@ def require_unitary_stack(U, what: str = "matrix") -> np.ndarray:
 
 
 def _su2_matrix(alpha, theta, phi):
-    """Single-qubit rotation matrix from raw angles; broadcasts over arrays.
-
-    Returns ``I cos(alpha/2) - i (axis . sigma) sin(alpha/2)`` with axis
-    given by the spherical angles.  Shape: broadcast(...) + (2, 2).
+    """The rotation ``I cos(alpha/2) - i (n . sigma) sin(alpha/2)``, n at the
+    spherical angles, in the column layout: ``[[p, -conj(q)], [q, conj(p)]]``
+    with ``p = cos(alpha/2) - i n_z sin(alpha/2)`` and
+    ``q = (n_y - i n_x) sin(alpha/2)``, written as real and imaginary parts.
+    Shape (2, 2) + broadcast(...), so scalar angles give one matrix.
 
     >>> np.allclose(_su2_matrix(0.0, 0.0, 0.0), np.eye(2))
     True
     """
-    alpha = np.asarray(alpha, dtype=float)
-    theta = np.asarray(theta, dtype=float)
-    phi = np.asarray(phi, dtype=float)
-    ca, sa = np.cos(alpha / 2), np.sin(alpha / 2)
-    st, ct = np.sin(theta), np.cos(theta)
-    nx = st * np.cos(phi)
-    ny = st * np.sin(phi)
-    nz = ct
-    out = np.empty(np.broadcast(alpha, theta, phi).shape + (2, 2), dtype=complex)
-    out[..., 0, 0] = ca - 1j * sa * nz
-    out[..., 0, 1] = -sa * (ny + 1j * nx)
-    out[..., 1, 0] = sa * (ny - 1j * nx)
-    out[..., 1, 1] = ca + 1j * sa * nz
-    return out
+    half = np.divide(alpha, 2)
+    sa, st = np.sin(half), np.sin(theta)
+    u = np.empty((2, 2, *np.broadcast(alpha, theta, phi).shape), dtype=complex)
+    re, im = u.real, u.imag
+    re[0, 0] = re[1, 1] = np.cos(half)
+    im[1, 1] = sa * np.cos(theta)
+    im[0, 0] = -im[1, 1]
+    re[1, 0] = sa * (st * np.sin(phi))
+    re[0, 1] = -re[1, 0]
+    im[0, 1] = im[1, 0] = -(sa * (st * np.cos(phi)))
+    return u
 
 
 def _su2_params(v) -> Su2Params:
     return v if isinstance(v, Su2Params) else Su2Params(*v)
-
-
-def _kron_batch(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Kronecker product over stacked (n, 2, 2) factors -> (n, 4, 4)."""
-    n = A.shape[0]
-    return np.einsum("nij,nkl->nikjl", A, B).reshape(n, 4, 4)
-
-
-def _abelian_batch(c: np.ndarray) -> np.ndarray:
-    """Commuting cores of stacked triples (n, 3) -> (n, 4, 4).
-
-    Closed form of ``exp(-i/2 sum_j c_j sigma_j(x)sigma_j)``, whose only
-    nonzero entries lie on the diagonal and the anti-diagonal: on the
-    basis pair {00, 11} it is ``e^{-i c3/2} exp(-i (c1 - c2)/2 sigma_x)``,
-    that is ``e^{-i c3/2} cos((c1 - c2)/2)`` at (0, 0) and (3, 3) and
-    ``-i e^{-i c3/2} sin((c1 - c2)/2)`` at (0, 3) and (3, 0); on {01, 10}
-    it is ``e^{i c3/2} exp(-i (c1 + c2)/2 sigma_x)``.  The coordinates
-    are not required to lie in the Weyl chamber.
-
-    >>> np.allclose(_abelian_batch(np.zeros((1, 3)))[0], np.eye(4))
-    True
-    """
-    c = np.asarray(c, dtype=float)
-    out = np.zeros((c.shape[0], 4, 4), dtype=complex)
-    for i, j, angle, phase in (
-        (0, 3, c[:, 0] - c[:, 1], np.exp(-0.5j * c[:, 2])),
-        (1, 2, c[:, 0] + c[:, 1], np.exp(0.5j * c[:, 2])),
-    ):
-        out[:, i, i] = out[:, j, j] = phase * np.cos(angle / 2)
-        out[:, i, j] = out[:, j, i] = -1j * phase * np.sin(angle / 2)
-    return out
 
 
 def assemble(x: FullCoords) -> np.ndarray:
@@ -155,18 +122,48 @@ def assemble(x: FullCoords) -> np.ndarray:
     (alpha, theta, phi) triples and ``c`` any length-3 sequence.
     """
     row = [t for v in (x.a1, x.b1, x.a2, x.b2) for t in _su2_params(v).as_tuple()]
-    return _assemble_batch(np.array([row + list(coerce_triple(x.c))]))[0]
+    return _assemble_batch(np.array([row + list(coerce_triple(x.c))]))[:, :, 0]
 
 
 def _assemble_batch(params: np.ndarray) -> np.ndarray:
-    """Vectorised assemble for stacked 15-vectors (n, 15) -> (n, 4, 4)."""
-    params = np.asarray(params, dtype=float)
-    u = [
-        _su2_matrix(params[:, 3 * b], params[:, 3 * b + 1], params[:, 3 * b + 2])
-        for b in range(4)
-    ]
-    # One expression, so k1 and the core are freed before k2 is built.
-    return _kron_batch(u[0], u[1]) @ _abelian_batch(params[:, 12:15]) @ _kron_batch(u[2], u[3])
+    """Gates ``k1 . A(c) . k2`` of stacked 15-vectors (m, 15), laid out (4, 4, m).
+
+    Each entry is a length-m array; ``.transpose(2, 0, 1)`` is the (m, 4, 4)
+    stack.  ``A(c) = exp(-i/2 sum_j c_j sigma_j(x)sigma_j)`` is X-shaped: on
+    the basis pair {00, 11} it is ``e^{-i c3/2} exp(-i (c1 - c2)/2 sigma_x)``,
+    so ``d = e^{-i c3/2} cos((c1 - c2)/2)`` at (0, 0) and (3, 3) and
+    ``o = -i e^{-i c3/2} sin((c1 - c2)/2)`` at (0, 3) and (3, 0); on {01, 10}
+    it is ``e^{i c3/2} exp(-i (c1 + c2)/2 sigma_x)``.  Row l of ``A k2`` is
+    then ``d_l k2[l] + o_l k2[3 - l]``, and ``k1 = a1 (x) b1`` acts as b1 on
+    the second qubit's row index, then a1 on the first, each written from
+    one buffer into the other.  ``c`` need not lie in the Weyl chamber.
+
+    >>> np.allclose(_assemble_batch(np.zeros((1, 15)))[:, :, 0], np.eye(4))
+    True
+    """
+    p = np.asarray(params, dtype=float).T
+    a1, b1, a2, b2 = np.moveaxis(_su2_matrix(p[0:12:3], p[1:12:3], p[2:12:3]), 2, 0)
+    # Row 2i + k and column 2j + l of k2 = a2 (x) b2 is a2[i, j] b2[k, l].
+    k2 = np.multiply(a2[:, None, :, None], b2[None, :, None, :]).reshape(4, 4, -1)
+    c1, c2, c3 = p[12:15]
+    half = np.stack([c1 - c2, c1 + c2]) / 2
+    phase = np.exp(np.array([[-0.5j], [0.5j]]) * c3)
+    d = phase * np.cos(half)
+    o = phase  # -i phase sin(half), made in place
+    o *= -1j
+    o *= np.sin(half)
+    out = np.empty_like(k2)  # rows 0 and 3 are the pair {00, 11}, rows 1 and 2 {01, 10}
+    for row, pair in enumerate((0, 1, 1, 0)):
+        np.multiply(d[pair], k2[row], out=out[row])
+        out[row] += o[pair] * k2[3 - row]
+    x, y = out.reshape(2, 2, 4, -1), k2.reshape(2, 2, 4, -1)
+    for k in range(2):
+        np.multiply(b1[k, 0], x[:, 0], out=y[:, k])
+        y[:, k] += b1[k, 1] * x[:, 1]
+    for i in range(2):
+        np.multiply(a1[i, 0], y[0], out=x[i])
+        x[i] += a1[i, 1] * y[1]
+    return out
 
 
 def load_matrix_json(source: str | IO) -> np.ndarray:

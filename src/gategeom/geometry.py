@@ -211,7 +211,7 @@ def frame_finite_difference(x: FullCoords) -> np.ndarray:
     for mu in range(15):
         probes[2 * mu, mu] += h
         probes[2 * mu + 1, mu] -= h
-    U_all = _assemble_batch(np.vstack([base[None, :], probes]))
+    U_all = _assemble_batch(np.vstack([base[None, :], probes])).transpose(2, 0, 1)
     U0, U_pm = U_all[0], U_all[1:]
     dU = (U_pm[0::2] - U_pm[1::2]) / (2.0 * h)  # (15, 4, 4)
     omega = np.einsum("ij,mjk->mik", U0.conj().T, dU)

@@ -176,8 +176,8 @@ def _matrix_block(rng: np.random.Generator, m: int) -> np.ndarray:
 
 
 def _assembled_block(rng: np.random.Generator, m: int) -> np.ndarray:
-    """Gate matrices assembled from the fifteen coordinates, shape (m, 4, 4)."""
-    return _assemble_batch(_full_block(rng, m))
+    """Gate matrices assembled from the fifteen coordinates, an (m, 4, 4) view."""
+    return _assemble_batch(_full_block(rng, m)).transpose(2, 0, 1)
 
 
 def _oracle_coords_block(rng: np.random.Generator, m: int) -> np.ndarray:

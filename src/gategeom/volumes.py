@@ -159,6 +159,15 @@ _POINT_FORMS = {
 }
 
 
+def _length(value, what: str, positive: bool = False) -> float:
+    """``value`` as a float if finite and non-negative (positive if asked)."""
+    v = float(value)
+    if not (math.isfinite(v) and (v > 0.0 or v == 0.0 and not positive)):
+        sign = "positive" if positive else "non-negative"
+        raise ValidationError(f"{what} must be finite and {sign}, got {value!r}")
+    return v
+
+
 def _match_named_point(center: np.ndarray) -> str | None:
     points = dict(NAMED_GATE_POINTS)
     points["cnot-swap-midpoint"] = CNOT_SWAP_MIDPOINT
@@ -178,9 +187,7 @@ def cube_volume_closed(center, side: float) -> float:
     center = np.asarray(center, dtype=float)
     if center.shape != (3,):
         raise ValidationError("cube center must be a coordinate triple")
-    a = float(side)
-    if not (a > 0.0 and np.isfinite(a)):
-        raise ValidationError(f"cube side must be positive and finite, got {side!r}")
+    a = _length(side, "cube side", positive=True)
 
     name = _match_named_point(center)
     if name is not None:
@@ -229,9 +236,7 @@ def cube_volume_quadrature(center, side: float, clip: str = "none") -> float:
     center = np.asarray(center, dtype=float)
     if center.shape != (3,):
         raise ValidationError("cube center must be a coordinate triple")
-    a = float(side)
-    if not (a > 0.0 and np.isfinite(a)):
-        raise ValidationError(f"cube side must be positive and finite, got {side!r}")
+    a = _length(side, "cube side", positive=True)
     lo, hi = center - a / 2.0, center + a / 2.0
     if clip == "none":
         return _box_abs_mass(lo, hi)
@@ -296,10 +301,8 @@ def cylinder_volume_g(center, radius: float, height: float) -> float:
     where the cylinder stays inside the attainable set.
     """
     g1, g2 = (float(v) for v in center)
-    R, h = float(radius), float(height)
-    if R < 0 or h < 0:
-        raise ValidationError("radius and height must be non-negative")
-    rho = math.hypot(g1, g2)
+    R, h = _length(radius, "radius"), _length(height, "height")
+    rho = _length(math.hypot(g1, g2), "the center's distance from the g3 axis")
     if rho == 0.0:
         return 6.0 * R * h
     if R >= rho:
@@ -322,10 +325,8 @@ def cylinder_volume_quadrature(center, radius: float, height: float) -> float:
     from that point and integrated on the graded line rule.
     """
     g1, g2 = (float(v) for v in center)
-    R, h = float(radius), float(height)
-    if R < 0 or h < 0:
-        raise ValidationError("radius and height must be non-negative")
-    rho = math.hypot(g1, g2)
+    R, h = _length(radius, "radius"), _length(height, "height")
+    rho = _length(math.hypot(g1, g2), "the center's distance from the g3 axis")
     if R == 0.0 or h == 0.0:
         return 0.0
     if R >= rho:
@@ -356,15 +357,13 @@ def origin_volume_g(shape: str, size: float, height: float | None = None) -> flo
     (radius).  All are centred on g = 0, where the density is radial
     around the divergence axis and the integrals collapse.
     """
-    s = float(size)
-    if s < 0:
-        raise ValidationError("size must be non-negative")
+    s = _length(size, "size")
     if shape == "cube":
         return 12.0 * s * s / math.pi * math.log(1.0 + math.sqrt(2.0))
     if shape == "cylinder":
         if height is None:
             raise ValidationError("cylinder needs a height")
-        return 6.0 * s * float(height)
+        return 6.0 * s * _length(height, "height")
     if shape == "sphere":
         return 3.0 * math.pi * s * s
     raise ValidationError(f"unknown shape {shape!r}; use cube, cylinder or sphere")
@@ -372,9 +371,7 @@ def origin_volume_g(shape: str, size: float, height: float | None = None) -> flo
 
 def origin_volume_quadrature(shape: str, size: float, height: float | None = None) -> float:
     """Quadrature counterparts of :func:`origin_volume_g`, on the line rule."""
-    s = float(size)
-    if s < 0:
-        raise ValidationError("size must be non-negative")
+    s = _length(size, "size")
     if shape == "cube":
         half = s / 2.0
         val = _integrate_line(lambda p: half / np.cos(p), 0.0, np.pi / 4)
@@ -423,6 +420,11 @@ class Region:
             raise ValidationError(f"unknown clip mode {self.clip!r}")
         if self.clip == "unclipped" and self.kind != "cube_c":
             raise ValidationError("unclipped counting applies only to coordinate cubes")
+        if self.kind != "pe":
+            cube = self.kind == "cube_c"
+            _length(self.size, "cube side" if cube else "radius", positive=cube)
+        if self.kind == "cylinder_g":
+            _length(self.height, "height")
 
     def weights(self, c: np.ndarray) -> np.ndarray:
         """Per-sample contribution of chamber points ``c``: 0/1

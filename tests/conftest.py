@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from gategeom.coords import CanonicalCoords, FullCoords, Su2Params
-from gategeom.gates import _abelian_batch, assemble
+from gategeom.gates import _assemble_batch, assemble
 
 #: The trivial rotation.
 SU2_IDENTITY = Su2Params(0.0, 0.0, 0.0)
@@ -66,9 +66,18 @@ def local_gate(a: Su2Params, b: Su2Params) -> np.ndarray:
     return assemble(FullCoords(a, b, SU2_IDENTITY, SU2_IDENTITY, (0.0, 0.0, 0.0)))
 
 
+def cores(c) -> np.ndarray:
+    """Commuting cores ``exp(-i/2 sum_j c_j sigma_j (x) sigma_j)`` of stacked
+    triples (n, 3), shape (n, 4, 4): the gates assembled with zero rotation angles."""
+    c = np.asarray(c, dtype=float)
+    params = np.zeros((c.shape[0], 15))
+    params[:, 12:] = c
+    return _assemble_batch(params).transpose(2, 0, 1)
+
+
 def abelian_gate(c) -> np.ndarray:
-    """The commuting core ``exp(-i/2 sum_j c_j sigma_j (x) sigma_j)`` of one triple."""
-    return _abelian_batch(np.array([c], dtype=float))[0]
+    """The commuting core of one triple."""
+    return cores([c])[0]
 
 
 def matrix_to_json_dict(U: np.ndarray) -> dict:

@@ -283,6 +283,21 @@ class TestVolumeCommands:
         payload = json.loads(result.output)
         assert payload["closed"] == pytest.approx(3 * np.pi * 0.05**2, rel=1e-12)
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["sphere", "--radius", "-1"],
+            ["cube", "--gate", "b-gate", "--side", "-0.3"],
+            ["cylinder", "--center", "0.1,0.1,0", "--radius", "-0.2", "--height", "0.2"],
+            ["cylinder", "--center", "0.1,0.1,0", "--radius", "nan", "--height", "0.2"],
+        ],
+    )
+    @pytest.mark.parametrize("methods", ["mc", "closed,quadrature"])
+    def test_invalid_sizes_are_input_errors(self, runner, args, methods):
+        result = runner.invoke(cli, ["volume", *args, "--methods", methods, "--samples", "1000"])
+        assert result.exit_code == 2
+        assert "must be" in result.stderr
+
     def test_unknown_method_rejected(self, runner):
         result = runner.invoke(
             cli, ["volume", "pe", "--methods", "closed,divination"]

@@ -10,6 +10,7 @@ from conftest import (
     SU2_IDENTITY,
     SWAP,
     abelian_gate,
+    cores,
     local_gate,
     matrix_to_json_dict,
     random_full_coords,
@@ -22,7 +23,6 @@ from gategeom.gates import (
     GENERATOR_LABELS,
     NAMED_GATE_POINTS,
     PAULI,
-    _abelian_batch,
     _assemble_batch,
     _generators,
     _su2_matrix,
@@ -138,7 +138,7 @@ class TestAbelianGate:
         )
         pairs = np.array([np.kron(PAULI[s], PAULI[s]) for s in "xyz"])
         want = np.array([expm(-0.5j * np.einsum("j,jab->ab", t, pairs)) for t in c])
-        np.testing.assert_allclose(_abelian_batch(c), want, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(cores(c), want, rtol=0, atol=1e-15)
 
 
 class TestAssemble:
@@ -163,9 +163,25 @@ class TestAssemble:
         x = FullCoords(SU2_IDENTITY, SU2_IDENTITY, SU2_IDENTITY, SU2_IDENTITY, (np.pi / 2, 0, 0))
         np.testing.assert_allclose(assemble(x), abelian_gate((np.pi / 2, 0, 0)), atol=0)
 
+    def test_matches_the_exponentials(self, rng):
+        """k1 A(c) k2 against kron(expm, expm) . expm . kron(expm, expm) from
+        scipy, alpha over all of [0, 4 pi); the worst measured is 2.4e-15."""
+        sigma = np.array([PAULI[s] for s in "xyz"])
+        pairs = np.array([np.kron(PAULI[s], PAULI[s]) for s in "xyz"])
+
+        def rotation(v: Su2Params) -> np.ndarray:
+            axis = (np.sin(v.theta) * np.cos(v.phi), np.sin(v.theta) * np.sin(v.phi), np.cos(v.theta))
+            return expm(-0.5j * v.alpha * np.einsum("j,jab->ab", axis, sigma))
+
+        for _ in range(200):
+            x = random_full_coords(rng, margin=0.0)
+            core = expm(-0.5j * np.einsum("j,jab->ab", x.c.as_tuple(), pairs))
+            want = np.kron(rotation(x.a1), rotation(x.b1)) @ core @ np.kron(rotation(x.a2), rotation(x.b2))
+            np.testing.assert_allclose(assemble(x), want, rtol=0, atol=2e-13)
+
     def test_scalar_is_a_row_of_the_batch(self, rng):
         xs = [random_full_coords(rng) for _ in range(50)]
-        batch = _assemble_batch(np.array([x.as_array() for x in xs]))
+        batch = _assemble_batch(np.array([x.as_array() for x in xs])).transpose(2, 0, 1)
         x = xs[0]  # plain tuples where the dataclasses would go
         xs[0] = FullCoords(x.a1, x.b1.as_tuple(), x.a2, x.b2, x.c.as_tuple())
         for x, row in zip(xs, batch):

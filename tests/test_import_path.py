@@ -8,9 +8,12 @@ Importing the command line does no numerical work: no quadrature rule
 is built and no closed-form series is expanded until a command needs it.
 
 The package's own modules import one another at module level only, and
-those imports form no cycle, so the import order is one way.
+those imports form no cycle, so the import order is one way.  Every
+private function of the package is called from the package: production
+modules hold no code that only the tests use.
 """
 import ast
+import collections
 import os
 import subprocess
 import sys
@@ -152,3 +155,36 @@ def test_package_imports_form_no_cycle():
 
     for name in MODULES:
         visit(name)
+
+
+def is_cli_command(fn) -> bool:
+    """Decorated by ``<group>.command(...)`` or ``<group>.group(...)``."""
+    return any(
+        isinstance(d, ast.Call) and isinstance(d.func, ast.Attribute) and d.func.attr in ("command", "group")
+        for d in fn.decorator_list
+    )
+
+
+def references(tree) -> collections.Counter:
+    """How often each name is read in ``tree``, as a name or an attribute."""
+    return collections.Counter(
+        node.id if isinstance(node, ast.Name) else node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute))
+    )
+
+
+def test_every_private_function_has_a_caller_in_the_package():
+    trees = [parse(name) for name in MODULES]
+    read = sum((references(tree) for tree in trees), collections.Counter())
+    orphans = [
+        fn.name
+        for tree in trees
+        for fn in tree.body
+        if isinstance(fn, ast.FunctionDef)
+        and fn.name.startswith("_")
+        and not fn.name.startswith("__")
+        and not is_cli_command(fn)
+        and read[fn.name] == references(fn)[fn.name]  # read only inside itself
+    ]
+    assert not orphans, orphans

@@ -7,6 +7,7 @@ from conftest import (
     CNOT,
     SWAP,
     abelian_gate,
+    cores,
     interior_chamber_points,
     local_gate,
     random_full_coords,
@@ -15,12 +16,7 @@ from conftest import (
 from gategeom.coords import in_weyl_chamber
 from gategeom.errors import ConsistencyError, InvalidInvariantsError, ValidationError
 from gategeom import invariants
-from gategeom.gates import (
-    _abelian_batch,
-    _kron_batch,
-    _su2_matrix,
-    assemble,
-)
+from gategeom.gates import _assemble_batch, assemble
 from gategeom.invariants import (
     FACE_TOL,
     LocalInvariants,
@@ -385,14 +381,13 @@ CPHASE_ANGLES = np.array([1e-6, 1e-4, 1e-3, 0.1, 0.25, 0.5, np.pi, 5.0])
 
 
 def random_locals(rng, n: int) -> np.ndarray:
-    """n random local gates u (x) v, shape (n, 4, 4)."""
-    def su2():
-        return _su2_matrix(
-            rng.uniform(0.0, 4 * np.pi, n), np.arccos(rng.uniform(-1.0, 1.0, n)),
-            rng.uniform(0.0, 2 * np.pi, n),
-        )
-
-    return _kron_batch(su2(), su2())
+    """n random local gates u (x) v, shape (n, 4, 4): the gates assembled with c = 0."""
+    params = np.zeros((n, 15))
+    for f in range(2):
+        params[:, 3 * f] = rng.uniform(0.0, 4 * np.pi, n)
+        params[:, 3 * f + 1] = np.arccos(rng.uniform(-1.0, 1.0, n))
+        params[:, 3 * f + 2] = rng.uniform(0.0, 2 * np.pi, n)
+    return _assemble_batch(params).transpose(2, 0, 1)
 
 
 def dressed_stack(rng, cores: np.ndarray) -> np.ndarray:
@@ -429,7 +424,7 @@ class TestJacobiRoute:
     )
     def test_boundary_points_recovered(self, simplex, weights, seed):
         c = tiled(boundary_point(simplex, weights)[None])
-        jacobi, lapack = both_routes(dressed_stack(np.random.default_rng(seed), _abelian_batch(c)))
+        jacobi, lapack = both_routes(dressed_stack(np.random.default_rng(seed), cores(c)))
         assert in_weyl_chamber(jacobi[:, 0], jacobi[:, 1], jacobi[:, 2], tol=1e-15).all()
         assert class_distances(jacobi, c).max() <= 1e-12
         assert np.abs(jacobi - lapack).max() <= 1e-14
@@ -440,11 +435,11 @@ class TestJacobiRoute:
         cphase = np.zeros((theta.size, 4, 4), dtype=complex)
         cphase[:, [0, 1, 2], [0, 1, 2]] = 1.0
         cphase[:, 3, 3] = np.exp(1j * theta)
-        for cores, true in (
-            (_abelian_batch(c), c),
+        for core, true in (
+            (cores(c), c),
             (cphase, np.stack([theta / 2, 0 * theta, 0 * theta], axis=-1)),
         ):
-            jacobi, lapack = both_routes(dressed_stack(rng, cores))
+            jacobi, lapack = both_routes(dressed_stack(rng, core))
             assert class_distances(jacobi, true).max() <= 1e-12
             assert np.abs(jacobi - lapack).max() <= 1e-14
 
@@ -477,8 +472,8 @@ class TestJacobiRoute:
         bulk = interior_chamber_points(rng, n - iswaps, margin=0.0)
         iswap = np.tile([np.pi / 2, np.pi / 2, 0.0], (iswaps, 1))
         U = np.concatenate([
-            dressed_stack(rng, _abelian_batch(bulk)),
-            random_locals(rng, iswaps) @ _abelian_batch(iswap) @ random_locals(rng, iswaps),
+            dressed_stack(rng, cores(bulk)),
+            random_locals(rng, iswaps) @ cores(iswap) @ random_locals(rng, iswaps),
         ])
         got = canonical_coords_batch(U)
         assert calls == [(n, 4, 4)]
@@ -487,7 +482,7 @@ class TestJacobiRoute:
     def test_route_follows_stack_length(self, rng, monkeypatch):
         """At the threshold no per-matrix LAPACK call runs over the whole
         stack (unconverged rows may still reach ``eigvals``); below it, one does."""
-        U = dressed_stack(rng, _abelian_batch(interior_chamber_points(rng, _JACOBI_MIN_ROWS)))
+        U = dressed_stack(rng, cores(interior_chamber_points(rng, _JACOBI_MIN_ROWS)))
         expected = canonical_coords_batch(U)
         rows = []
 

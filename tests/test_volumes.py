@@ -274,6 +274,46 @@ class TestOriginVolumes:
             origin_volume_g("cube", -0.1)
 
 
+def body_calls(v):
+    """Each invariant-space body route, with ``v`` in each of its lengths in turn."""
+    return {
+        "cylinder_volume_g": [
+            lambda: cylinder_volume_g((0.1, 0.1), v, 1.0),
+            lambda: cylinder_volume_g((0.1, 0.1), 1.0, v),
+        ],
+        "cylinder_volume_quadrature": [
+            lambda: cylinder_volume_quadrature((0.1, 0.1), v, 1.0),
+            lambda: cylinder_volume_quadrature((0.1, 0.1), 1.0, v),
+        ],
+        "origin_volume_g": [
+            lambda: origin_volume_g("sphere", v),
+            lambda: origin_volume_g("cylinder", v, 0.3),
+            lambda: origin_volume_g("cylinder", 0.5, v),
+        ],
+        "origin_volume_quadrature": [
+            lambda: origin_volume_quadrature("sphere", v),
+            lambda: origin_volume_quadrature("cylinder", v, 0.3),
+            lambda: origin_volume_quadrature("cylinder", 0.5, v),
+        ],
+    }
+
+
+class TestBodyLengths:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0])
+    @pytest.mark.parametrize("route", sorted(body_calls(0.0)))
+    def test_non_finite_or_negative_lengths_raise(self, route, bad):
+        """The closed cylinder's AGM never ended on a NaN modulus."""
+        for call in body_calls(bad)[route]:
+            with pytest.raises(ValidationError, match="finite and non-negative"):
+                call()
+
+    @pytest.mark.parametrize("route", [cylinder_volume_g, cylinder_volume_quadrature])
+    @pytest.mark.parametrize("center", [(math.nan, 0.1), (0.1, math.inf)])
+    def test_non_finite_cylinder_center_raises(self, route, center):
+        with pytest.raises(ValidationError, match="distance from the g3 axis"):
+            route(center, 0.2, 1.0)
+
+
 def cube_images_loop(c, lo, hi):
     """Images of each point in the box, counted over the 48 permutations
     and sign patterns one at a time, then halved."""
@@ -366,3 +406,24 @@ class TestRegionMonteCarlo:
             region_volume_mc(Region("blob"), samples=100)
         with pytest.raises(ValidationError):
             region_volume_mc(Region("pe"), samples=0)
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("cube_c", (np.pi / 2, np.pi / 4, 0.0), -0.3),
+            ("cube_c", (np.pi / 2, np.pi / 4, 0.0), 0.0),
+            ("cube_c", (np.pi / 2, np.pi / 4, 0.0), math.inf),
+            ("sphere_g", (0.0, 0.0, 0.0), -1.0),
+            ("sphere_g", (0.0, 0.0, 0.0), math.nan),
+            ("cylinder_g", (0.1, 0.1, 0.0), math.nan, 0.2),
+            ("cylinder_g", (0.1, 0.1, 0.0), 0.2, -0.2),
+        ],
+    )
+    def test_sizes_the_kind_reads_are_checked(self, args):
+        """A negative radius was squared, and a negative side gave mass 0."""
+        with pytest.raises(ValidationError):
+            Region(*args)
+
+    def test_pe_and_unclipped_cube_stay_valid(self):
+        assert Region("pe").size == 0.0
+        assert Region("cube_c", (np.pi / 2, np.pi / 4, 0.0), 0.3, clip="unclipped").size == 0.3
