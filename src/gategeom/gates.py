@@ -19,7 +19,7 @@ from .errors import ValidationError
 UNITARITY_INPUT_TOL = 1e-10
 
 IDENTITY_2 = np.eye(2, dtype=complex)
-_IDENTITY_4 = np.eye(4)
+_IDENTITY_4 = np.eye(4, dtype=complex)
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
@@ -73,13 +73,22 @@ def require_unitary(U, what: str = "matrix") -> np.ndarray:
 
 
 def require_unitary_stack(U, what: str = "matrix") -> np.ndarray:
-    """Validate and return ``U`` as an (n, 4, 4) stack, one residual per row."""
+    """Validate and return ``U`` as an (n, 4, 4) stack, one residual per row.
+
+    One maximum over the whole stack decides.  Only a rejected stack has
+    its per-row residuals formed, to name the worst row (a NaN row first).
+    """
     U = np.asarray(U, dtype=complex)
     if U.ndim != 3 or U.shape[1:] != (4, 4):
         raise ValidationError(f"expected a stack of 4x4 matrices, got shape {U.shape}")
-    dev = np.abs(U.conj().transpose(0, 2, 1) @ U - _IDENTITY_4).max(axis=(1, 2))
-    worst = int(np.argmax(dev))  # the first NaN, if any
-    if not dev[worst] <= UNITARITY_INPUT_TOL:  # also rejects NaN and infinite entries
+    dev = U.conj().transpose(0, 2, 1) @ U
+    dev -= _IDENTITY_4
+    dev = np.abs(dev)
+    # Also rejects NaN and infinite entries; an empty stack falls through
+    # to argmax, which rejects it.
+    if not (len(U) and dev.max() <= UNITARITY_INPUT_TOL):
+        dev = dev.max(axis=(1, 2))
+        worst = int(np.argmax(dev))  # the first NaN, if any
         where = f" at index {worst}" if U.shape[0] > 1 else ""
         raise ValidationError(
             f"{what}: unitarity violation{where}: "

@@ -65,8 +65,9 @@ _SYM = np.zeros((4, 4), dtype=np.intp)
 _SYM[_UPPER] = _SYM.T[_UPPER] = np.arange(10)
 _SYM_DIAG = np.diagonal(_SYM)
 _SYM_OFF = _SYM[np.triu_indices(4, 1)]
-#: The fold's eigenphase pairs: c = -(lam[_PAIR_A] + lam[_PAIR_B]).
-_PAIR_A, _PAIR_B = np.array([0, 1, 0]), np.array([1, 3, 3])
+#: The fold's eigenphase pairing: c = lam @ _PAIRING is
+#: -(lam0 + lam1, lam1 + lam3, lam0 + lam3), exactly, but for the sign of a zero.
+_PAIRING = -np.array([[1, 0, 1], [1, 1, 0], [0, 0, 0], [0, 1, 1]], dtype=float)
 _TINY = np.finfo(float).tiny
 #: (row, column) of each nonzero entry of _MAGIC_BASIS.
 _MAGIC_TERMS = tuple(zip(*np.nonzero(_MAGIC_BASIS)))
@@ -162,23 +163,25 @@ def _spectral_coords(U: np.ndarray) -> np.ndarray:
     """
     if U.shape[0] < _JACOBI_MIN_ROWS:
         V = U @ _MAGIC_BASIS
-        # m = V^T P V with P = conj(Q) Q^dag = antidiag(1, -1, -1, 1).
-        X = V[:, 0, :, None] * V[:, 3, None, :] - V[:, 1, :, None] * V[:, 2, None, :]
+        # m = V^T P V with P = conj(Q) Q^dag = antidiag(1, -1, -1, 1), so
+        # m = X + X^T with X = v0 v3^T - v1 v2^T: rows 0, 1 times rows 3, 2.
+        outer = V[:, :2, :, None] * V[:, 3:1:-1, None, :]
+        X = outer[:, 0] - outer[:, 1]
         det, eig = np.linalg.det(U), np.linalg.eigvals(X + X.transpose(0, 2, 1))
     else:
         u = np.ascontiguousarray(U.transpose(1, 2, 0))
         det, eig = _laplace_det(u), _jacobi_spectrum(u)
-    lam = np.angle(eig)
+    lam = np.arctan2(eig.imag, eig.real)  # np.angle, without its wrapper
     lam /= 2.0
-    lam -= (np.angle(det) / 4.0)[:, None]
-    c = lam[:, _PAIR_A]
-    c += lam[:, _PAIR_B]
-    np.negative(c, out=c)
-    c -= np.pi * np.rint(c / np.pi)
-    odd = c.prod(axis=-1) < 0.0  # an odd number of negative c_i
-    c = -np.sort(-np.abs(c), axis=-1)
-    flip = odd & (c[:, 2] > FACE_TOL)
-    c[flip, 0] = np.pi - c[flip, 0]
+    lam -= (np.arctan2(det.imag, det.real) / 4.0)[:, None]
+    c = lam @ _PAIRING
+    c -= np.pi * np.rint(c / np.pi)  # modulo pi, which also turns -0 into +0
+    odd = np.multiply.reduce(c, axis=-1) < 0.0  # an odd number of negative c_i
+    np.abs(c, out=c)
+    c.sort(axis=-1)
+    c = c[:, ::-1]  # descending
+    c1 = c[:, 0]  # to pi - c1 after an odd number of sign flips, off the face
+    np.subtract(np.pi, c1, out=c1, where=odd & (c[:, 2] > FACE_TOL))
     return c
 
 
@@ -282,23 +285,25 @@ def makhlin_invariants(U) -> LocalInvariants:
     The result is independent of global phase and of single-qubit
     rotations applied before or after the gate.
     """
-    g = g_from_c(_spectral_coords(require_unitary(U)[None])[0])
-    return LocalInvariants(*g.tolist())
+    return LocalInvariants(*g_from_c(_spectral_coords(require_unitary(U)[None]))[0].tolist())
 
 
 def g_from_c(c, /):
     """Invariant triple from chamber coordinates; broadcasts over (..., 3).
 
-    Returns an array of shape (..., 3); ``LocalInvariants(*g_from_c(c).tolist())``
-    gives the validated triple of one point.
+    With s and p the sum and product of cos(2 c_i), g1 = (s + p) / 4,
+    g2 = prod sin(2 c_i) / 4 and g3 = s.  Returns an array of shape
+    (..., 3); ``LocalInvariants(*g_from_c(c).tolist())`` gives the
+    validated triple of one point.
     """
-    c = np.asarray(c, dtype=float)
-    two = np.cos(2 * c)
-    s2 = np.sin(2 * c)
-    g1 = 0.25 * (two.sum(axis=-1) + two.prod(axis=-1))
-    g2 = 0.25 * s2.prod(axis=-1)
-    g3 = two.sum(axis=-1)
-    return np.stack([g1, g2, g3], axis=-1)
+    two_c = 2.0 * np.asarray(c, dtype=float)
+    cos2, sin2 = np.cos(two_c), np.sin(two_c)
+    del two_c  # freed before g is allocated: three (..., 3) arrays at most
+    g = np.empty(cos2.shape[:-1] + (3,))
+    total = np.add.reduce(cos2, axis=-1, out=g[..., 2])  # g3
+    g[..., 0] = 0.25 * (total + np.multiply.reduce(cos2, axis=-1))
+    g[..., 1] = 0.25 * np.multiply.reduce(sin2, axis=-1)
+    return g
 
 
 def _c_from_g_batch(g: np.ndarray) -> np.ndarray:

@@ -23,7 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from .coords import in_weyl_chamber, is_perfect_entangler
-from .errors import RangeError, ValidationError
+from .errors import ConsistencyError, RangeError, ValidationError
 from .gates import NAMED_GATE_POINTS
 from .geometry import weyl_density
 from .invariants import g_from_c
@@ -168,6 +168,14 @@ def _length(value, what: str, positive: bool = False) -> float:
     return v
 
 
+def _center(center, what: str) -> np.ndarray:
+    """``center`` as an array of three finite floats."""
+    ctr = np.asarray(center, dtype=float)
+    if ctr.shape != (3,) or not np.isfinite(ctr).all():
+        raise ValidationError(f"{what} must be three finite numbers, got {center!r}")
+    return ctr
+
+
 def _match_named_point(center: np.ndarray) -> str | None:
     points = dict(NAMED_GATE_POINTS)
     points["cnot-swap-midpoint"] = CNOT_SWAP_MIDPOINT
@@ -184,9 +192,7 @@ def cube_volume_closed(center, side: float) -> float:
     axis, and at generic points whose cube stays clear of every crease
     plane; elsewhere a :class:`RangeError` points to the quadrature route.
     """
-    center = np.asarray(center, dtype=float)
-    if center.shape != (3,):
-        raise ValidationError("cube center must be a coordinate triple")
+    center = _center(center, "cube center")
     a = _length(side, "cube side", positive=True)
 
     name = _match_named_point(center)
@@ -233,9 +239,7 @@ def cube_volume_quadrature(center, side: float, clip: str = "none") -> float:
     forms' convention); ``clip="chamber"`` keeps only the part inside the
     fundamental cell.  Either mode is converged to round-off.
     """
-    center = np.asarray(center, dtype=float)
-    if center.shape != (3,):
-        raise ValidationError("cube center must be a coordinate triple")
+    center = _center(center, "cube center")
     a = _length(side, "cube side", positive=True)
     lo, hi = center - a / 2.0, center + a / 2.0
     if clip == "none":
@@ -249,6 +253,11 @@ def cube_volume_quadrature(center, side: float, clip: str = "none") -> float:
 # Elliptic integrals by arithmetic-geometric mean.
 
 
+#: Rounds allowed to ``_agm``.  Every k in [0, 1 - 1e-16] stops within 9
+#: (measured on 240k moduli, the worst next to 1); NaN never stops.
+_AGM_ROUNDS = 32
+
+
 def _agm(k: float) -> tuple[float, float]:
     """AGM(1, k') and s = sum over n >= 1 of 2**(n-1) c_n**2 along the way.
 
@@ -259,12 +268,13 @@ def _agm(k: float) -> tuple[float, float]:
     kp = math.sqrt((1.0 - k) * (1.0 + k))
     a, b, c = (1.0 + kp) / 2.0, math.sqrt(kp), k * k / (2.0 * (1.0 + kp))
     s, p = 0.0, 1.0
-    while True:
+    for _ in range(_AGM_ROUNDS):
         s += p * c * c
         if c <= 1e-16 * a:
             return a, s
         a, b, c = (a + b) / 2.0, math.sqrt(a * b), c * c / (2.0 * (a + b))
         p *= 2.0
+    raise ConsistencyError(f"the AGM of modulus {k!r} did not converge in {_AGM_ROUNDS} rounds")
 
 
 def elliptic_K(k: float) -> float:
@@ -421,6 +431,7 @@ class Region:
         if self.clip == "unclipped" and self.kind != "cube_c":
             raise ValidationError("unclipped counting applies only to coordinate cubes")
         if self.kind != "pe":
+            _center(self.center, "region center")
             cube = self.kind == "cube_c"
             _length(self.size, "cube side" if cube else "radius", positive=cube)
         if self.kind == "cylinder_g":

@@ -207,8 +207,8 @@ def test_criterion_07_metric_determinant_and_frame(capsys):
     report(
         capsys,
         7,
-        worst_det <= 1e-8 and worst_frame <= 1e-4,
-        f"det(metric) vs closed: worst rel {worst_det:.2e} over 100 points (tol 1e-8); "
+        worst_det <= 8e-13 and worst_frame <= 1e-4,
+        f"det(metric) vs closed: worst rel {worst_det:.2e} over 100 points (tol 8e-13); "
         f"|det frame| vs sqrt(det): worst rel {worst_frame:.2e} over 20 points (tol 1e-4)",
     )
 
@@ -247,9 +247,9 @@ def test_criterion_09_density_change_of_variables(capsys):
     report(
         capsys,
         9,
-        worst <= 1e-8,
+        worst <= 3e-12,
         f"density vs (3/pi)/rho |det J| on 10^3 interior points: "
-        f"worst |dev| {worst:.2e} (tol 1e-8)",
+        f"worst |dev| {worst:.2e} (tol 3e-12)",
     )
 
 

@@ -298,6 +298,17 @@ class TestVolumeCommands:
         assert result.exit_code == 2
         assert "must be" in result.stderr
 
+    @pytest.mark.parametrize("methods", ["mc", "quadrature", "closed"])
+    def test_non_finite_cube_center_is_an_input_error(self, runner, methods):
+        """The mc route printed nan and exited 0."""
+        result = runner.invoke(
+            cli,
+            ["volume", "cube", "--center", "nan,0.2,0.1", "--side", "0.3",
+             "--methods", methods, "--samples", "1000"],
+        )
+        assert result.exit_code == 2
+        assert "center must be three finite numbers" in result.stderr
+
     def test_unknown_method_rejected(self, runner):
         result = runner.invoke(
             cli, ["volume", "pe", "--methods", "closed,divination"]

@@ -30,6 +30,7 @@ from gategeom.gates import (
     generator,
     load_matrix_json,
     require_unitary,
+    require_unitary_stack,
 )
 from gategeom.invariants import _MAGIC_BASIS as MAGIC_BASIS
 
@@ -208,6 +209,78 @@ class TestUnitarityChecks:
     def test_accepts_swap_and_cnot(self):
         np.testing.assert_array_equal(require_unitary(SWAP), SWAP)
         np.testing.assert_array_equal(require_unitary(CNOT), CNOT)
+
+
+def _with_entry(i, j, value):
+    U = np.eye(4, dtype=complex)
+    U[i, j] = value
+    return U
+
+
+def _row_scaled(factor):
+    U = np.eye(4, dtype=complex)
+    U[2] *= factor
+    return U
+
+
+class TestUnitarityContract:
+    """What the check accepts and rejects, and its messages, word for word.
+
+    A row scaled by 1 + e leaves a residual (1 + e)^2 - 1: 2e = 4e-10 is
+    rejected, 8e-11 passes, and 1 + 5e-11 lands at 1.0000000008e-10, just
+    past the bound.
+    """
+
+    TAIL = "exceeds 1.0e-10"
+
+    @pytest.mark.parametrize(
+        "U,residual",
+        [
+            (_with_entry(1, 2, np.nan), "nan"),
+            (_with_entry(0, 0, np.inf), "nan"),
+            (_row_scaled(1 + 2e-10), "4.000e-10"),
+            (_row_scaled(1 + 5e-11), "1.000e-10"),
+        ],
+    )
+    def test_rejections(self, U, residual):
+        want = f"unitarity violation: max|U^dag U - I| = {residual} {self.TAIL}"
+        with np.errstate(invalid="ignore"):  # inf * 0 in U^dag U
+            for call, what in (
+                (lambda: require_unitary(U), "matrix"),
+                (lambda: require_unitary(U, "gate"), "gate"),
+                (lambda: require_unitary_stack(U[None]), "matrix"),
+            ):
+                with pytest.raises(ValidationError) as err:
+                    call()
+                assert str(err.value) == f"{what}: {want}"
+
+    def test_acceptance_below_the_bound(self):
+        U = _row_scaled(1 + 4e-11)
+        np.testing.assert_array_equal(require_unitary(U), U)
+        np.testing.assert_array_equal(require_unitary_stack(U[None]), U[None])
+
+    @pytest.mark.parametrize("shape", [(3, 3), (2, 4)])
+    def test_shapes(self, shape):
+        with pytest.raises(ValidationError) as err:
+            require_unitary(np.ones(shape))
+        assert str(err.value) == f"matrix must be 4x4, got shape {shape}"
+        with pytest.raises(ValidationError) as err:
+            require_unitary_stack(np.ones((1, *shape)))
+        assert str(err.value) == f"expected a stack of 4x4 matrices, got shape {(1, *shape)}"
+
+    @pytest.mark.parametrize(
+        "rows,named",
+        [
+            ([np.eye(4), _row_scaled(2.0), _row_scaled(1.5)], "index 1: max|U^dag U - I| = 3.000e+00"),
+            ([_row_scaled(1.5), np.eye(4), _row_scaled(2.0)], "index 2: max|U^dag U - I| = 3.000e+00"),
+            ([np.eye(4), _row_scaled(2.0), _with_entry(0, 0, np.nan)], "index 2: max|U^dag U - I| = nan"),
+        ],
+    )
+    def test_worst_row_is_named(self, rows, named):
+        """The row with the largest residual, a NaN row before any other."""
+        with pytest.raises(ValidationError) as err:
+            require_unitary_stack(np.array(rows), "gate stack")
+        assert str(err.value) == f"gate stack: unitarity violation at {named} {self.TAIL}"
 
 
 class TestMatrixJson:

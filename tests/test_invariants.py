@@ -16,7 +16,7 @@ from conftest import (
 from gategeom.coords import in_weyl_chamber
 from gategeom.errors import ConsistencyError, InvalidInvariantsError, ValidationError
 from gategeom import invariants
-from gategeom.gates import _assemble_batch, assemble
+from gategeom.gates import NAMED_GATE_POINTS, _assemble_batch, assemble
 from gategeom.invariants import (
     FACE_TOL,
     LocalInvariants,
@@ -365,6 +365,75 @@ class TestSpectralKernel:
             canonical_coords_batch(np.eye(4))
         with pytest.raises(ValidationError):
             canonical_coords(np.eye(3))
+
+
+def scalar_families(rng) -> np.ndarray:
+    """One-gate inputs of every family a single call meets, as one stack
+    below the Jacobi route: Haar gates; the named points, bare and dressed;
+    CPhase(theta) over [0, 2 pi); XX over [0, pi]; XY and Heisenberg over
+    [0, pi/2]; and classes exactly on the c3 = 0 face, bare and dressed."""
+    gates = [np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))[0]
+             for _ in range(40)]
+    for c in NAMED_GATE_POINTS.values():
+        gates += [abelian_gate(c), dressed(rng, c)]
+    for theta in np.linspace(0.0, 2 * np.pi, 16, endpoint=False):
+        gates.append(dressed(rng, (0.0, 0.0, 0.0)) @ np.diag([1, 1, 1, np.exp(1j * theta)]))
+    for shape, top in (((1, 0, 0), np.pi), ((1, 1, 0), np.pi / 2), ((1, 1, 1), np.pi / 2)):
+        gates += [dressed(rng, t * np.array(shape, dtype=float)) for t in np.linspace(0.0, top, 12)]
+    for c1 in np.linspace(0.0, np.pi, 10):
+        c = (c1, 0.7 * min(c1, np.pi - c1), 0.0)
+        gates += [abelian_gate(c), dressed(rng, c)]
+    return np.array(gates)
+
+
+class TestScalarIsABatchRow:
+    """A one-gate call returns the bits of its row in a stacked call."""
+
+    def test_canonical_coords(self, rng):
+        U = scalar_families(rng)
+        assert U.shape[0] < _JACOBI_MIN_ROWS
+        batch = canonical_coords_batch(U)
+        for i in range(U.shape[0]):
+            assert np.array(canonical_coords(U[i]).as_tuple()).tobytes() == batch[i].tobytes()
+
+    def test_makhlin_invariants(self, rng):
+        U = scalar_families(rng)
+        g = g_from_c(canonical_coords_batch(U))
+        for i in range(U.shape[0]):
+            assert np.array(makhlin_invariants(U[i]).as_tuple()).tobytes() == g[i].tobytes()
+
+
+class TestOneKernel:
+    """Scalar calls are one-row stacks through the batched kernel: one
+    ``det`` and one ``eigvals`` on a (1, 4, 4) stack, no scalar-only route."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        log = []
+
+        def spy(name, fn):
+            def wrapped(a):
+                log.append((name, np.shape(a)))
+                return fn(a)
+            return wrapped
+
+        monkeypatch.setattr(np.linalg, "det", spy("det", np.linalg.det))
+        monkeypatch.setattr(np.linalg, "eigvals", spy("eigvals", np.linalg.eigvals))
+        monkeypatch.setattr(invariants, "_spectral_coords", spy("kernel", invariants._spectral_coords))
+        return log
+
+    @pytest.mark.parametrize("call", [canonical_coords, makhlin_invariants])
+    def test_one_gate(self, rng, calls, call):
+        U = dressed(rng, (0.7, 0.3, 0.1))
+        calls.clear()
+        call(U)
+        assert calls == [("kernel", (1, 4, 4)), ("det", (1, 4, 4)), ("eigvals", (1, 4, 4))]
+
+    def test_small_stack(self, rng, calls):
+        U = np.array([dressed(rng, (0.7, 0.3, 0.1)) for _ in range(3)])
+        calls.clear()
+        canonical_coords_batch(U)
+        assert calls == [("kernel", (3, 4, 4)), ("det", (3, 4, 4)), ("eigvals", (3, 4, 4))]
 
 
 # --- the Jacobi route, which stacks of _JACOBI_MIN_ROWS rows or more take ------

@@ -6,6 +6,7 @@ import pytest
 import scipy.special
 from scipy.integrate import simpson
 
+from test_import_path import run_fresh
 from gategeom.errors import RangeError, ValidationError
 from gategeom.gates import NAMED_GATE_POINTS
 from gategeom.volumes import (
@@ -185,6 +186,27 @@ class TestEllipticIntegrals:
             simpson(1.0 / np.sqrt(base), x=theta), abs=1e-10
         )
         assert elliptic_E(k) == pytest.approx(simpson(np.sqrt(base), x=theta), abs=1e-10)
+
+    def test_agm_stops_on_nan(self):
+        """The AGM loop never ended on a NaN modulus; it runs in a fresh
+        process so that a hang fails this test instead of the suite."""
+        code = (
+            "import math\n"
+            "from gategeom.errors import ConsistencyError\n"
+            "from gategeom.volumes import _agm\n"
+            "try:\n"
+            "    _agm(math.nan)\n"
+            "except ConsistencyError as exc:\n"
+            "    print(exc)\n"
+        )
+        result = run_fresh(code)
+        assert result.returncode == 0, result.stderr
+        assert "did not converge" in result.stdout
+
+    def test_agm_cap_clears_the_hardest_valid_modulus(self):
+        k = 1.0 - 1e-16
+        assert elliptic_K(k) == pytest.approx(scipy.special.ellipk(k * k), rel=1e-12)
+        assert elliptic_E(k) == pytest.approx(scipy.special.ellipe(k * k), rel=1e-12)
 
     def test_domain_validation(self):
         with pytest.raises(ValidationError):
@@ -423,6 +445,29 @@ class TestRegionMonteCarlo:
         """A negative radius was squared, and a negative side gave mass 0."""
         with pytest.raises(ValidationError):
             Region(*args)
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("cube_c", (math.nan, 0.2, 0.1), 0.3),
+            ("cube_c", (0.1, 0.2), 0.3),
+            ("sphere_g", (math.inf, 0.0, 0.0), 0.3),
+            ("sphere_g", (0.0, 0.0, 0.0, 0.0), 0.3),
+            ("cylinder_g", (0.1, math.nan, 0.0), 0.2, 0.2),
+            ("cylinder_g", (0.1, 0.1), 0.2, 0.2),
+        ],
+    )
+    def test_center_the_kind_reads_is_checked(self, args):
+        """A NaN center gave mass nan, an infinite one 0.0 with error 0.0."""
+        with pytest.raises(ValidationError, match="region center"):
+            Region(*args)
+
+    @pytest.mark.parametrize("center", [(math.nan, 0.2, 0.1), (0.1, -math.inf, 0.0)])
+    @pytest.mark.parametrize("route", [cube_volume_quadrature, cube_volume_closed])
+    def test_non_finite_cube_center_raises(self, route, center):
+        """The quadrature route failed converting NaN to an integer."""
+        with pytest.raises(ValidationError, match="cube center"):
+            route(center, 0.3)
 
     def test_pe_and_unclipped_cube_stay_valid(self):
         assert Region("pe").size == 0.0
