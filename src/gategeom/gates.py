@@ -84,9 +84,8 @@ def require_unitary_stack(U, what: str = "matrix") -> np.ndarray:
     dev = U.conj().transpose(0, 2, 1) @ U
     dev -= _IDENTITY_4
     dev = np.abs(dev)
-    # Also rejects NaN and infinite entries; an empty stack falls through
-    # to argmax, which rejects it.
-    if not (len(U) and dev.max() <= UNITARITY_INPUT_TOL):
+    # Also rejects NaN and infinite entries; an empty stack passes.
+    if len(U) and not dev.max() <= UNITARITY_INPUT_TOL:
         dev = dev.max(axis=(1, 2))
         worst = int(np.argmax(dev))  # the first NaN, if any
         where = f" at index {worst}" if U.shape[0] > 1 else ""
@@ -213,8 +212,7 @@ def load_matrix_json(source: str | IO) -> np.ndarray:
 
 
 # Named gates, by their canonical-coordinate class points.  cnot and
-# cphase are locally equivalent and share a point; the unnamed seventh
-# closed-form centre (pi/2, pi/4, pi/4) is reachable by explicit centre.
+# cphase are locally equivalent and share a point.
 NAMED_GATE_POINTS: dict[str, tuple[float, float, float]] = {
     "identity": (0.0, 0.0, 0.0),
     "cnot": (np.pi / 2, 0.0, 0.0),

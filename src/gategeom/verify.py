@@ -118,6 +118,8 @@ def _check_cube_closed_forms(seed, full):
         ((np.pi / 2, np.pi / 4, np.pi / 4), 0.5),
         ((0.8, 0.0, 0.0), 0.7),
         ((0.9, 0.5, 0.25), 0.2),
+        ((np.pi, np.pi / 2, np.pi / 2), 0.5),  # an image of cnot
+        ((0.9, 0.5, 0.0), 0.2),  # across the c3 = 0 face, no crease
     ]
     worst = 0.0
     for center, side in cases:
@@ -132,7 +134,7 @@ def _check_density_max(seed, full):
     dev = abs(value - geom.WEYL_DENSITY_MAX)
     pos = np.abs(point.as_array() - np.array([np.pi / 2, np.pi / 4, 0.0])).max()
     return (
-        dev < 1e-8 and pos < 1e-4,
+        dev < 1e-13 and pos < 1e-12,
         f"peak {value:.12f} at {tuple(round(x, 6) for x in point.as_tuple())}",
     )
 
@@ -255,7 +257,7 @@ def _check_sampler_determinism(seed, full):
 def _check_bin_grid(seed, full, bin_grid):
     p = bin_grid()
     dev = abs(p.sum() - 1.0)
-    return dev < 1e-9 and np.all(p >= 0), f"grid mass {p.sum():.12f}"
+    return dev < 1e-13 and np.all(p >= 0), f"grid mass {p.sum():.12f}"
 
 
 def _check_chi_square(seed, full, bin_grid):

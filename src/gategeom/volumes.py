@@ -1,15 +1,16 @@
 """Volumes of distinguished regions under the invariant measure.
 
-Closed forms are available for cubes centred on the named coordinate
-points, for cylinders and origin-centred bodies in invariant space, and
-for the perfect-entangler wedge; everything is backed by an independent
-quadrature route so the two can be played against each other.
+Closed forms are available for coordinate cubes, for cylinders and
+origin-centred bodies in invariant space, and for the perfect-entangler
+wedge; everything is backed by an independent quadrature route so the
+two can be played against each other.
 
 The cube formulas integrate the *absolute* reflected density over the
 full cube, i.e. they count every reflected copy of the chamber the cube
 touches; that convention is what makes single closed forms possible at
-corners and edges.  A chamber-clipped variant is available through
-:func:`cube_volume_quadrature`.
+corners and edges, and leaves each cube mass unchanged by the density's
+symmetries (see :func:`cube_volume_closed`).  A chamber-clipped variant
+is available through :func:`cube_volume_quadrature`.
 """
 from __future__ import annotations
 
@@ -22,9 +23,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .coords import in_weyl_chamber, is_perfect_entangler
+from .coords import is_perfect_entangler
 from .errors import ConsistencyError, RangeError, ValidationError
-from .gates import NAMED_GATE_POINTS
 from .geometry import weyl_density
 from .invariants import g_from_c
 from .quadrature import REGION_ORDER, _box_abs_mass, _box_clipped_mass, _integrate_line, _pe_mass
@@ -32,10 +32,6 @@ from .sampling import SamplerConfig, sample_canonical
 
 #: Exact mass of the perfect-entangler wedge.
 PE_VOLUME_CLOSED = 8.0 / (3.0 * np.pi)
-
-#: Midpoint of the chamber edge joining the cnot and swap points; the
-#: seventh coordinate point with its own cube closed form.
-CNOT_SWAP_MIDPOINT = (np.pi / 2, np.pi / 4, np.pi / 4)
 
 
 @dataclass(frozen=True)
@@ -83,7 +79,7 @@ class _TrigSeries:
         self._terms, self._prefactor = terms, prefactor
 
     @functools.cached_property
-    def _coeffs(self) -> np.ndarray:  # on first use, not at import
+    def _coeffs(self) -> tuple[float, ...]:  # on first use, not at import
         coeffs = [Fraction(0)] * (self._MAX_POWER + 1)
         for coef, kind, k in self._terms:
             coef = Fraction(coef)
@@ -104,14 +100,13 @@ class _TrigSeries:
                     break
                 coeffs[power] += coef * num
                 n += 1
-        return np.array([float(self._prefactor * c) for c in coeffs]) / np.pi
+        return tuple(float(self._prefactor * c) / math.pi for c in reversed(coeffs))
 
-    def __call__(self, a):
-        a = np.asarray(a, dtype=float)
-        out = np.zeros_like(a)
-        for c in self._coeffs[::-1]:
+    def __call__(self, a: float) -> float:
+        out = 0.0
+        for c in self._coeffs:  # Horner, highest power first
             out = out * a + c
-        return out if out.ndim else float(out)
+        return out
 
 
 _CORNER_SERIES = _TrigSeries(
@@ -120,11 +115,6 @@ _CORNER_SERIES = _TrigSeries(
 )
 _SQRT_SWAP_SERIES = _TrigSeries(
     [(2, "a_sin", 3), (6, "a_sin", 1), (3, "cos", 3), (-3, "cos", 1)], Fraction(3, 2)
-)
-_B_GATE_SERIES = _TrigSeries([(1, "a_cos", 1), (-1, "a_cos", 3)], Fraction(3))
-_CNOT_SERIES = _TrigSeries(
-    [(8, "a", 0), (7, "a_cos", 3), (-15, "a_cos", 1), (-9, "sin", 3), (12, "sin", 2), (3, "sin", 1)],
-    Fraction(1, 2),
 )
 _MIDPOINT_SERIES = _TrigSeries(
     [(3, "cos", 1), (-3, "cos", 3), (-4, "a_sin", 3)], Fraction(1, 2)
@@ -145,17 +135,17 @@ def _axis_series(*weighted) -> _TrigSeries:
 
 _AXIS_S0 = _axis_series((1, _AXIS_TERMS_G0), (-1, _AXIS_TERMS_G1), (1, _AXIS_TERMS_G2))
 _AXIS_S1 = _axis_series((1, _AXIS_TERMS_G1), (-4, _AXIS_TERMS_G2))
-_AXIS_G2 = _axis_series((1, _AXIS_TERMS_G2))
+# G2 = (3/pi) sin(2a) (2 - 2 cos a - a sin a) vanishes at a = pi/2, where
+# its own series cancels to all digits; only the bracket is a series.
+_AXIS_G2_BRACKET = _TrigSeries([(2, "cos", 0), (-2, "cos", 1), (-1, "a_sin", 1)], Fraction(3))
 
+# Reduced centres with a series of their own, and the largest side each
+# holds for: the corner (identity, swap), sqrt-swap, and the image of the
+# cnot-swap midpoint (pi/2, pi/4, pi/4), which is also sqrt-iswap.
 _POINT_FORMS = {
-    "identity": (_CORNER_SERIES, np.pi),
-    "swap": (_CORNER_SERIES, np.pi),
-    "sqrt-swap": (_SQRT_SWAP_SERIES, np.pi / 2),
-    "cnot": (_CNOT_SERIES, np.pi / 2),
-    "cphase": (_CNOT_SERIES, np.pi / 2),
-    "dcnot": (_CNOT_SERIES, np.pi / 2),
-    "b-gate": (_B_GATE_SERIES, np.pi / 4),
-    "cnot-swap-midpoint": (_MIDPOINT_SERIES, np.pi / 4),
+    (0.0, 0.0, 0.0): (_CORNER_SERIES, np.pi),
+    (np.pi / 4, np.pi / 4, np.pi / 4): (_SQRT_SWAP_SERIES, np.pi / 2),
+    (np.pi / 4, np.pi / 4, 0.0): (_MIDPOINT_SERIES, np.pi / 4),
 }
 
 
@@ -176,60 +166,62 @@ def _center(center, what: str) -> np.ndarray:
     return ctr
 
 
-def _match_named_point(center: np.ndarray) -> str | None:
-    points = dict(NAMED_GATE_POINTS)
-    points["cnot-swap-midpoint"] = CNOT_SWAP_MIDPOINT
-    for name, pt in points.items():
-        if np.abs(center - np.asarray(pt)).max() <= 1e-12:
-            return name
-    return None
+_PI_TAIL = math.sin(math.pi)  # pi less its nearest double
+
+
+def _nearest_pi_multiple(x) -> np.ndarray:
+    """Distance of each entry of ``x`` to the nearest multiple k pi, with
+    pi's tail subtracted too so that an entry next to one keeps its digits."""
+    k = np.rint(np.divide(x, np.pi))
+    return np.abs(x - k * np.pi - k * _PI_TAIL)
+
+
+def _reduce(center: np.ndarray) -> np.ndarray:
+    """One representative of ``center`` under the symmetries of |density|.
+
+    |density| is (6/pi) |V(cos 2c1, cos 2c2, cos 2c3)| with V the
+    Vandermonde product, so it is unchanged by permuting the coordinates,
+    flipping their signs, shifting one by pi, and shifting all three by
+    pi/2 (which negates every cosine), and so is every cube mass.  Each
+    coordinate is folded into [0, pi/2] and sorted in descending order;
+    of that point c and its image pi/2 - c reversed, the one with the
+    smaller c2 + c3 is kept, so that a point on the c2 = c3 = 0 axis
+    stays there.
+    """
+    c = np.sort(_nearest_pi_multiple(center))[::-1]
+    image = np.pi / 2 - c[::-1] + _PI_TAIL / 2
+    return image if image[1] + image[2] < c[1] + c[2] else c
 
 
 def cube_volume_closed(center, side: float) -> float:
     """Closed-form |density| mass of the cube of the given side at ``center``.
 
-    Available at the seven named coordinate points, along the c2 = c3 = 0
-    axis, and at generic points whose cube stays clear of every crease
-    plane; elsewhere a :class:`RangeError` points to the quadrature route.
+    The centre is first reduced by the symmetries of the density (see
+    ``_reduce``).  Closed forms then hold at the images of the corner
+    (identity, swap), of sqrt-swap and of the cnot-swap midpoint, each up
+    to its own largest side; along the c2 = c3 = 0 axis (cnot, cphase,
+    dcnot) for sides up to c1; and for every cube that crosses no crease
+    plane c_i +- c_j = k pi (b-gate among them), inside the chamber or
+    not.  Elsewhere a :class:`RangeError` points to the quadrature route.
     """
     center = _center(center, "cube center")
     a = _length(side, "cube side", positive=True)
-
-    name = _match_named_point(center)
-    if name is not None:
-        series, a_max = _POINT_FORMS[name]
-        if a > a_max + 1e-12:
-            raise RangeError(
-                f"closed form at the {name} point holds for side <= {a_max:.6g}; "
-                "use cube_volume_quadrature beyond that"
-            )
-        return float(series(a))
-
-    c1, c2, c3 = center
-    if abs(c2) <= 1e-12 and abs(c3) <= 1e-12 and 0.0 < c1 < np.pi:
-        folded = min(c1, np.pi - c1)
-        if a > folded + 1e-12:
-            raise RangeError(
-                "closed form on the axis holds for side <= distance to the "
-                f"nearest corner ({folded:.6g}); use cube_volume_quadrature"
-            )
+    c = _reduce(center)
+    for point, (series, a_max) in _POINT_FORMS.items():
+        if np.abs(c - point).max() <= 1e-12 and a <= a_max + 1e-12:
+            return series(a)
+    c1, c2, _ = c
+    if c2 <= 1e-12 and a <= c1 + 1e-12:
         s2 = np.sin(c1) ** 2
-        return float(_AXIS_S0(a) + 2.0 * s2 * (_AXIS_S1(a) + 4.0 * s2 * _AXIS_G2(a)))
-
-    # Generic interior point: valid while the cube stays strictly inside
-    # the open chamber cell, away from every crease plane.
-    contained = (
-        in_weyl_chamber(c1, c2, c3)
-        and c3 >= a / 2 - 1e-12
-        and c2 - c3 >= a - 1e-12
-        and c1 - c2 >= a - 1e-12
-        and c1 + c2 <= np.pi - a + 1e-12
-    )
-    if not contained:
-        raise RangeError(
-            "no closed form at this center/side; use cube_volume_quadrature"
-        )
-    return float(0.5 * a * np.sin(a) * np.sin(2 * a) * weyl_density(center))
+        g2 = np.sin(2 * a) * _AXIS_G2_BRACKET(a)
+        return float(_AXIS_S0(a) + 2.0 * s2 * (_AXIS_S1(a) + 4.0 * s2 * g2))
+    # The density keeps one sign over a cube that crosses no crease, and
+    # its cosine form then integrates to a product.
+    i, j = [0, 0, 1], [1, 2, 2]
+    pairs = np.concatenate([center[i] + center[j], center[i] - center[j]])
+    if _nearest_pi_multiple(pairs).min() >= a - 1e-12:
+        return float(0.5 * a * np.sin(a) * np.sin(2 * a) * weyl_density(center))
+    raise RangeError("no closed form at this center and side; use cube_volume_quadrature")
 
 
 def cube_volume_quadrature(center, side: float, clip: str = "none") -> float:

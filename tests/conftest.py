@@ -14,6 +14,9 @@ CNOT = np.array(
 SWAP = np.array(
     [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex
 )
+#: Midpoint of the chamber edge joining the cnot and swap points; its
+#: reduced image (pi/4, pi/4, 0) is sqrt-iswap.
+CNOT_SWAP_MIDPOINT = (np.pi / 2, np.pi / 4, np.pi / 4)
 
 
 @pytest.fixture

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from scipy.stats import ks_2samp
 
-from conftest import interior_chamber_points, random_full_coords
+from conftest import CNOT_SWAP_MIDPOINT, interior_chamber_points, random_full_coords
 from gategeom.coords import CanonicalCoords, FullCoords, Su2Params
 from gategeom.gates import NAMED_GATE_POINTS, assemble
 from gategeom.geometry import (
@@ -29,7 +29,6 @@ from gategeom.quadrature import bin_probabilities, integrate_over_chamber
 from gategeom.sampling import SamplerConfig, sample_canonical, sample_invariants
 from gategeom.verify import chi_square_pvalue
 from gategeom.volumes import (
-    CNOT_SWAP_MIDPOINT,
     PE_VOLUME_CLOSED,
     cube_volume_closed,
     cube_volume_quadrature,
@@ -166,9 +165,9 @@ def test_criterion_06_density_maximum(capsys):
     report(
         capsys,
         6,
-        value_dev <= 1e-8 and pos_dev <= 1e-4,
+        value_dev <= 1e-13 and pos_dev <= 1e-12,
         f"max density {value:.10f} at {tuple(round(v, 6) for v in point.as_tuple())}; "
-        f"|value dev| {value_dev:.2e} (tol 1e-8), |position dev| {pos_dev:.2e} (tol 1e-4)",
+        f"|value dev| {value_dev:.2e} (tol 1e-13), |position dev| {pos_dev:.2e} (tol 1e-12)",
     )
 
 

@@ -33,6 +33,8 @@ from gategeom.gates import (
     require_unitary_stack,
 )
 from gategeom.invariants import _MAGIC_BASIS as MAGIC_BASIS
+from gategeom.invariants import canonical_coords_batch
+from gategeom.sampling import export_jsonl
 
 I2 = np.eye(2)
 I4 = np.eye(4)
@@ -258,6 +260,15 @@ class TestUnitarityContract:
         U = _row_scaled(1 + 4e-11)
         np.testing.assert_array_equal(require_unitary(U), U)
         np.testing.assert_array_equal(require_unitary_stack(U[None]), U[None])
+
+    def test_empty_stack_is_accepted(self):
+        """It raised numpy's "attempt to get argmax of an empty sequence"."""
+        empty = np.zeros((0, 4, 4))
+        assert require_unitary_stack(empty).shape == (0, 4, 4)
+        assert canonical_coords_batch(empty).shape == (0, 3)
+        out = io.StringIO()
+        export_jsonl(out, empty)
+        assert out.getvalue() == ""
 
     @pytest.mark.parametrize("shape", [(3, 3), (2, 4)])
     def test_shapes(self, shape):

@@ -9,8 +9,9 @@ is built and no closed-form series is expanded until a command needs it.
 
 The package's own modules import one another at module level only, and
 those imports form no cycle, so the import order is one way.  Every
-private function of the package is called from the package: production
-modules hold no code that only the tests use.
+private function of the package is called from the package, and every
+private module-level constant is read there: production modules hold no
+code that only the tests use.
 """
 import ast
 import collections
@@ -170,11 +171,32 @@ def references(tree) -> collections.Counter:
     return collections.Counter(
         node.id if isinstance(node, ast.Name) else node.attr
         for node in ast.walk(tree)
-        if isinstance(node, (ast.Name, ast.Attribute))
+        if isinstance(node, (ast.Name, ast.Attribute)) and not isinstance(node.ctx, ast.Store)
     )
 
 
+def is_private(name: str) -> bool:
+    return name.startswith("_") and not name.startswith("__")
+
+
+def private_constants(tree) -> list[str]:
+    """Private names bound by a module-level assignment."""
+    targets = [
+        target
+        for node in tree.body
+        if isinstance(node, (ast.Assign, ast.AnnAssign))
+        for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+    ]
+    return [
+        name.id
+        for target in targets
+        for name in ast.walk(target)
+        if isinstance(name, ast.Name) and is_private(name.id)
+    ]
+
+
 def test_every_private_function_has_a_caller_in_the_package():
+    """Private module-level constants count too: each is read somewhere."""
     trees = [parse(name) for name in MODULES]
     read = sum((references(tree) for tree in trees), collections.Counter())
     orphans = [
@@ -182,9 +204,9 @@ def test_every_private_function_has_a_caller_in_the_package():
         for tree in trees
         for fn in tree.body
         if isinstance(fn, ast.FunctionDef)
-        and fn.name.startswith("_")
-        and not fn.name.startswith("__")
+        and is_private(fn.name)
         and not is_cli_command(fn)
         and read[fn.name] == references(fn)[fn.name]  # read only inside itself
     ]
+    orphans += [name for tree in trees for name in private_constants(tree) if not read[name]]
     assert not orphans, orphans

@@ -209,7 +209,7 @@ class TestBinProbabilities:
         P = bin_probabilities()
         assert P.shape == (30, 30, 30)
         assert P.min() >= 0.0
-        assert abs(P.sum() - 1.0) < 1e-9
+        assert abs(P.sum() - 1.0) < 1e-13
 
     def test_peak_cell_sits_at_the_density_maximum(self):
         P = bin_probabilities()

@@ -6,11 +6,11 @@ import pytest
 import scipy.special
 from scipy.integrate import simpson
 
+from conftest import CNOT_SWAP_MIDPOINT
 from test_import_path import run_fresh
 from gategeom.errors import RangeError, ValidationError
 from gategeom.gates import NAMED_GATE_POINTS
 from gategeom.volumes import (
-    CNOT_SWAP_MIDPOINT,
     PE_VOLUME_CLOSED,
     Region,
     VolumeResult,
@@ -30,6 +30,17 @@ from gategeom.volumes import (
 
 ALL_CLOSED_FORM_POINTS = dict(NAMED_GATE_POINTS) | {
     "cnot-swap-midpoint": CNOT_SWAP_MIDPOINT
+}
+
+#: Symmetries of |density| as (permutation, signs, shift of all three by
+#: pi/2 if 1, shifts by multiples of pi): the image of c is
+#: signs * (c[permutation] + half * pi) + pi * shifts.  Each moves every
+#: closed-form point out of the chamber.
+SYMMETRY_IMAGES = {
+    "permuted and flipped": ((2, 0, 1), (-1, 1, -1), 0.0, (1, 0, 0)),
+    "shifted by multiples of pi": ((0, 1, 2), (1, 1, 1), 0.0, (-2, 1, 3)),
+    "shifted by pi/2": ((0, 1, 2), (1, 1, 1), 0.5, (0, 0, 1)),
+    "all at once": ((1, 2, 0), (-1, -1, 1), 0.5, (0, -1, 1)),
 }
 
 
@@ -114,6 +125,37 @@ class TestCubeClosedForms:
         quad = cube_volume_quadrature(center, side)
         # Measured worst 1.0e-15, at side 0.1.
         assert closed == pytest.approx(quad, rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize("image", sorted(SYMMETRY_IMAGES))
+    @pytest.mark.parametrize("name", sorted(ALL_CLOSED_FORM_POINTS))
+    @pytest.mark.parametrize("side", [0.15, 0.4])
+    def test_symmetry_images_match_quadrature(self, image, name, side):
+        """Images of the closed-form points outside the chamber have the
+        same mass and the same closed form; they used to raise RangeError."""
+        perm, signs, half, shifts = SYMMETRY_IMAGES[image]
+        c = np.asarray(ALL_CLOSED_FORM_POINTS[name])[list(perm)]
+        center = np.asarray(signs) * (c + half * np.pi) + np.pi * np.asarray(shifts)
+        closed = cube_volume_closed(center, side)
+        quad = cube_volume_quadrature(center, side)
+        assert closed == pytest.approx(quad, rel=2e-13, abs=0.0)
+
+    @pytest.mark.parametrize(
+        "center, side",
+        [((0.9, 0.5, 0.0), 0.2), ((0.9, 0.5, -0.05), 0.2), ((2.5, -0.4, 1.2), 0.15)],
+    )
+    def test_crease_free_cubes_outside_the_open_chamber(self, center, side):
+        """A cube across the c3 = 0 face or outside the chamber crosses no
+        crease plane c_i +- c_j = k pi, so the product form holds."""
+        closed = cube_volume_closed(center, side)
+        quad = cube_volume_quadrature(center, side)
+        assert closed == pytest.approx(quad, rel=2e-13, abs=0.0)
+
+    @pytest.mark.parametrize("side", [0.05, 0.3, np.pi / 4])
+    def test_points_with_one_reduced_image_share_their_mass_bit_for_bit(self, side):
+        sqrt_iswap = (np.pi / 4, np.pi / 4, 0.0)
+        assert cube_volume_closed(sqrt_iswap, side) == cube_volume_closed(CNOT_SWAP_MIDPOINT, side)
+        dcnot, cnot = NAMED_GATE_POINTS["dcnot"], NAMED_GATE_POINTS["cnot"]
+        assert cube_volume_closed(dcnot, side) == cube_volume_closed(cnot, side)
 
     def test_monotone_in_side(self):
         values = [
