@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 from typing import IO
 
 import numpy as np
@@ -81,7 +82,15 @@ def require_unitary_stack(U, what: str = "matrix") -> np.ndarray:
     U = np.asarray(U, dtype=complex)
     if U.ndim != 3 or U.shape[1:] != (4, 4):
         raise ValidationError(f"expected a stack of 4x4 matrices, got shape {U.shape}")
-    dev = U.conj().transpose(0, 2, 1) @ U
+    # An infinite entry would make the matmul warn of inf * 0.  BLAS's vdot,
+    # which raises no numpy warning, finds it first: the sum of |u|^2 is
+    # then not finite, as it is not for a NaN entry or a sum past overflow.
+    Uh = U.conj().transpose(0, 2, 1)
+    if math.isfinite(np.vdot(U, U).real):
+        dev = Uh @ U
+    else:
+        with np.errstate(invalid="ignore", over="ignore"):
+            dev = Uh @ U
     dev -= _IDENTITY_4
     dev = np.abs(dev)
     # Also rejects NaN and infinite entries; an empty stack passes.

@@ -4,9 +4,11 @@ invariant space and the Weyl chamber.
 The three real invariants (g1, g2, g3) classify gates up to single-qubit
 rotations on either side.  ``canonical_coords_batch`` is the one map from
 unitaries to chamber coordinates: it reads them off the eigenphases of
-the Bell-basis congruence ``m = U_B^T U_B``.  ``g_from_c`` and
-``c_from_g`` convert between coordinates and invariants; every invariant
-of a matrix is ``g_from_c`` of its coordinates.
+the Bell-basis congruence ``m = U_B^T U_B``.  The invariants of a matrix
+need no spectrum: ``_makhlin_batch`` takes them from the traces of the
+same m and det U, Makhlin's formulas, and agrees with ``g_from_c`` of the
+coordinates to about 3e-15.  ``g_from_c`` and ``c_from_g`` convert
+between coordinates and invariants.
 """
 from __future__ import annotations
 
@@ -161,16 +163,9 @@ def _spectral_coords(U: np.ndarray) -> np.ndarray:
     and ``eigvals`` per matrix, larger ones the Jacobi route; the two agree
     to about 1e-15.
     """
-    if U.shape[0] < _JACOBI_MIN_ROWS:
-        V = U @ _MAGIC_BASIS
-        # m = V^T P V with P = conj(Q) Q^dag = antidiag(1, -1, -1, 1), so
-        # m = X + X^T with X = v0 v3^T - v1 v2^T: rows 0, 1 times rows 3, 2.
-        outer = V[:, :2, :, None] * V[:, 3:1:-1, None, :]
-        X = outer[:, 0] - outer[:, 1]
-        det, eig = np.linalg.det(U), np.linalg.eigvals(X + X.transpose(0, 2, 1))
-    else:
-        u = np.ascontiguousarray(U.transpose(1, 2, 0))
-        det, eig = _laplace_det(u), _jacobi_spectrum(u)
+    det, m = _det_and_congruence(U)
+    eig = np.linalg.eigvals(m) if m.ndim == 3 else _jacobi_spectrum(m)
+    del m
     lam = np.arctan2(eig.imag, eig.real)  # np.angle, without its wrapper
     lam /= 2.0
     lam -= (np.arctan2(det.imag, det.real) / 4.0)[:, None]
@@ -183,6 +178,53 @@ def _spectral_coords(U: np.ndarray) -> np.ndarray:
     c1 = c[:, 0]  # to pi - c1 after an odd number of sign flips, off the face
     np.subtract(np.pi, c1, out=c1, where=odd & (c[:, 2] > FACE_TOL))
     return c
+
+
+def _det_and_congruence(U: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """det U and m = U_B^T U_B of a unitary stack, by the route for its size.
+
+    Below ``_JACOBI_MIN_ROWS`` rows: LAPACK's ``det``, and m as an
+    (n, 4, 4) stack.  From there on: the Laplace expansion, and m as its
+    upper triangle, (10, n), both on length-n arrays of the column layout.
+    """
+    if U.shape[0] < _JACOBI_MIN_ROWS:
+        V = U @ _MAGIC_BASIS
+        # m = V^T P V with P = conj(Q) Q^dag = antidiag(1, -1, -1, 1), so
+        # m = X + X^T with X = v0 v3^T - v1 v2^T: rows 0, 1 times rows 3, 2.
+        outer = V[:, :2, :, None] * V[:, 3:1:-1, None, :]
+        X = outer[:, 0] - outer[:, 1]
+        return np.linalg.det(U), X + X.transpose(0, 2, 1)
+    u = np.ascontiguousarray(U.transpose(1, 2, 0))
+    return _laplace_det(u), _upper_congruence(u)
+
+
+def _makhlin_batch(U: np.ndarray) -> np.ndarray:
+    """Invariant triples of a stack already known to be unitary, (n, 4, 4) -> (n, 3).
+
+    Makhlin's trace formulas need no spectrum: G1 = tr^2(m) / (16 det U)
+    and G2 = (tr^2(m) - tr(m^2)) / (4 det U), with g1 - i g2 = G1 and
+    g3 = Re G2 (Makhlin, Quantum Inf. Process. 1, 243 (2002)).  m is
+    symmetric, so tr(m^2) is the sum of its squared entries.  They agree
+    with ``g_from_c`` of the kernel's coordinates to about 3e-15.
+    """
+    det, m = _det_and_congruence(U)
+    if m.ndim == 3:
+        tr = m.trace(axis1=1, axis2=2)
+        sq = (m * m).sum(axis=(1, 2))
+    else:  # the upper triangle: each off-diagonal entry stands for two
+        tr = sum(m[k] for k in _SYM_DIAG)
+        sq = sum(m[k] * m[k] for k in _SYM_DIAG) + 2.0 * sum(m[k] * m[k] for k in _SYM_OFF)
+    del m
+    tr2 = tr * tr  # numpy rounds tr *= tr of one row unlike its rows in a stack
+    w = 0.25 / det
+    G1 = (0.25 * tr2) * w
+    G2 = (tr2 - sq) * w
+    g = np.empty((U.shape[0], 3))
+    g[:, 0] = G1.real
+    np.negative(G1.imag, out=g[:, 1])
+    g[:, 2] = G2.real
+    g += 0.0  # -0 to +0, as the fold returns its zeros
+    return g
 
 
 def _laplace_det(u: np.ndarray) -> np.ndarray:
@@ -198,22 +240,20 @@ def _laplace_det(u: np.ndarray) -> np.ndarray:
     return (sign * top * bottom[::-1]).sum(axis=0)
 
 
-def _jacobi_spectrum(u: np.ndarray) -> np.ndarray:
+def _jacobi_spectrum(m: np.ndarray) -> np.ndarray:
     """Eigenvalues of m = U_B^T U_B, shape (n, 4), by vectorised Jacobi.
 
-    ``u`` is the stack laid out as (4, 4, n), and every step is arithmetic
-    on length-n arrays, one per matrix entry.  m is unitary and symmetric,
-    so m = O D O^T with O real orthogonal, which also diagonalises
+    ``m`` is the upper triangle of each matrix, (10, n), and every step is
+    arithmetic on length-n arrays, one per matrix entry.  m is unitary and
+    symmetric, so m = O D O^T with O real orthogonal, which also diagonalises
     a = Re m + r Im m.  Cyclic Jacobi on a applies each rotation to
     b = Im m as well, so the sweeps end with a = O^T (Re m + r Im m) O and
     b = O^T Im(m) O, whose diagonals give D.  Rows whose O^T m O keeps an
     off-diagonal entry (unconverged, or a chance tie of the mix) go to
     ``eigvals``.
     """
-    m = _upper_congruence(u)
     a = m.real + _MIX * m.imag
     b = m.imag.copy()
-    del m
     for _ in range(_JACOBI_SWEEPS):
         for pp, qq, pq, others in _JACOBI_PAIRS:
             # t = tan(theta) of the rotation that zeroes a[pq], |theta| <= pi/4
@@ -249,12 +289,11 @@ def _jacobi_spectrum(u: np.ndarray) -> np.ndarray:
     re_off = a[_SYM_OFF] - _MIX * b[_SYM_OFF]
     off = np.maximum(np.abs(re_off), np.abs(b[_SYM_OFF])).max(axis=0)
     tied = off > _TIE_TOL
-    eig = np.empty((u.shape[2], 4), dtype=complex)
+    eig = np.empty((m.shape[1], 4), dtype=complex)
     eig.imag = b[_SYM_DIAG].T
     eig.real = a[_SYM_DIAG].T - _MIX * eig.imag
     if tied.any():
-        m = _upper_congruence(u[:, :, tied])
-        eig[tied] = np.linalg.eigvals(m[_SYM].transpose(2, 0, 1))
+        eig[tied] = np.linalg.eigvals(m[:, tied][_SYM].transpose(2, 0, 1))
     return eig
 
 
@@ -262,7 +301,7 @@ def _upper_congruence(u: np.ndarray) -> np.ndarray:
     """m = U_B^T U_B of a (4, 4, n) stack as its upper triangle, (10, n).
 
     V = U @ _MAGIC_BASIS over the basis' nonzero entries, then m = V^T P V
-    as in :func:`_spectral_coords`: entry (i, j) is X[i, j] + X[j, i] with
+    as in :func:`_det_and_congruence`: entry (i, j) is X[i, j] + X[j, i] with
     X[i, j] = v0i v3j - v1i v2j.
     """
     v = np.zeros_like(u)
@@ -283,9 +322,12 @@ def makhlin_invariants(U) -> LocalInvariants:
     """Extract the invariant triple from a unitary.
 
     The result is independent of global phase and of single-qubit
-    rotations applied before or after the gate.
+    rotations applied before or after the gate.  It is the row of
+    :func:`_makhlin_batch` for a one-row stack: Makhlin's trace formulas,
+    with no eigenvalues, within about 3e-15 of ``g_from_c`` of
+    :func:`canonical_coords`.
     """
-    return LocalInvariants(*g_from_c(_spectral_coords(require_unitary(U)[None]))[0].tolist())
+    return LocalInvariants(*_makhlin_batch(require_unitary(U)[None])[0].tolist())
 
 
 def g_from_c(c, /):

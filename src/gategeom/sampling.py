@@ -14,10 +14,12 @@ seed no matter how many workers run the blocks.  A block's rows depend
 on the seed, its index and its length only: the whole blocks of a call
 are, bit for bit, the first rows of any longer call with the same seed.
 The final partial block promises no such match, since its draws depend
-on its length.  Within one call the oracle's coordinates of that block,
-if it has fewer than ``invariants._JACOBI_MIN_ROWS`` rows, come from the
-kernel's ``eigvals`` route and the rest from its Jacobi route; the two
-agree within 1e-14.
+on its length.  Within one call, if that block has fewer than
+``invariants._JACOBI_MIN_ROWS`` rows, the oracle's coordinates of it come
+from the kernel's ``eigvals`` route and its invariants from LAPACK's
+``det`` and the (m, 4, 4) congruence, and the rest of the call from the
+Laplace determinant and the column layout; either way the two agree
+within 1e-14.
 """
 from __future__ import annotations
 
@@ -33,7 +35,7 @@ from .coords import is_perfect_entangler
 from .errors import ValidationError
 from .gates import _assemble_batch, require_unitary_stack
 from .geometry import WEYL_DENSITY_MAX, weyl_density
-from .invariants import _laplace_det, _spectral_coords, g_from_c
+from .invariants import _laplace_det, _makhlin_batch, _spectral_coords, g_from_c
 
 #: Samples per deterministic stream block.
 BLOCK_SIZE = 1 << 14
@@ -190,6 +192,15 @@ def _oracle_coords_block(rng: np.random.Generator, m: int) -> np.ndarray:
     return _spectral_coords(_haar_columns(rng, m).transpose(2, 0, 1))
 
 
+def _oracle_invariants_block(rng: np.random.Generator, m: int) -> np.ndarray:
+    """Invariant triples of one block of Haar unitaries, shape (m, 3).
+
+    Makhlin's trace formulas on the column layout, uncopied, as in
+    :func:`_oracle_coords_block`; no spectrum is computed.
+    """
+    return _makhlin_batch(_haar_columns(rng, m).transpose(2, 0, 1))
+
+
 def _run_blocks(n: int, config: SamplerConfig, block_fn, row_shape, dtype) -> np.ndarray:
     """``block_fn(rng, m)`` over the stream's blocks, written into one
     preallocated (n, *row_shape) array, so the peak is the output plus the
@@ -237,8 +248,17 @@ def sample_full_coords(n: int, config: SamplerConfig = SamplerConfig()) -> np.nd
 
 
 def sample_invariants(n: int, config: SamplerConfig = SamplerConfig()) -> np.ndarray:
-    """Invariant triples (g1, g2, g3) of random gates, shape (n, 3)."""
-    return g_from_c(sample_canonical(n, config))
+    """Invariant triples (g1, g2, g3) of random gates, shape (n, 3).
+
+    The coordinate method returns ``g_from_c`` of :func:`sample_canonical`,
+    bit for bit.  The matrix oracle takes Makhlin's trace formulas on each
+    block of the gates of :func:`sample_gates`, before the phase
+    projection, and needs no eigenvalues; its rows agree with ``g_from_c``
+    of :func:`sample_canonical`'s to about 3e-15.
+    """
+    if config.method == "coordinate_density":
+        return g_from_c(sample_canonical(n, config))
+    return _run_blocks(n, config, _oracle_invariants_block, (3,), float)
 
 
 def summarize_samples(coords: np.ndarray) -> dict:

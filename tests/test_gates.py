@@ -240,21 +240,23 @@ class TestUnitarityContract:
         [
             (_with_entry(1, 2, np.nan), "nan"),
             (_with_entry(0, 0, np.inf), "nan"),
+            (_with_entry(0, 0, 1e200), "inf"),
             (_row_scaled(1 + 2e-10), "4.000e-10"),
             (_row_scaled(1 + 5e-11), "1.000e-10"),
         ],
     )
     def test_rejections(self, U, residual):
         want = f"unitarity violation: max|U^dag U - I| = {residual} {self.TAIL}"
-        with np.errstate(invalid="ignore"):  # inf * 0 in U^dag U
-            for call, what in (
-                (lambda: require_unitary(U), "matrix"),
-                (lambda: require_unitary(U, "gate"), "gate"),
-                (lambda: require_unitary_stack(U[None]), "matrix"),
-            ):
-                with pytest.raises(ValidationError) as err:
-                    call()
-                assert str(err.value) == f"{what}: {want}"
+        # No RuntimeWarning either (they are errors here): inf * 0 in U^dag U
+        # and the square of 1e200 are kept quiet.
+        for call, what in (
+            (lambda: require_unitary(U), "matrix"),
+            (lambda: require_unitary(U, "gate"), "gate"),
+            (lambda: require_unitary_stack(U[None]), "matrix"),
+        ):
+            with pytest.raises(ValidationError) as err:
+                call()
+            assert str(err.value) == f"{what}: {want}"
 
     def test_acceptance_below_the_bound(self):
         U = _row_scaled(1 + 4e-11)

@@ -1,3 +1,4 @@
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -23,6 +24,7 @@ from gategeom.invariants import (
     _JACOBI_MIN_ROWS,
     _MIX,
     _laplace_det,
+    _makhlin_batch,
     c_from_g,
     canonical_coords,
     canonical_coords_batch,
@@ -76,11 +78,12 @@ class TestMakhlinInvariants:
         with pytest.raises(ValidationError):
             makhlin_invariants(np.ones((4, 4)))
 
-    def test_equals_invariants_of_the_coordinates_bitwise(self, rng):
+    def test_agrees_with_invariants_of_the_coordinates(self, rng):
+        """The trace formulas and the spectral kernel are independent routes."""
         gates = [assemble(random_full_coords(rng)) for _ in range(30)] + [np.eye(4), CNOT, SWAP]
         for U in gates:
-            got = makhlin_invariants(U).as_tuple()
-            assert got == tuple(g_from_c(canonical_coords(U).as_array()).tolist())
+            got = makhlin_invariants(U).as_array()
+            np.testing.assert_allclose(got, g_from_c(canonical_coords(U).as_array()), rtol=0, atol=1e-14)
 
 
 class TestInvariantRanges:
@@ -398,14 +401,15 @@ class TestScalarIsABatchRow:
 
     def test_makhlin_invariants(self, rng):
         U = scalar_families(rng)
-        g = g_from_c(canonical_coords_batch(U))
+        g = _makhlin_batch(U)
         for i in range(U.shape[0]):
             assert np.array(makhlin_invariants(U[i]).as_tuple()).tobytes() == g[i].tobytes()
 
 
 class TestOneKernel:
-    """Scalar calls are one-row stacks through the batched kernel: one
-    ``det`` and one ``eigvals`` on a (1, 4, 4) stack, no scalar-only route."""
+    """Scalar calls are one-row stacks through the batched maps: one ``det``
+    on a (1, 4, 4) stack, and one ``eigvals`` for coordinates only; no
+    scalar-only route."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
@@ -422,12 +426,19 @@ class TestOneKernel:
         monkeypatch.setattr(invariants, "_spectral_coords", spy("kernel", invariants._spectral_coords))
         return log
 
-    @pytest.mark.parametrize("call", [canonical_coords, makhlin_invariants])
-    def test_one_gate(self, rng, calls, call):
+    @pytest.mark.parametrize(
+        "call,want",
+        [
+            (canonical_coords, [("kernel", (1, 4, 4)), ("det", (1, 4, 4)), ("eigvals", (1, 4, 4))]),
+            (makhlin_invariants, [("det", (1, 4, 4))]),
+        ],
+        ids=["canonical_coords", "makhlin_invariants"],
+    )
+    def test_one_gate(self, rng, calls, call, want):
         U = dressed(rng, (0.7, 0.3, 0.1))
         calls.clear()
         call(U)
-        assert calls == [("kernel", (1, 4, 4)), ("det", (1, 4, 4)), ("eigvals", (1, 4, 4))]
+        assert calls == want
 
     def test_small_stack(self, rng, calls):
         U = np.array([dressed(rng, (0.7, 0.3, 0.1)) for _ in range(3)])
@@ -575,6 +586,58 @@ class TestJacobiRoute:
         want = np.linalg.det(A)
         got = _laplace_det(np.ascontiguousarray(A.transpose(1, 2, 0)))
         assert (np.abs(got - want) / np.abs(want)).max() <= 1e-12
+
+
+# --- Makhlin's trace formulas against a 50-digit reference -------------------
+
+
+def trace_reference(U) -> list:
+    """(Re G1, -Im G1, Re G2) of the exact float entries of U, at 50 digits."""
+    with mpmath.workdps(50):
+        Q = mpmath.matrix([[1, 0, 0, 1j], [0, 1j, 1, 0], [0, 1j, -1, 0], [1, 0, 0, -1j]])
+        Q /= mpmath.sqrt(2)
+        A = mpmath.matrix([[mpmath.mpc(complex(v)) for v in row] for row in U])
+        UB = Q.H * A * Q
+        m = UB.T * UB
+        tr = sum(m[i, i] for i in range(4))
+        tr_sq = sum(m[i, j] * m[j, i] for i in range(4) for j in range(4))
+        det = mpmath.det(A)
+        G1, G2 = tr**2 / (16 * det), (tr**2 - tr_sq) / (4 * det)
+        return [G1.real, -G1.imag, G2.real]
+
+
+class TestTraceRouteReference:
+    """The named gates and dressed XX, XY, Heisenberg and CPhase gates, on
+    both layouts of the trace route.  The measured worst is 3.0e-15 (XY at
+    t = 1e-6 on the Jacobi route's layout); the bound is 100 times that."""
+
+    BOUND = 3e-13
+
+    @pytest.fixture
+    def gates(self, rng):
+        out = [np.eye(4, dtype=complex), CNOT, SWAP, abelian_gate(SQRT_SWAP_POINT),
+               abelian_gate(B_GATE_POINT)]
+        for shape, ts in (((1, 0, 0), (1e-6, 0.3, 2.5)), ((1, 1, 0), (1e-6, 0.4, np.pi / 2)),
+                          ((1, 1, 1), (1e-6, np.pi / 4, 1.3))):
+            out += [dressed(rng, t * np.array(shape, dtype=float)) for t in ts]
+        out += [dressed(rng, (0.0, 0.0, 0.0)) @ np.diag([1, 1, 1, np.exp(1j * theta)])
+                for theta in (1e-6, 0.5, np.pi)]
+        return np.array(out)
+
+    def test_against_50_digits(self, gates):
+        small = _makhlin_batch(gates)
+        jacobi = _makhlin_batch(tiled(gates))[: len(gates)]
+        for U, *rows in zip(gates, small, jacobi):
+            want = trace_reference(U)
+            for got in (*rows, makhlin_invariants(U).as_array()):
+                err = max(abs(mpmath.mpf(float(x)) - w) for x, w in zip(got, want))
+                assert err <= self.BOUND
+
+    def test_zeros_are_positive_on_both_layouts(self, gates):
+        """Unfixed, the formulas give -0.0 for the cnot's g1 and the identity's g2."""
+        for g in (_makhlin_batch(gates), _makhlin_batch(tiled(gates))):
+            zeros = g[g == 0.0]
+            assert zeros.size >= 4 and not np.signbit(zeros).any()
 
 
 class TestInverseMapOnBoundary:

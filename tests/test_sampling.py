@@ -10,12 +10,12 @@ import pytest
 from scipy.stats import ks_2samp, kstest
 
 from conftest import matrix_to_json_dict
-from gategeom import sampling
+from gategeom import invariants, sampling
 from gategeom.coords import in_weyl_chamber
 from gategeom.errors import ValidationError
 from gategeom.gates import load_matrix_json
 from gategeom.geometry import WEYL_DENSITY_MAX, weyl_density
-from gategeom.invariants import canonical_coords_batch, g_from_c
+from gategeom.invariants import _makhlin_batch, canonical_coords_batch, g_from_c
 from gategeom.sampling import (
     BLOCK_SIZE,
     SamplerConfig,
@@ -129,12 +129,41 @@ class TestDeterminism:
         assert np.abs(a - b).max() > 1e-3
 
     def test_streams_are_consistent_between_entry_points(self):
+        """The oracle's invariants come from the trace formulas and its
+        coordinates from the spectral kernel: independent routes, measured
+        3.3e-15 apart."""
         cfg = SamplerConfig(seed=17)
         gates = sample_gates(500, cfg)
         invs = sample_invariants(500, cfg)
         coords = sample_canonical(500, cfg)
-        np.testing.assert_allclose(g_from_c(coords), invs, atol=1e-9)
+        np.testing.assert_allclose(g_from_c(coords), invs, rtol=0, atol=1e-13)
         assert gates.shape == (500, 4, 4)
+
+    def test_oracle_invariants_are_the_trace_formulas_of_its_gates(self):
+        """Both sizes of block: a whole one on the Jacobi route's layout and
+        a final one of 40 rows, which takes LAPACK's ``det``."""
+        cfg = SamplerConfig(seed=29, worker_count=2)
+        n = BLOCK_SIZE + 40
+        np.testing.assert_allclose(
+            sample_invariants(n, cfg), _makhlin_batch(sample_gates(n, cfg)), rtol=0, atol=1e-14
+        )
+
+    def test_oracle_invariants_take_no_spectrum(self, monkeypatch):
+        calls = []
+
+        def spy(name, fn):
+            def wrapped(*args):
+                calls.append(name)
+                return fn(*args)
+            return wrapped
+
+        for module, name in ((invariants, "_spectral_coords"), (sampling, "_spectral_coords"),
+                             (invariants, "_jacobi_spectrum"), (np.linalg, "eigvals")):
+            monkeypatch.setattr(module, name, spy(name, getattr(module, name)))
+        g = sample_invariants(BLOCK_SIZE + 300, SamplerConfig(seed=31))
+        assert g.shape == (BLOCK_SIZE + 300, 3) and calls == []
+        sample_canonical(300, SamplerConfig(seed=31))
+        assert calls[:2] == ["_spectral_coords", "_jacobi_spectrum"]  # the spies see the kernel
 
     def test_oracle_coordinates_match_the_kernel_on_its_gates(self):
         """The block workers canonicalise the same stream, before projection."""
