@@ -67,6 +67,9 @@ _SYM = np.zeros((4, 4), dtype=np.intp)
 _SYM[_UPPER] = _SYM.T[_UPPER] = np.arange(10)
 _SYM_DIAG = np.diagonal(_SYM)
 _SYM_OFF = _SYM[np.triu_indices(4, 1)]
+#: Column pairs of the Laplace expansion along rows 0, 1, and their signs.
+_LAPLACE_PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
+_LAPLACE_SIGNS = (1, -1, 1, 1, -1, 1)
 #: The fold's eigenphase pairing: c = lam @ _PAIRING is
 #: -(lam0 + lam1, lam1 + lam3, lam0 + lam3), exactly, but for the sign of a zero.
 _PAIRING = -np.array([[1, 0, 1], [1, 1, 0], [0, 0, 0], [0, 1, 1]], dtype=float)
@@ -231,13 +234,24 @@ def _laplace_det(u: np.ndarray) -> np.ndarray:
     """Determinants of a (4, 4, n) stack by Laplace expansion along rows 0, 1.
 
     The column pairs run (0,1), (0,2), (0,3), (1,2), (1,3), (2,3), so the
-    complementary minor of pair k is pair 5 - k of rows 2, 3.
+    complementary minor of pair k is pair 5 - k of rows 2, 3.  The minors
+    are formed on row views, and the terms summed in pair order from +0,
+    as ``sum`` does: no determinant comes out with a -0 part, whatever the
+    signs of the zeros in the terms.
     """
-    i, j = np.triu_indices(4, 1)
-    top = u[0, i] * u[1, j] - u[0, j] * u[1, i]
-    bottom = u[2, i] * u[3, j] - u[2, j] * u[3, i]
-    sign = np.array([1.0, -1.0, 1.0, 1.0, -1.0, 1.0])[:, None]
-    return (sign * top * bottom[::-1]).sum(axis=0)
+    det = np.zeros(u.shape[2], dtype=complex)
+    for (i, j), (k, l), sign in zip(_LAPLACE_PAIRS, _LAPLACE_PAIRS[::-1], _LAPLACE_SIGNS):
+        top = u[0, i] * u[1, j] - u[0, j] * u[1, i]
+        bottom = u[2, k] * u[3, l] - u[2, l] * u[3, k]
+        # Both minors are named, so that top stays the left operand: complex
+        # products with FMA are not bitwise commutative, and numpy's
+        # temporary elision may turn top * (...) around.
+        term = top * bottom
+        if sign > 0:
+            det += term
+        else:
+            det -= term
+    return det
 
 
 def _jacobi_spectrum(m: np.ndarray) -> np.ndarray:
@@ -286,15 +300,24 @@ def _jacobi_spectrum(m: np.ndarray) -> np.ndarray:
                     x -= s * y
                     y *= c
                     y += sx
-    re_off = a[_SYM_OFF] - _MIX * b[_SYM_OFF]
-    off = np.maximum(np.abs(re_off), np.abs(b[_SYM_OFF])).max(axis=0)
-    tied = off > _TIE_TOL
+    tied = _largest_off_diagonal(a, b) > _TIE_TOL
     eig = np.empty((m.shape[1], 4), dtype=complex)
-    eig.imag = b[_SYM_DIAG].T
-    eig.real = a[_SYM_DIAG].T - _MIX * eig.imag
+    for col, k in enumerate(_SYM_DIAG):
+        eig.imag[:, col] = b[k]
+        eig.real[:, col] = a[k] - _MIX * b[k]
     if tied.any():
         eig[tied] = np.linalg.eigvals(m[:, tied][_SYM].transpose(2, 0, 1))
     return eig
+
+
+def _largest_off_diagonal(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The largest |Re| and |Im| off the diagonal of each O^T m O, (n,),
+    from the sweeps' a and b: a running maximum over the six rows."""
+    off = np.zeros(a.shape[1])
+    for k in _SYM_OFF:
+        np.maximum(off, np.abs(a[k] - _MIX * b[k]), out=off)
+        np.maximum(off, np.abs(b[k]), out=off)
+    return off
 
 
 def _upper_congruence(u: np.ndarray) -> np.ndarray:

@@ -83,6 +83,25 @@ def abelian_gate(c) -> np.ndarray:
     return cores([c])[0]
 
 
+def structured_stack(n: int = 224) -> np.ndarray:
+    """Undressed gates full of exact zeros, repeated to n rows: CNOT, SWAP,
+    iSWAP, CZ, +-I, i CNOT and bare XX, XY and Heisenberg points."""
+    iswap = np.array([[1, 0, 0, 0], [0, 0, 1j, 0], [0, 1j, 0, 0], [0, 0, 0, 1]])
+    eye = np.eye(4, dtype=complex)
+    named = np.array([CNOT, SWAP, iswap, np.diag([1, 1, 1, -1]), eye, -eye, 1j * CNOT])
+    t = np.array([np.pi / 4, np.pi / 2, 0.3])
+    points = np.concatenate([np.outer(t, shape) for shape in ((1, 0, 0), (1, 1, 0), (1, 1, 1))])
+    return np.resize(np.concatenate([named, cores(points)]), (n, 4, 4))
+
+
+def same_bits(a, b) -> bool:
+    """Equal arrays, NaN for NaN, with equal signs of their zeros."""
+    a, b = np.asarray(a), np.asarray(b)
+    if a.dtype.kind == "c":
+        a, b = a.view(float), b.view(float)
+    return np.array_equal(a, b, equal_nan=True) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
 def matrix_to_json_dict(U: np.ndarray) -> dict:
     """Encode a 4x4 complex matrix as ``{"matrix": [[[re, im], ...], ...]}``,
     the format ``load_matrix_json`` reads."""

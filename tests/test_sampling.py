@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from scipy.stats import ks_2samp, kstest
 
-from conftest import matrix_to_json_dict
+from conftest import matrix_to_json_dict, same_bits
 from gategeom import invariants, sampling
 from gategeom.coords import in_weyl_chamber
 from gategeom.errors import ValidationError
@@ -23,6 +23,7 @@ from gategeom.sampling import (
     _alpha_from_uniform,
     _block_rng,
     _chamber_block,
+    _haar_columns,
     _oracle_coords_block,
     export_csv,
     export_jsonl,
@@ -65,6 +66,23 @@ def chamber_block_whole_rounds(rng, m):
         out[have : have + take] = accepted[:take]
         have += take
     return out, rounds
+
+
+def haar_columns_untiled(rng, m):
+    """Haar columns from untiled transposes, with Gram-Schmidt's sums from
+    Python's ``sum`` and a division by the norm: the reference whose bits
+    :func:`_haar_columns` keeps."""
+    u = np.empty((4, 4, m), dtype=complex)
+    u.real = rng.standard_normal((m, 4, 4)).transpose(1, 2, 0)
+    u.imag = rng.standard_normal((m, 4, 4)).transpose(1, 2, 0)
+    for j in range(4):
+        v = u[:, j]
+        for _ in range(2 if j else 0):
+            r = [sum(np.conj(u[i, k]) * v[i] for i in range(4)) for k in range(j)]
+            for k, rk in enumerate(r):
+                v -= u[:, k] * rk
+        v /= np.sqrt(sum(v[i].real ** 2 + v[i].imag ** 2 for i in range(4)))
+    return u
 
 
 def block_peak(block_fn, m=BLOCK_SIZE):
@@ -266,6 +284,15 @@ class TestBlockKernels:
         np.testing.assert_array_equal(_chamber_block(rng, m), expected)
         np.testing.assert_array_equal(rng.random(16), whole_rng.random(16))
 
+    @pytest.mark.parametrize("m", [1, 5, 223, 224, 1023, 1024, 1025, BLOCK_SIZE])
+    def test_haar_columns_match_the_untiled_reference(self, m):
+        assert same_bits(_haar_columns(_block_rng(4, 1), m), haar_columns_untiled(_block_rng(4, 1), m))
+
+    @pytest.mark.parametrize("tile", [1, 7])
+    def test_haar_columns_do_not_depend_on_the_tile(self, monkeypatch, tile):
+        monkeypatch.setattr(sampling, "_TILE", tile)
+        assert same_bits(_haar_columns(_block_rng(4, 2), 1025), haar_columns_untiled(_block_rng(4, 2), 1025))
+
     def test_oracle_coordinate_block_peak_memory(self):
         """Gram-Schmidt in place and no (n, 4, 4) stack in the kernel: the
         block's own arrays are 4 MB of matrices and their spectra."""
@@ -331,6 +358,12 @@ class TestSummaries:
         assert set(summary) == {"count", "pe_fraction", "mean_c", "mean_g"}
         assert summary["count"] == 1000
         assert len(summary["mean_c"]) == len(summary["mean_g"]) == 3
+
+    @pytest.mark.parametrize("shape", [(0, 3), (3,), (4, 2), (2, 3, 3)])
+    def test_rejects_anything_but_n_rows_of_three(self, shape):
+        """An empty stack once divided by zero and a single point raised TypeError."""
+        with pytest.raises(ValidationError, match="shape"):
+            summarize_samples(np.full(shape, 0.1))
 
 
 def csv_row_by_row(coords):
