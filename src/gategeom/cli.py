@@ -7,6 +7,7 @@ trouble.
 """
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import re
@@ -23,6 +24,7 @@ from .invariants import canonical_coords, g_from_c, project_su4, validate_invari
 from .geometry import weyl_density
 from .sampling import (
     SamplerConfig,
+    _sink,
     export_csv,
     export_jsonl,
     sample_canonical,
@@ -192,8 +194,8 @@ def invariants(matrix, coords, as_json):
         _, phase = project_su4(U)
         report = _class_report(canonical_coords(U))
         report["chi"] = _snap([phase.chi])[0]
-        report = {k: report[k] for k in ("g", "c", "chi", "perfect_entangler", "density")}
-    _emit(report, as_json)
+    order = ("g", "c", "chi", "perfect_entangler", "density")
+    _emit({k: report[k] for k in order if k in report}, as_json)
 
 
 @cli.command()
@@ -352,10 +354,7 @@ def volume_cube(gate, center, side, clip, **opts):
 @_volume_options
 def volume_cylinder(center, radius, height, **opts):
     """Mass of a g3-aligned cylinder in invariant space."""
-    parts = [p for p in center.split(",") if p.strip()]
-    if len(parts) != 3:
-        raise click.BadParameter("center must be g1,g2,g3")
-    ctr = tuple(float(p) for p in parts)
+    ctr = _parse_triple(center, "center")
     validate_invariant_ranges(*ctr)
     _run_volume(
         opts,
@@ -404,13 +403,13 @@ def sample(count, seed, method, threads, fmt, output):
         method=method.replace("-", "_"),
     )
     if fmt == "jsonl":
-        export_jsonl(sys.stdout if output == "-" else output, sample_gates(count, cfg))
+        export_jsonl(_stream(output), sample_gates(count, cfg))
         return
     coords = sample_canonical(count, cfg)
     if fmt == "summary":
         _write_text(output, _dumps(summarize_samples(coords)) + "\n")
         return
-    export_csv(sys.stdout if output == "-" else output, coords)
+    export_csv(_stream(output), coords)
 
 
 @cli.group()
@@ -418,8 +417,12 @@ def mesh():
     """Point meshes for plotting the chamber and its densities."""
 
 
+#: Every mesh needs at least two points along each axis.
+_RESOLUTION = click.IntRange(min=2)
+
+
 @mesh.command("weyl-c")
-@click.option("--resolution", type=int, default=25, show_default=True)
+@click.option("--resolution", type=_RESOLUTION, default=25, show_default=True)
 @click.option("-o", "--output", default="-", show_default=True)
 def mesh_weyl_c(resolution, output):
     """Chamber membership grid with PE flags, CSV c1,c2,c3,is_pe."""
@@ -428,7 +431,7 @@ def mesh_weyl_c(resolution, output):
 
 
 @mesh.command("weyl-g")
-@click.option("--resolution", type=int, default=25, show_default=True)
+@click.option("--resolution", type=_RESOLUTION, default=25, show_default=True)
 @click.option("-o", "--output", default="-", show_default=True)
 def mesh_weyl_g(resolution, output):
     """Image of the chamber grid in invariant space, CSV g1,g2,g3."""
@@ -437,7 +440,7 @@ def mesh_weyl_g(resolution, output):
 
 @mesh.command("density-slice")
 @click.option("--c3", "c3_text", default="0", show_default=True, help="slice height (pi notation ok)")
-@click.option("--resolution", type=int, default=61, show_default=True)
+@click.option("--resolution", type=_RESOLUTION, default=61, show_default=True)
 @click.option("-o", "--output", default="-", show_default=True)
 def mesh_density_slice(c3_text, resolution, output):
     """Constant-c3 slice of the chamber density, CSV c1,c2,density.
@@ -445,8 +448,6 @@ def mesh_density_slice(c3_text, resolution, output):
     Points outside the chamber get density zero (the marginal density is
     supported on the chamber).
     """
-    if resolution < 2:
-        raise ValidationError("mesh resolution must be at least 2")
     c3 = parse_angle(c3_text)
     if not 0.0 <= c3 <= np.pi / 2:
         raise ValidationError("slice height must lie in [0, pi/2]")
@@ -463,8 +464,6 @@ def _grid(*axes) -> np.ndarray:
 
 def _chamber_grid(resolution: int) -> np.ndarray:
     """The chamber's points on a regular grid, (n, 3), c1 slowest."""
-    if resolution < 2:
-        raise ValidationError("mesh resolution must be at least 2")
     ax2 = np.linspace(0.0, np.pi / 2, resolution)
     grid = _grid(np.linspace(0.0, np.pi, 2 * resolution - 1), ax2, ax2)
     return grid[in_weyl_chamber(grid[:, 0], grid[:, 1], grid[:, 2])]
@@ -475,13 +474,14 @@ def _write_rows(output: str, header: str, rows: np.ndarray) -> None:
     _write_text(output, "\n".join(lines) + "\n")
 
 
+def _stream(output: str):
+    """What an ``--output`` option names: stdout for '-', else the file path."""
+    return sys.stdout if output == "-" else output
+
+
 def _write_text(output: str, text: str) -> None:
-    """Write ``text`` to stdout for '-', else to the named file."""
-    if output == "-":
-        click.echo(text, nl=False)
-    else:
-        with open(output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+    with _sink(_stream(output)) as fh:
+        fh.write(text)
 
 
 @cli.command()
@@ -498,24 +498,13 @@ def verify(ctx, level, seed, only, as_json):
         ctx.exit(2)
     n_passed = sum(1 for r in results if r.passed)
     if as_json:
-        click.echo(
-            _dumps(
-                {
-                    "level": level,
-                    "seed": seed,
-                    "passed": n_passed == len(results),
-                    "checks": [
-                        {
-                            "name": r.name,
-                            "passed": r.passed,
-                            "detail": r.detail,
-                            "duration": r.duration,
-                        }
-                        for r in results
-                    ],
-                }
-            )
-        )
+        payload = {
+            "level": level,
+            "seed": seed,
+            "passed": n_passed == len(results),
+            "checks": [dataclasses.asdict(r) for r in results],
+        }
+        click.echo(_dumps(payload))
     else:
         for r in results:
             status = "PASS" if r.passed else "FAIL"

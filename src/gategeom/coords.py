@@ -27,8 +27,8 @@ from .errors import ValidationError
 TWO_PI = 2.0 * np.pi
 FOUR_PI = 4.0 * np.pi
 
-#: Tolerance of Weyl-chamber membership tests.  Boundary points count as
-#: inside.
+#: Tolerance of the Weyl-chamber and perfect-entangler membership tests.
+#: Boundary points count as inside.
 _CHAMBER_TOL = 1e-9
 
 
@@ -86,30 +86,24 @@ def in_weyl_chamber(c1, c2, c3, tol: float = _CHAMBER_TOL):
     return ok
 
 
-#: Slack of the perfect-entangler and chamber tests; boundary points
-#: count as inside.
-_PE_TOL = 1e-9
-
-
 def is_perfect_entangler(c):
     """Whether chamber coordinates describe a perfect entangler.
 
     Broadcasts over (..., 3) and returns a bool (or bool array).  The
-    wedge is closed: boundary points count as inside, up to ``_PE_TOL``.
+    wedge is closed: boundary points count as inside, up to ``_CHAMBER_TOL``.
     Coordinates outside the chamber are rejected outright, since the
     half-space test below is only meaningful on the fundamental cell.
     """
     arr = np.asarray(c, dtype=float)
     c1, c2, c3 = arr[..., 0], arr[..., 1], arr[..., 2]
-    inside = in_weyl_chamber(c1, c2, c3, tol=_PE_TOL)
-    if not np.all(inside):
+    if not np.all(in_weyl_chamber(c1, c2, c3)):
         raise ValidationError(
             "coordinates outside the chamber have no perfect-entangler status"
         )
     ok = (
-        (c1 + c2 >= np.pi / 2 - _PE_TOL)
-        & (c1 - c2 <= np.pi / 2 + _PE_TOL)
-        & (c2 + c3 <= np.pi / 2 + _PE_TOL)
+        (c1 + c2 >= np.pi / 2 - _CHAMBER_TOL)
+        & (c1 - c2 <= np.pi / 2 + _CHAMBER_TOL)
+        & (c2 + c3 <= np.pi / 2 + _CHAMBER_TOL)
     )
     return bool(ok) if ok.ndim == 0 else ok
 

@@ -183,16 +183,19 @@ def jjt_closed(g1, g2, g3) -> np.ndarray:
 #: Minimum distance from any chart singularity accepted by the
 #: finite-difference frame (the chart degenerates there).
 FRAME_SINGULARITY_TOL = 1e-3
-#: Step of the frame's central differences.
-_FRAME_STEP = 1e-5
+#: Step of the frame's differences: about 1e-3, where the fourth-order
+#: truncation meets round-off, and a power of two, so that every probe
+#: offset k h is exact.
+_FRAME_STEP = 2.0**-10
 
 
 def frame_finite_difference(x: FullCoords) -> np.ndarray:
     """Frame matrix E[A, mu] = i tr(T_A U^{-1} dU/dx^mu) by central differences.
 
-    Satisfies E^T E = metric and |det E| = sqrt(det metric).  Points too
-    close to a chart singularity are rejected: the frame is still finite
-    there, but the comparison identities degrade faster than the
+    Satisfies E^T E = metric and |det E| = sqrt(det metric).  The
+    derivative is the fourth-order stencil (-1, 8, -8, 1) / 12h.  Points
+    too close to a chart singularity are rejected: the frame is still
+    finite there, but the comparison identities degrade faster than the
     truncation error and the answer would be meaningless.
     """
     factors = [np.abs(_chamber_sine_product(np.asarray(x.c.as_tuple())))]
@@ -207,20 +210,23 @@ def frame_finite_difference(x: FullCoords) -> np.ndarray:
 
     h = _FRAME_STEP
     base = x.as_array()
-    probes = np.repeat(base[None, :], 30, axis=0)
-    for mu in range(15):
-        probes[2 * mu, mu] += h
-        probes[2 * mu + 1, mu] -= h
-    U_all = _assemble_batch(np.vstack([base[None, :], probes])).transpose(2, 0, 1)
-    U0, U_pm = U_all[0], U_all[1:]
-    dU = (U_pm[0::2] - U_pm[1::2]) / (2.0 * h)  # (15, 4, 4)
+    # probes[k, mu] is the base point moved by (2, 1, -1, -2)[k] h along mu.
+    probes = base + np.array([2.0, 1.0, -1.0, -2.0])[:, None, None] * h * np.eye(15)
+    U_all = _assemble_batch(np.vstack([base, probes.reshape(60, 15)])).transpose(2, 0, 1)
+    U0, U_k = U_all[0], U_all[1:].reshape(4, 15, 4, 4)
+    dU = (8.0 * (U_k[1] - U_k[2]) - (U_k[0] - U_k[3])) / (12.0 * h)  # (15, 4, 4)
     omega = np.einsum("ij,mjk->mik", U0.conj().T, dU)
     E = 1j * np.einsum("aij,mji->am", _generators(), omega)
+    # Each coordinate moves one SU(2) factor or the commuting core, so
+    # U0^-1 times any difference of probes is anti-Hermitian up to a
+    # multiple of the identity, which the traceless generators do not
+    # see: E is real at every step, and its imaginary part is round-off,
+    # about eps / h (1.4 eps / h at most over verify's draws).
     worst_imag = np.abs(E.imag).max()
-    if worst_imag > 10.0 * h * h:
+    if worst_imag > 100.0 * np.finfo(float).eps / h:
         raise ConsistencyError(
             f"frame has imaginary residue {worst_imag:.3e}; "
-            "expected pure-real coefficients up to truncation error"
+            "expected pure-real coefficients up to round-off"
         )
     return E.real
 

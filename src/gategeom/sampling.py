@@ -57,6 +57,8 @@ class SamplerConfig:
     method: str = "matrix_oracle"  # or "coordinate_density"
 
     def __post_init__(self):
+        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
+            raise ValidationError(f"seed must be a non-negative integer, got {self.seed!r}")
         if self.method not in ("matrix_oracle", "coordinate_density"):
             raise ValidationError(
                 f"unknown sampling method {self.method!r}; "

@@ -161,7 +161,7 @@ def _check_frame(seed, full):
         got = abs(np.linalg.det(E))
         want = np.sqrt(geom.det_g_closed(x))
         worst = max(worst, abs(got - want) / want)
-    return worst < 1e-4, f"worst |det frame| vs sqrt(det metric) deviation {worst:.2e}"
+    return worst < 2e-10, f"worst |det frame| vs sqrt(det metric) deviation {worst:.2e}"
 
 
 def _check_invariant_roundtrip(seed, full):
@@ -390,10 +390,12 @@ def run_checks(level: str = "quick", seed: int = 0, names=None) -> list[CheckRes
     """Run the verification battery and return one result per check.
 
     ``names``, when given, keeps only checks whose name contains one of
-    the provided substrings.
+    the provided substrings.  A bad ``level`` or ``seed`` raises before
+    any check runs.
     """
     if level not in ("quick", "full"):
         raise ValueError(f"unknown level {level!r}; use quick or full")
+    smp.SamplerConfig(seed=seed)  # the one seed rule, checked up front
     full = level == "full"
     selected = _CHECKS
     if names:

@@ -109,10 +109,6 @@ class _TrigSeries:
         return out
 
 
-_CORNER_SERIES = _TrigSeries(
-    [(8, "a", 0), (1, "a_cos", 3), (-9, "a_cos", 1), (-3, "sin", 3), (12, "sin", 2), (-15, "sin", 1)],
-    Fraction(3, 2),
-)
 _SQRT_SWAP_SERIES = _TrigSeries(
     [(2, "a_sin", 3), (6, "a_sin", 1), (3, "cos", 3), (-3, "cos", 1)], Fraction(3, 2)
 )
@@ -134,6 +130,8 @@ def _axis_series(*weighted) -> _TrigSeries:
 
 
 _AXIS_S0 = _axis_series((1, _AXIS_TERMS_G0), (-1, _AXIS_TERMS_G1), (1, _AXIS_TERMS_G2))
+# The corner's mass is three times S0's.
+_CORNER_SERIES = _axis_series((3, _AXIS_TERMS_G0), (-3, _AXIS_TERMS_G1), (3, _AXIS_TERMS_G2))
 _AXIS_S1 = _axis_series((1, _AXIS_TERMS_G1), (-4, _AXIS_TERMS_G2))
 # G2 = (3/pi) sin(2a) (2 - 2 cos a - a sin a) vanishes at a = pi/2, where
 # its own series cancels to all digits; only the bracket is a series.

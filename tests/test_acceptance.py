@@ -206,9 +206,9 @@ def test_criterion_07_metric_determinant_and_frame(capsys):
     report(
         capsys,
         7,
-        worst_det <= 8e-13 and worst_frame <= 1e-4,
+        worst_det <= 8e-13 and worst_frame <= 1.5e-10,
         f"det(metric) vs closed: worst rel {worst_det:.2e} over 100 points (tol 8e-13); "
-        f"|det frame| vs sqrt(det): worst rel {worst_frame:.2e} over 20 points (tol 1e-4)",
+        f"|det frame| vs sqrt(det): worst rel {worst_frame:.2e} over 20 points (tol 1.5e-10)",
     )
 
 

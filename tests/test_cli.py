@@ -178,6 +178,15 @@ class TestInvariantsCommand:
         assert result.exit_code == 2
         assert "outside the chamber" in result.stderr
 
+    def test_both_inputs_print_one_field_order(self, runner, cnot_file):
+        from_coords = runner.invoke(cli, ["invariants", "--coords", "pi/2,0,0"])
+        from_matrix = runner.invoke(cli, ["invariants", cnot_file])
+        assert from_coords.exit_code == from_matrix.exit_code == 0
+        keys = [line.split(" = ")[0] for line in from_coords.output.splitlines()]
+        assert keys == ["g", "c", "perfect_entangler", "density"]
+        keys = [line.split(" = ")[0] for line in from_matrix.output.splitlines()]
+        assert keys == ["g", "c", "chi", "perfect_entangler", "density"]
+
 
 class TestCanonicalizeCommand:
     def test_recovers_coordinates_of_a_dressed_gate(self, runner, rng, tmp_path):
@@ -241,6 +250,20 @@ class TestVolumeCommands:
             ],
         )
         assert result.exit_code == 2
+
+    def test_cylinder_center_takes_pi_notation(self, runner):
+        args = ["volume", "cylinder", "--radius", "0.1", "--height", "0.2", "--json"]
+        result = runner.invoke(cli, args + ["--center", "pi/16,0,0"])
+        assert result.exit_code == 0
+        plain = runner.invoke(cli, args + ["--center", repr(np.pi / 16) + ",0,0"])
+        assert result.output == plain.output
+
+    def test_cylinder_center_needs_three_values(self, runner):
+        result = runner.invoke(
+            cli, ["volume", "cylinder", "--center", "0.1,0", "--radius", "0.1", "--height", "0.2"]
+        )
+        assert result.exit_code == 2
+        assert "center must be three comma-separated values" in result.output
 
     def test_cylinder_closed_vs_quadrature(self, runner):
         result = runner.invoke(
@@ -333,6 +356,11 @@ class TestSampleCommand:
         result = runner.invoke(cli, ["sample", "-n", "0"])
         assert result.exit_code == 2
 
+    def test_negative_seed_is_input_error(self, runner):
+        result = runner.invoke(cli, ["sample", "-n", "3", "--seed", "-1"])
+        assert result.exit_code == 2
+        assert "seed must be a non-negative integer" in result.stderr
+
     def test_summary_format(self, runner):
         result = runner.invoke(
             cli, ["sample", "-n", "2000", "--seed", "4", "--format", "summary"]
@@ -418,6 +446,12 @@ class TestMeshCommands:
         result = runner.invoke(cli, ["mesh", "density-slice", "--c3", "pi"])
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize("kind", ["weyl-c", "weyl-g", "density-slice"])
+    def test_resolution_below_two_is_usage_error(self, runner, kind):
+        result = runner.invoke(cli, ["mesh", kind, "--resolution", "1"])
+        assert result.exit_code == 2
+        assert "--resolution" in result.output
+
 
 class TestVerifyCommand:
     def test_single_check_passes(self, runner):
@@ -443,6 +477,12 @@ class TestVerifyCommand:
     def test_unmatched_filter_is_usage_error(self, runner):
         result = runner.invoke(cli, ["verify", "--only", "nonsense"])
         assert result.exit_code == 2
+
+    def test_negative_seed_is_input_error(self, runner):
+        result = runner.invoke(cli, ["verify", "--seed", "-1", "--only", "pe-volume-mc"])
+        assert result.exit_code == 2
+        assert "seed must be a non-negative integer" in result.stderr
+        assert "checks passed" not in result.output
 
     def test_corrupted_constant_fails_verification(self, runner, monkeypatch):
         monkeypatch.setattr(gategeom.volumes, "PE_VOLUME_CLOSED", 0.9)

@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 from scipy.integrate import simpson
 
+import gategeom.geometry
 from conftest import interior_chamber_points, random_full_coords
 from gategeom.coords import CanonicalCoords, FullCoords, Su2Params, in_weyl_chamber
-from gategeom.errors import SingularDensityError, ValidationError
+from gategeom.errors import ConsistencyError, SingularDensityError, ValidationError
 from gategeom.geometry import (
     FRAME_SINGULARITY_TOL,
     WEYL_DENSITY_MAX,
@@ -327,12 +328,27 @@ class TestFiniteDifferenceFrame:
     def test_gram_reproduces_metric(self, rng):
         for x in healthy_full_coords(rng, 5):
             E = frame_finite_difference(x)
-            np.testing.assert_allclose(E.T @ E, metric_tensor(x), atol=1e-8)
+            np.testing.assert_allclose(E.T @ E, metric_tensor(x), rtol=0, atol=1.5e-10)
 
     def test_determinant_matches_volume_element(self, rng):
         for x in healthy_full_coords(rng, 20):
             d = abs(np.linalg.det(frame_finite_difference(x)))
-            assert d == pytest.approx(np.sqrt(det_g_closed(x)), rel=1e-4)
+            assert d == pytest.approx(np.sqrt(det_g_closed(x)), rel=1.5e-10, abs=0)
+
+    def test_imaginary_residue_is_held_to_round_off(self, rng, monkeypatch):
+        """A chart that leaves the unitary group at rate 1e-9 along c1
+        gives E an imaginary part of about that size, which the round-off
+        bound (100 eps / h, 2.3e-11) rejects."""
+        assemble = gategeom.geometry._assemble_batch
+
+        def drifting(params):
+            U = assemble(params)
+            U[0] *= np.exp(1e-9 * params[:, 12])
+            return U
+
+        monkeypatch.setattr(gategeom.geometry, "_assemble_batch", drifting)
+        with pytest.raises(ConsistencyError, match="imaginary residue"):
+            frame_finite_difference(healthy_full_coords(rng, 1)[0])
 
     def test_rejects_chart_singularities(self, rng):
         x0 = random_full_coords(rng)

@@ -33,6 +33,7 @@ from gategeom.sampling import (
     sample_invariants,
     summarize_samples,
 )
+from gategeom.verify import _ks_2samp_pvalue
 from gategeom.volumes import PE_VOLUME_CLOSED, is_perfect_entangler
 
 
@@ -104,6 +105,15 @@ class TestSamplerConfig:
     def test_worker_count_validated(self):
         with pytest.raises(ValidationError):
             SamplerConfig(worker_count=0)
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, "3", None])
+    def test_seed_must_be_a_non_negative_integer(self, seed):
+        with pytest.raises(ValidationError, match="seed must be a non-negative integer"):
+            SamplerConfig(seed=seed)
+
+    def test_numpy_integer_seed_accepted(self):
+        a = sample_canonical(10, SamplerConfig(seed=np.int64(3)))
+        np.testing.assert_array_equal(a, sample_canonical(10, SamplerConfig(seed=3)))
 
     def test_nonpositive_count_rejected(self):
         with pytest.raises(ValidationError):
@@ -349,6 +359,64 @@ class TestMatrixSamples:
         U = sample_gates(200, SamplerConfig(seed=12, method="coordinate_density"))
         gram = np.einsum("nij,nkj->nik", U, U.conj())
         assert np.abs(gram - np.eye(4)).max() < 1e-10
+
+
+#: Each sampler's seed in the Haar-law tests, which draw 200k gates each.
+HAAR_LAW_SEEDS = {"matrix_oracle": 61, "coordinate_density": 62}
+
+
+@pytest.fixture(scope="module")
+def haar_law_statistics():
+    """|U11|^2 and |tr U|^2 of each sampler's gates; the gates are dropped."""
+    out = {}
+    for method, seed in HAAR_LAW_SEEDS.items():
+        U = sample_gates(200_000, SamplerConfig(seed=seed, worker_count=2, method=method))
+        out[method] = (np.abs(U[:, 0, 0]) ** 2, np.abs(np.einsum("nii->n", U)) ** 2)
+    return out
+
+
+def record_pvalues(capsys, law, pvalues):
+    """Print a law's p-values in the test log, as the acceptance battery does."""
+    with capsys.disabled():
+        text = ", ".join(f"{name} p = {p:.3g}" for name, p in pvalues.items())
+        print(f"\nhaar law, {law}: {text}", flush=True)
+
+
+class TestHaarLaws:
+    """Laws of Haar-random 4x4 unitaries, applied to both samplers' gates.
+
+    They hold on SU(4) as on U(4): the phase projection leaves |U_ij|
+    and |tr U| alone, and the trace moments need k < 4.  They test what
+    the chamber and angle tests take as given: the local factors' law and
+    how the coordinate sampler assembles a gate from its coordinates.
+    """
+
+    @pytest.mark.parametrize("method", list(HAAR_LAW_SEEDS))
+    def test_entry_modulus_is_beta_1_3(self, capsys, haar_law_statistics, method):
+        entry, _ = haar_law_statistics[method]
+        p = kstest(entry, lambda x: 1.0 - (1.0 - x) ** 3).pvalue
+        record_pvalues(capsys, f"{method} |U11|^2 vs Beta(1, 3)", {"KS": p})
+        assert p > 0.01
+
+    @pytest.mark.parametrize("method", list(HAAR_LAW_SEEDS))
+    def test_trace_moments_are_factorials(self, capsys, haar_law_statistics, method):
+        """E|tr U|^2k = k! for k <= 3 (Diaconis and Shahshahani, 1994),
+        each mean tested against its own standard error."""
+        _, trace2 = haar_law_statistics[method]
+        pvalues = {}
+        for k in (1, 2, 3):
+            x = trace2**k
+            z = (x.mean() - math.factorial(k)) / (x.std(ddof=1) / math.sqrt(len(x)))
+            pvalues[f"k={k}"] = math.erfc(abs(z) / math.sqrt(2.0))
+        record_pvalues(capsys, f"{method} E|tr U|^2k = k!", pvalues)
+        assert min(pvalues.values()) > 0.01
+
+    def test_trace_law_agrees_across_methods(self, capsys, haar_law_statistics):
+        p = _ks_2samp_pvalue(
+            haar_law_statistics["coordinate_density"][1], haar_law_statistics["matrix_oracle"][1]
+        )
+        record_pvalues(capsys, "|tr U|^2 across methods", {"two-sample KS": p})
+        assert p > 0.01
 
 
 class TestSummaries:

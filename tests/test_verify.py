@@ -5,7 +5,9 @@ import scipy.stats
 
 import gategeom.geometry
 import gategeom.quadrature
+import gategeom.verify
 import gategeom.volumes
+from gategeom.errors import ValidationError
 from gategeom.quadrature import bin_probabilities
 from gategeom.sampling import SamplerConfig, sample_canonical
 from gategeom.verify import (
@@ -58,6 +60,15 @@ class TestRunChecks:
         with pytest.raises(ValueError):
             run_checks("exhaustive")
 
+    def test_bad_seed_rejected_before_any_check(self, monkeypatch):
+        ran = []
+        monkeypatch.setattr(
+            gategeom.verify, "_CHECKS", [("probe", lambda seed, full: ran.append(seed))]
+        )
+        with pytest.raises(ValidationError, match="seed must be a non-negative integer"):
+            run_checks("quick", seed=-1)
+        assert ran == []
+
     def test_bin_grid_built_once_per_run(self, monkeypatch):
         built = []
 
@@ -99,11 +110,12 @@ class TestRunChecks:
             ("metric-determinant", gategeom.geometry, "det_g_closed", 4e-9),
             ("jacobian-identities", gategeom.geometry, "makhlin_density", 1e-10),
             ("elliptic-integrals", gategeom.volumes, "elliptic_K", 1e-12),
+            ("frame-vs-metric", gategeom.geometry, "det_g_closed", 1e-9),
         ],
     )
     def test_small_drift_is_caught(self, monkeypatch, check, module, route, drift):
         """Each bound sits about 100x above what its check measures, so a
-        drift its earlier bound (1e-8, 1e-8, 1e-10) let through fails."""
+        drift its earlier bound (1e-8, 1e-8, 1e-10, 1e-4) let through fails."""
         exact = getattr(module, route)
         monkeypatch.setattr(module, route, lambda *a: exact(*a) * (1.0 + drift))
         for level in ("quick", "full"):
