@@ -22,15 +22,7 @@ from .errors import RangeError, ValidationError
 from .gates import NAMED_GATE_POINTS, load_matrix_json, require_unitary
 from .invariants import canonical_coords, g_from_c, project_su4, validate_invariant_ranges
 from .geometry import weyl_density
-from .sampling import (
-    SamplerConfig,
-    _sink,
-    export_csv,
-    export_jsonl,
-    sample_canonical,
-    sample_gates,
-    summarize_samples,
-)
+from .sampling import SamplerConfig, _export_stream, _sink, _summarize_stream
 from . import volumes as vol
 from .verify import run_checks
 
@@ -269,17 +261,17 @@ def _run_volume(opts: dict, closed, quadrature, region: vol.Region) -> None:
     ``opts`` holds the shared options of :func:`_volume_options`.
     ``closed`` and ``quadrature`` are calls returning a value or a
     ``VolumeResult``; ``region`` is what the Monte-Carlo method samples.
-    A method out of its range becomes a note when other methods run.
+    A method out of its range becomes a note when other methods run.  The
+    Monte-Carlo options are checked before any method runs, whichever run.
     """
     wanted = _parse_methods(opts["methods"])
+    config = SamplerConfig(seed=opts["seed"], worker_count=opts["threads"] or _default_threads())
+    samples = vol._mc_sample_count(opts["samples"])
     results, notes = {}, {}
     for m in wanted:
         if m == "mc":
             results[m] = vol.region_volume_mc(
-                region,
-                samples=opts["samples"],
-                seed=opts["seed"],
-                worker_count=opts["threads"] or _default_threads(),
+                region, samples=samples, seed=config.seed, worker_count=config.worker_count
             )
             continue
         try:
@@ -396,20 +388,20 @@ def volume_sphere(radius, **opts):
 )
 @click.option("-o", "--output", default="-", show_default=True, help="output file, '-' for stdout")
 def sample(count, seed, method, threads, fmt, output):
-    """Draw random gates under the invariant measure."""
+    """Draw random gates under the invariant measure.
+
+    Every format reads the sampler's blocks in order as they are drawn and
+    holds a few of them, whatever the count.
+    """
     cfg = SamplerConfig(
         seed=seed,
         worker_count=threads or _default_threads(),
         method=method.replace("-", "_"),
     )
-    if fmt == "jsonl":
-        export_jsonl(_stream(output), sample_gates(count, cfg))
-        return
-    coords = sample_canonical(count, cfg)
     if fmt == "summary":
-        _write_text(output, _dumps(summarize_samples(coords)) + "\n")
-        return
-    export_csv(_stream(output), coords)
+        _write_text(output, _dumps(_summarize_stream(count, cfg)) + "\n")
+    else:
+        _export_stream(_stream(output), fmt, count, cfg)
 
 
 @cli.group()

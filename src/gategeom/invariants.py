@@ -74,8 +74,9 @@ _LAPLACE_SIGNS = (1, -1, 1, 1, -1, 1)
 #: -(lam0 + lam1, lam1 + lam3, lam0 + lam3), exactly, but for the sign of a zero.
 _PAIRING = -np.array([[1, 0, 1], [1, 1, 0], [0, 0, 0], [0, 1, 1]], dtype=float)
 _TINY = np.finfo(float).tiny
-#: (row, column) of each nonzero entry of _MAGIC_BASIS.
-_MAGIC_TERMS = tuple(zip(*np.nonzero(_MAGIC_BASIS)))
+#: Column pairs (a, b) of _MAGIC_BASIS: column a and column b of U B are
+#: both sums of columns a and b of U.
+_MAGIC_PAIRS = ((0, 3), (1, 2))
 #: One sweep: for each pair (p, q), the rows of (p, p), (q, q), (p, q) and
 #: of (r, p), (r, q) for the two other indices r.
 _JACOBI_PAIRS = tuple(
@@ -159,14 +160,15 @@ def canonical_coords_batch(U) -> np.ndarray:
     return _spectral_coords(require_unitary_stack(U))
 
 
-def _spectral_coords(U: np.ndarray) -> np.ndarray:
+def _spectral_coords(U: np.ndarray, owned: bool = False) -> np.ndarray:
     """:func:`canonical_coords_batch` of a stack already known to be unitary.
 
     Stacks of fewer than ``_JACOBI_MIN_ROWS`` rows take LAPACK's ``det``
     and ``eigvals`` per matrix, larger ones the Jacobi route; the two agree
-    to about 1e-15.
+    to about 1e-15.  ``owned`` as in :func:`_det_and_congruence`.
     """
-    det, m = _det_and_congruence(U)
+    det, m = _det_and_congruence(U, owned)
+    del U  # an owned stack is released before the sweeps
     eig = np.linalg.eigvals(m) if m.ndim == 3 else _jacobi_spectrum(m)
     del m
     lam = np.arctan2(eig.imag, eig.real)  # np.angle, without its wrapper
@@ -183,12 +185,15 @@ def _spectral_coords(U: np.ndarray) -> np.ndarray:
     return c
 
 
-def _det_and_congruence(U: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _det_and_congruence(U: np.ndarray, owned: bool = False) -> tuple[np.ndarray, np.ndarray]:
     """det U and m = U_B^T U_B of a unitary stack, by the route for its size.
 
     Below ``_JACOBI_MIN_ROWS`` rows: LAPACK's ``det``, and m as an
     (n, 4, 4) stack.  From there on: the Laplace expansion, and m as its
     upper triangle, (10, n), both on length-n arrays of the column layout.
+    That route overwrites the column layout with V = U B: the caller's
+    own stack only if it is ``owned`` (the caller's to lose) and already
+    laid out as (4, 4, n), a copy of it otherwise.
     """
     if U.shape[0] < _JACOBI_MIN_ROWS:
         V = U @ _MAGIC_BASIS
@@ -197,11 +202,13 @@ def _det_and_congruence(U: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         outer = V[:, :2, :, None] * V[:, 3:1:-1, None, :]
         X = outer[:, 0] - outer[:, 1]
         return np.linalg.det(U), X + X.transpose(0, 2, 1)
-    u = np.ascontiguousarray(U.transpose(1, 2, 0))
+    u = U.transpose(1, 2, 0)
+    if not (owned and u.flags.c_contiguous):
+        u = u.copy(order="C")
     return _laplace_det(u), _upper_congruence(u)
 
 
-def _makhlin_batch(U: np.ndarray) -> np.ndarray:
+def _makhlin_batch(U: np.ndarray, owned: bool = False) -> np.ndarray:
     """Invariant triples of a stack already known to be unitary, (n, 4, 4) -> (n, 3).
 
     Makhlin's trace formulas need no spectrum: G1 = tr^2(m) / (16 det U)
@@ -209,8 +216,9 @@ def _makhlin_batch(U: np.ndarray) -> np.ndarray:
     g3 = Re G2 (Makhlin, Quantum Inf. Process. 1, 243 (2002)).  m is
     symmetric, so tr(m^2) is the sum of its squared entries.  They agree
     with ``g_from_c`` of the kernel's coordinates to about 3e-15.
+    ``owned`` as in :func:`_det_and_congruence`.
     """
-    det, m = _det_and_congruence(U)
+    det, m = _det_and_congruence(U, owned)
     if m.ndim == 3:
         tr = m.trace(axis1=1, axis2=2)
         sq = (m * m).sum(axis=(1, 2))
@@ -321,15 +329,28 @@ def _largest_off_diagonal(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _upper_congruence(u: np.ndarray) -> np.ndarray:
-    """m = U_B^T U_B of a (4, 4, n) stack as its upper triangle, (10, n).
+    """m = U_B^T U_B of a contiguous (4, 4, n) stack as its upper triangle,
+    (10, n); ``u`` is overwritten with V = U @ _MAGIC_BASIS.
 
-    V = U @ _MAGIC_BASIS over the basis' nonzero entries, then m = V^T P V
-    as in :func:`_det_and_congruence`: entry (i, j) is X[i, j] + X[j, i] with
-    X[i, j] = v0i v3j - v1i v2j.
+    Each column pair (a, b) of ``_MAGIC_PAIRS`` is formed over the basis'
+    nonzero entries with one saved column: column j of V is
+    B[a, j] U[:, a] + B[b, j] U[:, b], and adding +0 to that sum gives the
+    bits of the sum started from zero, signs of zeros included.  Then
+    m = V^T P V as in :func:`_det_and_congruence`: entry (i, j) is
+    X[i, j] + X[j, i] with X[i, j] = v0i v3j - v1i v2j.
     """
-    v = np.zeros_like(u)
-    for k, j in _MAGIC_TERMS:
-        v[:, j] += _MAGIC_BASIS[k, j] * u[:, k]
+    first, term = np.empty((2, 4, u.shape[2]), dtype=complex)
+    for a, b in _MAGIC_PAIRS:
+        x, y = u[:, a], u[:, b]
+        first[...] = x
+        np.multiply(_MAGIC_BASIS[a, a], first, out=x)
+        x += np.multiply(_MAGIC_BASIS[b, a], y, out=term)
+        x += 0.0
+        np.multiply(_MAGIC_BASIS[a, b], first, out=first)
+        first += np.multiply(_MAGIC_BASIS[b, b], y, out=term)
+        np.add(first, 0.0, out=y)
+    del first, term
+    v = u  # V now
     m = np.empty((10, u.shape[2]), dtype=complex)
     for row, (i, j) in enumerate(_UPPER_PAIRS):
         m[row] = (v[0, i] * v[3, j] - v[1, i] * v[2, j]) + (v[0, j] * v[3, i] - v[1, j] * v[2, i])

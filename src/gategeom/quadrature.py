@@ -251,17 +251,20 @@ def bin_probabilities() -> np.ndarray:
 
     The grid has 30 cells (``_BINS``) along each axis of [0, pi] x
     [0, pi/2] x [0, pi/2].  Each cell is the chamber clipped to a box;
-    the result sums to 1 up to quadrature error.
+    the result sums to 1 up to quadrature error.  The chamber and its
+    density are symmetric under c1 -> pi - c1, which maps cell i along c1
+    to cell 29 - i, so only the cells with c1 <= pi/2 are integrated.
     """
-    n = _BINS
+    n, half = _BINS, _BINS // 2
     e1 = np.linspace(0.0, _PI, n + 1)
     e2 = np.linspace(0.0, _PI / 2, n + 1)
     rows, groups = [], []
-    for i in range(n):
+    for i in range(half):
         for j in range(n):
             for k in range(j + 1):  # z <= y in the chamber
                 cell = _clipped_blocks((e1[i], e2[j], e2[k]), (e1[i + 1], e2[j + 1], e2[k + 1]))
                 rows += cell
                 groups += [(i * n + j) * n + k] * len(cell)
-    out = _integrate(weyl_density, rows, _BIN_ORDER, np.array(groups, dtype=np.intp), n**3)
-    return out.reshape(n, n, n)
+    out = _integrate(weyl_density, rows, _BIN_ORDER, np.array(groups, dtype=np.intp), half * n * n)
+    out = out.reshape(half, n, n)
+    return np.concatenate([out, out[::-1]])

@@ -8,23 +8,31 @@ complex Ginibre matrix and orthonormalises it, which is Haar by
 construction and owes nothing to the formulas under test — the
 distribution checks play the two against each other.
 
-Streams are split into fixed-size blocks, each seeded from its own
-``SeedSequence`` spawn key, so results are bit-identical for a given
-seed no matter how many workers run the blocks.  A block's rows depend
-on the seed, its index and its length only: the whole blocks of a call
-are, bit for bit, the first rows of any longer call with the same seed.
-The final partial block promises no such match, since its draws depend
-on its length.  Within one call, if that block has fewer than
-``invariants._JACOBI_MIN_ROWS`` rows, the oracle's coordinates of it come
-from the kernel's ``eigvals`` route and its invariants from LAPACK's
-``det`` and the (m, 4, 4) congruence, and the rest of the call from the
-Laplace determinant and the column layout; either way the two agree
-within 1e-14.
+Streams are split into fixed-size blocks of ``BLOCK_SIZE`` rows, each
+seeded from its own ``SeedSequence`` spawn key, so results are
+bit-identical for a given seed no matter how many workers run the
+blocks.  A block's rows depend on the seed, its index and its length
+only: the whole blocks of a call are, bit for bit, the first rows of any
+longer call with the same seed.  The final partial block promises no
+such match, since its draws depend on its length.  Within one call, if
+that block has fewer than ``invariants._JACOBI_MIN_ROWS`` rows, the
+oracle's coordinates of it come from the kernel's ``eigvals`` route and
+its invariants from LAPACK's ``det`` and the (m, 4, 4) congruence, and
+the rest of the call from the Laplace determinant and the column layout;
+either way the two agree within 1e-14.
+
+Every consumer reads one ordered stream, :func:`_blocks`: (start, block)
+pairs in block order, with at most ``worker_count`` blocks finished or
+in flight beyond the one being consumed.  The ``sample_*`` functions
+have each worker write its block into their output; the summaries, the
+Monte-Carlo masses and the writers reduce or write each block as it
+comes, so they hold a few blocks whatever the sample count.
 """
 from __future__ import annotations
 
 import csv
 import json
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
@@ -219,55 +227,110 @@ def _oracle_coords_block(rng: np.random.Generator, m: int) -> np.ndarray:
 
     Unitary by construction, and the kernel strips the phase itself.  The
     Jacobi route transposes the (m, 4, 4) view back, which gives it the
-    column layout itself, uncopied.
+    column layout itself, uncopied; the block is the kernel's to overwrite
+    (the second argument), and it forms V = U B in place.
     """
-    return _spectral_coords(_haar_columns(rng, m).transpose(2, 0, 1))
+    return _spectral_coords(_haar_columns(rng, m).transpose(2, 0, 1), True)
 
 
 def _oracle_invariants_block(rng: np.random.Generator, m: int) -> np.ndarray:
     """Invariant triples of one block of Haar unitaries, shape (m, 3).
 
-    Makhlin's trace formulas on the column layout, uncopied, as in
-    :func:`_oracle_coords_block`; no spectrum is computed.
+    Makhlin's trace formulas on the column layout, uncopied and
+    overwritten, as in :func:`_oracle_coords_block`; no spectrum is
+    computed.
     """
-    return _makhlin_batch(_haar_columns(rng, m).transpose(2, 0, 1))
+    return _makhlin_batch(_haar_columns(rng, m).transpose(2, 0, 1), True)
 
 
-def _run_blocks(n: int, config: SamplerConfig, block_fn, row_shape, dtype) -> np.ndarray:
-    """``block_fn(rng, m)`` over the stream's blocks, written into one
-    preallocated (n, *row_shape) array, so the peak is the output plus the
-    blocks in flight."""
-    if n <= 0:
-        raise ValidationError("sample count must be positive")
+def _chamber_invariants_block(rng: np.random.Generator, m: int) -> np.ndarray:
+    """Invariant triples of one block of chamber samples, shape (m, 3)."""
+    return g_from_c(_chamber_block(rng, m))
+
+
+def _canonical_kernel(config: SamplerConfig):
+    """The block kernel of :func:`sample_canonical` under ``config``."""
+    if config.method == "coordinate_density":
+        return _chamber_block
+    return _oracle_coords_block
+
+
+def _gates_kernel(config: SamplerConfig):
+    """The block kernel of :func:`sample_gates` under ``config``."""
+    if config.method == "coordinate_density":
+        return _assembled_block
+    return _matrix_block
+
+
+def _sample_count(n) -> int:
+    """``n`` as an int, if it is a positive integer (bools are not)."""
+    if isinstance(n, (bool, np.bool_)) or not isinstance(n, (int, np.integer)) or n <= 0:
+        raise ValidationError(f"sample count must be a positive integer, got {n!r}")
+    return int(n)
+
+
+def _blocks(n, config: SamplerConfig, kernel):
+    """The stream of an ``n``-sample call: ``(start, kernel(rng, m))`` for
+    each block, in block order.
+
+    ``n`` is checked here, before the first block is drawn.  A kernel may
+    reduce its block, in its worker, while the block is in cache.
+    """
+    def task(start, m):
+        return start, kernel(_block_rng(config.seed, start // BLOCK_SIZE), m)
+
+    return _in_order(_sample_count(n), config.worker_count, task)
+
+
+def _in_order(n: int, workers: int, task):
+    """``task(start, m)`` for each block of an ``n``-row call, the results
+    yielded in block order.
+
+    With several workers, at most ``workers`` blocks are running or
+    finished beyond the one the consumer holds, so a consumer that reduces
+    or writes each block holds a few blocks whatever ``n`` is; one that
+    stops early, or a block that raises, waits for those blocks only.
+    """
+    starts = range(0, n, BLOCK_SIZE)
+
+    def work(start):
+        return task(start, min(BLOCK_SIZE, n - start))
+
+    if workers == 1 or len(starts) == 1:
+        yield from map(work, starts)
+        return
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        pending = deque()
+        for start in starts:
+            pending.append(pool.submit(work, start))
+            if len(pending) > workers:
+                yield pending.popleft().result()  # re-raises a block's exception
+        while pending:
+            yield pending.popleft().result()
+
+
+def _fill(n, config: SamplerConfig, kernel, row_shape, dtype) -> np.ndarray:
+    """The stream's blocks written into one (n, *row_shape) array, each by
+    its worker, so that no finished block waits for the consumer."""
+    n = _sample_count(n)
     out = np.empty((n, *row_shape), dtype=dtype)
 
-    def work(block):
-        start = block * BLOCK_SIZE
-        stop = min(start + BLOCK_SIZE, n)
-        out[start:stop] = block_fn(_block_rng(config.seed, block), stop - start)
+    def write(start, m):
+        out[start : start + m] = kernel(_block_rng(config.seed, start // BLOCK_SIZE), m)
 
-    blocks = range((n + BLOCK_SIZE - 1) // BLOCK_SIZE)
-    if config.worker_count == 1 or len(blocks) == 1:
-        for block in blocks:
-            work(block)
-    else:
-        with ThreadPoolExecutor(max_workers=config.worker_count) as pool:
-            list(pool.map(work, blocks))  # re-raises a block's exception
+    for _ in _in_order(n, config.worker_count, write):
+        pass
     return out
 
 
 def sample_canonical(n: int, config: SamplerConfig = SamplerConfig()) -> np.ndarray:
     """Chamber coordinates of ``n`` random gates, shape (n, 3)."""
-    if config.method == "coordinate_density":
-        return _run_blocks(n, config, _chamber_block, (3,), float)
-    return _run_blocks(n, config, _oracle_coords_block, (3,), float)
+    return _fill(n, config, _canonical_kernel(config), (3,), float)
 
 
 def sample_gates(n: int, config: SamplerConfig = SamplerConfig()) -> np.ndarray:
     """Random gate matrices, shape (n, 4, 4)."""
-    if config.method == "coordinate_density":
-        return _run_blocks(n, config, _assembled_block, (4, 4), complex)
-    return _run_blocks(n, config, _matrix_block, (4, 4), complex)
+    return _fill(n, config, _gates_kernel(config), (4, 4), complex)
 
 
 def sample_full_coords(n: int, config: SamplerConfig = SamplerConfig()) -> np.ndarray:
@@ -276,7 +339,7 @@ def sample_full_coords(n: int, config: SamplerConfig = SamplerConfig()) -> np.nd
     Only the coordinate sampler can produce these (the matrix oracle has
     no preferred chart point), so the configured method is ignored.
     """
-    return _run_blocks(n, config, _full_block, (15,), float)
+    return _fill(n, config, _full_block, (15,), float)
 
 
 def sample_invariants(n: int, config: SamplerConfig = SamplerConfig()) -> np.ndarray:
@@ -289,27 +352,67 @@ def sample_invariants(n: int, config: SamplerConfig = SamplerConfig()) -> np.nda
     of :func:`sample_canonical`'s to about 3e-15.
     """
     if config.method == "coordinate_density":
-        return g_from_c(sample_canonical(n, config))
-    return _run_blocks(n, config, _oracle_invariants_block, (3,), float)
+        return _fill(n, config, _chamber_invariants_block, (3,), float)
+    return _fill(n, config, _oracle_invariants_block, (3,), float)
+
+
+def _chunks(a: np.ndarray):
+    """``a`` in ``BLOCK_SIZE``-row chunks: an array read as the stream would
+    deliver it."""
+    for start in range(0, a.shape[0], BLOCK_SIZE):
+        yield a[start : start + BLOCK_SIZE]
+
+
+def _summary_terms(c: np.ndarray) -> tuple:
+    """Row count, perfect-entangler count, and the column sums of c and of
+    g of one block of chamber points.
+
+    The sums run over a C-ordered copy, whose column sums add the rows
+    in order whatever the layout the block came in.
+    """
+    c = np.ascontiguousarray(c)
+    pe = int(np.count_nonzero(is_perfect_entangler(c)))
+    return c.shape[0], pe, c.sum(axis=0), g_from_c(c).sum(axis=0)
+
+
+def _summary(terms) -> dict:
+    """The summary of a stream of :func:`_summary_terms`, merged in block order."""
+    count = pe = 0
+    sum_c = sum_g = np.zeros(3)
+    for k, p, block_c, block_g in terms:
+        count, pe = count + k, pe + p
+        sum_c, sum_g = sum_c + block_c, sum_g + block_g
+    return {
+        "count": count,
+        "pe_fraction": pe / count,
+        "mean_c": [float(v) for v in sum_c / count],
+        "mean_g": [float(v) for v in sum_g / count],
+    }
 
 
 def summarize_samples(coords: np.ndarray) -> dict:
     """Quick summary statistics of sampled chamber coordinates, shape (n, 3)
-    with n >= 1."""
+    with n >= 1.
+
+    The input is reduced in ``BLOCK_SIZE``-row chunks, and the chunks' sums
+    merged in order, so ``sample --format summary``, which reduces the
+    sampler's stream block by block, gives the same bits.
+    """
     coords = np.asarray(coords, dtype=float)
     if coords.ndim != 2 or coords.shape[0] == 0 or coords.shape[1] != 3:
         raise ValidationError(
             f"expected coordinates of shape (n, 3) with n >= 1, got {coords.shape}"
         )
-    g = g_from_c(coords)
-    pe = is_perfect_entangler(coords)
-    n = coords.shape[0]
-    return {
-        "count": int(n),
-        "pe_fraction": float(np.count_nonzero(pe)) / n,
-        "mean_c": [float(v) for v in coords.mean(axis=0)],
-        "mean_g": [float(v) for v in g.mean(axis=0)],
-    }
+    return _summary(map(_summary_terms, _chunks(coords)))
+
+
+def _summarize_stream(n, config: SamplerConfig) -> dict:
+    """``summarize_samples(sample_canonical(n, config))``, bit for bit,
+    with each block reduced in its worker."""
+    kernel = _canonical_kernel(config)
+    return _summary(
+        terms for _, terms in _blocks(n, config, lambda rng, m: _summary_terms(kernel(rng, m)))
+    )
 
 
 def _sink(path_or_file, newline=None):
@@ -325,21 +428,38 @@ def _row_chunks(*arrays):
         yield zip(*(a[start : start + _CHUNK].tolist() for a in arrays))
 
 
+def _write_csv(path, blocks) -> None:
+    """The CSV rows of a stream of coordinate blocks, each written as it comes."""
+    with _sink(path, newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["c1", "c2", "c3", "g1", "g2", "g3", "is_pe"])
+        for coords in blocks:
+            g = g_from_c(coords)
+            pe = is_perfect_entangler(coords).astype(int)
+            # csv writes a float as str(), its shortest round-trip form.
+            for rows in _row_chunks(coords, g, pe):
+                writer.writerows([*ci, *gi, flag] for ci, gi, flag in rows)
+
+
+def _write_jsonl(path, blocks) -> None:
+    """The JSON lines of a stream of unitary blocks, each written as it comes."""
+    with _sink(path) as fh:
+        for gates in blocks:
+            c = _spectral_coords(gates)  # before the matrix copy, whose peak it would add to
+            # A complex entry viewed as two floats is its [re, im] pair.
+            matrix = np.ascontiguousarray(gates).view(float).reshape(*gates.shape, 2)
+            fields = {"matrix": matrix, "c": c, "g": g_from_c(c), "is_pe": is_perfect_entangler(c)}
+            for rows in _row_chunks(*fields.values()):
+                fh.writelines(json.dumps(dict(zip(fields, row))) + "\n" for row in rows)
+
+
 def export_csv(path, coords: np.ndarray) -> None:
     """Write samples as CSV rows ``c1,c2,c3,g1,g2,g3,is_pe``.
 
     ``path`` may also be an open text stream.  Floats use their shortest
     round-trip representation; the perfect-entangler flag is 1 or 0.
     """
-    coords = np.asarray(coords, dtype=float)
-    g = g_from_c(coords)
-    pe = is_perfect_entangler(coords).astype(int)
-    with _sink(path, newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["c1", "c2", "c3", "g1", "g2", "g3", "is_pe"])
-        # csv writes a float as str(), its shortest round-trip form.
-        for rows in _row_chunks(coords, g, pe):
-            writer.writerows([*ci, *gi, flag] for ci, gi, flag in rows)
+    _write_csv(path, _chunks(np.asarray(coords, dtype=float)))
 
 
 def export_jsonl(path, gates: np.ndarray) -> None:
@@ -348,13 +468,19 @@ def export_jsonl(path, gates: np.ndarray) -> None:
     ``path`` may also be an open text stream; every matrix must be
     unitary.  Each line carries the matrix in the ``[[re, im], ...]`` grid
     format, its canonical coordinates ``c``, invariant triple ``g`` and
-    perfect-entangler flag ``is_pe``.
+    perfect-entangler flag ``is_pe``.  The stack is converted in
+    ``BLOCK_SIZE``-row chunks, as ``sample --format jsonl`` converts the
+    sampler's blocks, so a final chunk of fewer than
+    ``invariants._JACOBI_MIN_ROWS`` rows takes the ``eigvals`` route.
     """
-    gates = require_unitary_stack(gates, what="gate stack")
-    # A complex entry viewed as two floats is its [re, im] pair.
-    matrix = np.ascontiguousarray(gates).view(float).reshape(*gates.shape, 2)
-    c = _spectral_coords(gates)
-    fields = {"matrix": matrix, "c": c, "g": g_from_c(c), "is_pe": is_perfect_entangler(c)}
-    with _sink(path) as fh:
-        for rows in _row_chunks(*fields.values()):
-            fh.writelines(json.dumps(dict(zip(fields, row))) + "\n" for row in rows)
+    _write_jsonl(path, _chunks(require_unitary_stack(gates, what="gate stack")))
+
+
+def _export_stream(path, fmt: str, n, config: SamplerConfig) -> None:
+    """``export_csv`` of ``sample_canonical(n, config)`` or, for ``jsonl``,
+    ``export_jsonl`` of ``sample_gates(n, config)``, each block written as
+    soon as it and every earlier block are done.  ``n`` is checked before
+    anything is written."""
+    kernel = _gates_kernel(config) if fmt == "jsonl" else _canonical_kernel(config)
+    blocks = (block for _, block in _blocks(n, config, kernel))
+    (_write_jsonl if fmt == "jsonl" else _write_csv)(path, blocks)

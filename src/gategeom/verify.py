@@ -102,7 +102,12 @@ def _check_pe_quadrature(seed, full):
 def _check_pe_mc(seed, full):
     n = 1_000_000 if full else 100_000
     cfg = smp.SamplerConfig(seed=seed, method="coordinate_density")
-    frac = vol.is_perfect_entangler(smp.sample_canonical(n, cfg)).mean()
+    kernel = smp._canonical_kernel(cfg)
+
+    def count(rng, m):
+        return np.count_nonzero(vol.is_perfect_entangler(kernel(rng, m)))
+
+    frac = sum(k for _, k in smp._blocks(n, cfg, count)) / n
     se = np.sqrt(vol.PE_VOLUME_CLOSED * (1 - vol.PE_VOLUME_CLOSED) / n)
     dev = abs(frac - vol.PE_VOLUME_CLOSED)
     return dev < 5 * se, f"fraction {frac:.6f}, {dev / se:.2f} standard errors off"
@@ -263,8 +268,16 @@ def _check_bin_grid(seed, full, bin_grid):
 def _check_chi_square(seed, full, bin_grid):
     n = 1_000_000 if full else 200_000
     cfg = smp.SamplerConfig(seed=seed + 5, method="coordinate_density")
-    c = smp.sample_canonical(n, cfg)
-    pval = chi_square_pvalue(c, bin_grid())
+    kernel = smp._canonical_kernel(cfg)
+    probabilities = bin_grid()
+    edges = _bin_edges(probabilities.shape)
+
+    def histogram(rng, m):
+        return np.histogramdd(kernel(rng, m), bins=edges)[0]
+
+    # Integer-valued counts: their sum does not depend on the order.
+    counts = sum(h for _, h in smp._blocks(n, cfg, histogram))
+    pval = _counts_pvalue(counts, n, probabilities)
     return pval > 0.01, f"chi-square p-value {pval:.4f} on {n} samples"
 
 
@@ -344,14 +357,21 @@ def chi_square_pvalue(coords: np.ndarray, probabilities: np.ndarray) -> float:
     cell, the standard guard for the asymptotic distribution.  The
     p-value is Q(dof / 2, chi^2 / 2) for dof one less than the cells.
     """
-    n1 = probabilities.shape[0]
-    n = coords.shape[0]
-    edges = (
-        np.linspace(0.0, np.pi, n1 + 1),
-        np.linspace(0.0, np.pi / 2, probabilities.shape[1] + 1),
-        np.linspace(0.0, np.pi / 2, probabilities.shape[2] + 1),
+    counts, _ = np.histogramdd(coords, bins=_bin_edges(probabilities.shape))
+    return _counts_pvalue(counts, coords.shape[0], probabilities)
+
+
+def _bin_edges(shape) -> tuple:
+    """Cell edges of a bin grid of ``shape`` over [0, pi] x [0, pi/2]^2."""
+    return (
+        np.linspace(0.0, np.pi, shape[0] + 1),
+        np.linspace(0.0, np.pi / 2, shape[1] + 1),
+        np.linspace(0.0, np.pi / 2, shape[2] + 1),
     )
-    counts, _ = np.histogramdd(coords, bins=edges)
+
+
+def _counts_pvalue(counts: np.ndarray, n: int, probabilities: np.ndarray) -> float:
+    """:func:`chi_square_pvalue` of ``n`` samples with these cell counts."""
     expected = probabilities * n
     big = expected >= _MIN_EXPECTED
     f_obs = np.concatenate([counts[big], [counts[~big].sum()]])

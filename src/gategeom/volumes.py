@@ -28,7 +28,7 @@ from .errors import ConsistencyError, RangeError, ValidationError
 from .geometry import weyl_density
 from .invariants import g_from_c
 from .quadrature import REGION_ORDER, _box_abs_mass, _box_clipped_mass, _integrate_line, _pe_mass
-from .sampling import SamplerConfig, sample_canonical
+from .sampling import SamplerConfig, _blocks, _canonical_kernel, _sample_count
 
 #: Exact mass of the perfect-entangler wedge.
 PE_VOLUME_CLOSED = 8.0 / (3.0 * np.pi)
@@ -483,6 +483,15 @@ def _cube_orbit_multiplicity(c: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> n
     return total / 2.0
 
 
+def _mc_sample_count(samples) -> int:
+    """``samples`` as an int, if it is an integer of at least two: the
+    standard error of a Monte-Carlo mass needs two samples."""
+    n = _sample_count(samples)
+    if n < 2:
+        raise ValidationError(f"a Monte-Carlo mass needs at least 2 samples, got {n}")
+    return n
+
+
 def region_volume_mc(
     region: Region, samples: int = 1_000_000, seed: int = 0, worker_count: int = 1
 ) -> VolumeResult:
@@ -493,9 +502,24 @@ def region_volume_mc(
     standard error).  Unclipped coordinate cubes instead average the
     reflected-copy count, matching the closed cube forms, with the
     sample standard error of that weight.
+
+    Each block's weights are reduced in its worker to their sum and sum of
+    squares.  Every weight is a multiple of 1/2, so both sums are exact in
+    any order, the value is the mean of all the weights bit for bit, and
+    memory does not grow with ``samples`` (at least 2).
     """
-    c = sample_canonical(samples, SamplerConfig(seed=seed, worker_count=worker_count))
-    w = region.weights(c)
-    value = float(w.mean())
-    se = float(w.std(ddof=1)) / math.sqrt(samples) if samples > 1 else 0.0
-    return VolumeResult(value, se)
+    n = _mc_sample_count(samples)
+    config = SamplerConfig(seed=seed, worker_count=worker_count)
+    kernel = _canonical_kernel(config)
+
+    def moments(rng, m):
+        w = region.weights(kernel(rng, m))
+        # Not w @ w: a BLAS call in a worker contends with BLAS's own threads.
+        return float(w.sum()), float((w * w).sum())
+
+    total = squares = 0.0
+    for _, (s1, s2) in _blocks(n, config, moments):
+        total += s1
+        squares += s2
+    variance = max(squares - total * total / n, 0.0) / (n - 1)
+    return VolumeResult(total / n, math.sqrt(variance / n))

@@ -338,6 +338,31 @@ class TestVolumeCommands:
         )
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize(
+        "args,message",
+        [
+            (["pe", "--seed", "-1"], "seed must be a non-negative integer"),
+            (["cube", "--gate", "cnot", "--side", "0.1", "--samples", "0"], "sample count"),
+            (["pe", "--samples", "1"], "at least 2 samples"),
+            (["pe", "--threads", "-2"], "worker_count"),
+        ],
+    )
+    def test_monte_carlo_options_are_checked_whatever_the_methods(self, runner, args, message):
+        """With the default closed,quadrature methods these printed a report
+        and exited 0; only --methods mc rejected them."""
+        result = runner.invoke(cli, ["volume", *args])
+        assert result.exit_code == 2
+        assert message in result.stderr
+        assert result.stdout == ""
+
+    def test_one_sample_gives_no_monte_carlo_error(self, runner):
+        """It printed mc_error 0 and agreement false, then exited 0."""
+        result = runner.invoke(
+            cli, ["volume", "pe", "--methods", "closed,mc", "--samples", "1", "--json"]
+        )
+        assert result.exit_code == 2
+        assert "at least 2 samples" in result.stderr
+
 
 class TestSampleCommand:
     def test_runs_are_reproducible(self, runner):

@@ -7,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.spatial import ConvexHull
 
+from gategeom import quadrature
 from gategeom.errors import ValidationError
 from gategeom.geometry import weyl_density
 from gategeom.quadrature import (
@@ -204,7 +205,28 @@ def bins():
     return bin_probabilities()
 
 
+def bin_probabilities_every_cell():
+    """The bin grid with every cell integrated, c1 > pi/2 included."""
+    n = quadrature._BINS
+    e1 = np.linspace(0.0, np.pi, n + 1)
+    e2 = np.linspace(0.0, np.pi / 2, n + 1)
+    rows, groups = [], []
+    for i, j in itertools.product(range(n), range(n)):
+        for k in range(j + 1):
+            cell = _clipped_blocks((e1[i], e2[j], e2[k]), (e1[i + 1], e2[j + 1], e2[k + 1]))
+            rows += cell
+            groups += [(i * n + j) * n + k] * len(cell)
+    out = _integrate(weyl_density, rows, quadrature._BIN_ORDER, np.array(groups), n**3)
+    return out.reshape(n, n, n)
+
+
 class TestBinProbabilities:
+    def test_mirrored_half_matches_every_cell_integrated(self, bins):
+        """Cell i along c1 is the mirror of cell 29 - i; measured worst
+        deviation from integrating it 2.8e-18."""
+        assert np.array_equal(bins, bins[::-1])
+        np.testing.assert_allclose(bins, bin_probabilities_every_cell(), rtol=0, atol=1e-17)
+
     def test_partition_of_unity(self):
         P = bin_probabilities()
         assert P.shape == (30, 30, 30)

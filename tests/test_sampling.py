@@ -2,15 +2,19 @@ import csv
 import io
 import json
 import math
+import os
+import sys
 import tracemalloc
 
 import mpmath
 import numpy as np
 import pytest
+from click.testing import CliRunner
 from scipy.stats import ks_2samp, kstest
 
 from conftest import matrix_to_json_dict, same_bits
 from gategeom import invariants, sampling
+from gategeom.cli import cli
 from gategeom.coords import in_weyl_chamber
 from gategeom.errors import ValidationError
 from gategeom.gates import load_matrix_json
@@ -22,9 +26,15 @@ from gategeom.sampling import (
     _ACCEPT_RATE,
     _alpha_from_uniform,
     _block_rng,
+    _assembled_block,
     _chamber_block,
+    _export_stream,
+    _full_block,
     _haar_columns,
+    _matrix_block,
     _oracle_coords_block,
+    _oracle_invariants_block,
+    _summarize_stream,
     export_csv,
     export_jsonl,
     sample_canonical,
@@ -34,7 +44,7 @@ from gategeom.sampling import (
     summarize_samples,
 )
 from gategeom.verify import _ks_2samp_pvalue
-from gategeom.volumes import PE_VOLUME_CLOSED, is_perfect_entangler
+from gategeom.volumes import PE_VOLUME_CLOSED, Region, is_perfect_entangler, region_volume_mc
 
 
 def rotation_angle_cdf(alpha):
@@ -305,8 +315,9 @@ class TestBlockKernels:
 
     def test_oracle_coordinate_block_peak_memory(self):
         """Gram-Schmidt in place and no (n, 4, 4) stack in the kernel: the
-        block's own arrays are 4 MB of matrices and their spectra."""
-        assert block_peak(_oracle_coords_block) <= 16e6
+        block's own arrays are 4 MB of matrices, overwritten with V and
+        released before the sweeps, and their spectra (measured 8.4 MB)."""
+        assert block_peak(_oracle_coords_block) <= 9.5e6
 
     def test_chamber_block_peak_memory(self):
         """Proposals are tested a chunk at a time; the output is 0.4 MB."""
@@ -511,3 +522,253 @@ class TestExports:
         gates[2, 0, 0] += 1e-6
         with pytest.raises(ValidationError, match="index 2"):
             export_jsonl(tmp_path / "x.jsonl", gates)
+
+
+# --- the ordered block stream -------------------------------------------------
+
+
+def run_blocks_reference(n, config, block_fn, row_shape, dtype):
+    """The serial loop that wrote each block into one preallocated output,
+    before every sampler read one ordered stream."""
+    out = np.empty((n, *row_shape), dtype=dtype)
+    for block in range((n + BLOCK_SIZE - 1) // BLOCK_SIZE):
+        start = block * BLOCK_SIZE
+        stop = min(start + BLOCK_SIZE, n)
+        out[start:stop] = block_fn(_block_rng(config.seed, block), stop - start)
+    return out
+
+
+def upper_congruence_reference(u):
+    """m = U_B^T U_B as its upper triangle, with V = U B formed in a second
+    array summed from zero: the kernel whose bits the in-place V keeps."""
+    v = np.zeros_like(u)
+    for k, j in zip(*np.nonzero(invariants._MAGIC_BASIS)):
+        v[:, j] += invariants._MAGIC_BASIS[k, j] * u[:, k]
+    m = np.empty((10, u.shape[2]), dtype=complex)
+    for row, (i, j) in enumerate(invariants._UPPER_PAIRS):
+        m[row] = (v[0, i] * v[3, j] - v[1, i] * v[2, j]) + (v[0, j] * v[3, i] - v[1, j] * v[2, i])
+    return m
+
+
+#: Each sampler with its block kernel and row layout, as the reference loop
+#: called them.
+REFERENCE_SAMPLERS = {
+    "canonical-oracle": (sample_canonical, "matrix_oracle", _oracle_coords_block, (3,), float),
+    "canonical-coordinate": (sample_canonical, "coordinate_density", _chamber_block, (3,), float),
+    "gates-oracle": (sample_gates, "matrix_oracle", _matrix_block, (4, 4), complex),
+    "gates-coordinate": (sample_gates, "coordinate_density", _assembled_block, (4, 4), complex),
+    "invariants-oracle": (sample_invariants, "matrix_oracle", _oracle_invariants_block, (3,), float),
+    "full-coords": (sample_full_coords, "matrix_oracle", _full_block, (15,), float),
+}
+
+
+#: Rows per block where a test patches ``BLOCK_SIZE`` to keep text
+#: conversion quick; still above the Jacobi route's threshold.
+SHORT_BLOCK = 1024
+
+
+def traced_peak(fn):
+    """tracemalloc peak of ``fn()``, after one untraced call."""
+    fn()
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestBlockStream:
+    @pytest.mark.parametrize("n", [1, 223, 224, 16383, 16385, 40000])
+    @pytest.mark.parametrize("name", sorted(REFERENCE_SAMPLERS))
+    def test_samplers_match_the_preallocated_reference(self, monkeypatch, name, n):
+        """Bit for bit, signs of zeros included, at 1, 2 and 4 workers; the
+        oracle references form V in a second array, as before the in-place V."""
+        sampler, method, block_fn, row_shape, dtype = REFERENCE_SAMPLERS[name]
+        got = {w: sampler(n, SamplerConfig(seed=37, worker_count=w, method=method)) for w in (1, 2, 4)}
+        monkeypatch.setattr(invariants, "_upper_congruence", upper_congruence_reference)
+        want = run_blocks_reference(n, SamplerConfig(seed=37), block_fn, row_shape, dtype)
+        for w, out in got.items():
+            assert same_bits(out, want), w
+
+    @pytest.mark.parametrize("n", [1, 224, 16385])
+    def test_coordinate_invariants_match_the_reference(self, n):
+        config = SamplerConfig(seed=38, method="coordinate_density")
+        want = g_from_c(run_blocks_reference(n, config, _chamber_block, (3,), float))
+        for w in (1, 2, 4):
+            config = SamplerConfig(seed=38, worker_count=w, method="coordinate_density")
+            assert same_bits(sample_invariants(n, config), want), w
+
+    def test_in_place_v_keeps_the_bits_of_a_sum_from_zero(self):
+        """Structured stacks whose zeros carry both signs: the in-place V and
+        its m equal the second array summed from zero, signs of zeros too."""
+        eye, cnot = np.eye(4, dtype=complex), np.eye(4, dtype=complex)[[0, 1, 3, 2]]
+        points = [eye, -eye, cnot, -1j * cnot, np.diag([1, 1j, 1j, 1]), np.diag([-1, 1, 1, -1j])]
+        signed = np.stack(points).copy()
+        signed[np.abs(signed) == 0] = complex(-0.0, -0.0)
+        stack = np.concatenate([np.stack(points), signed, -signed.conj()])
+        u = np.ascontiguousarray(np.tile(stack, (20, 1, 1)).transpose(1, 2, 0))
+        reference_m = upper_congruence_reference(u)
+        v = np.zeros_like(u)
+        for k, j in zip(*np.nonzero(invariants._MAGIC_BASIS)):
+            v[:, j] += invariants._MAGIC_BASIS[k, j] * u[:, k]
+        m = invariants._upper_congruence(u)
+        assert same_bits(u, v) and same_bits(m, reference_m)
+
+    @pytest.mark.parametrize("n", [224, 300])
+    def test_column_layout_of_a_caller_is_not_overwritten(self, n):
+        """A transposed view of a contiguous (4, 4, n) stack reaches the
+        Jacobi route uncopied; only the sampler's own blocks are overwritten."""
+        u = np.ascontiguousarray(sample_gates(n, SamplerConfig(seed=39)).transpose(1, 2, 0))
+        before = u.copy()
+        c = canonical_coords_batch(u.transpose(2, 0, 1))
+        g = _makhlin_batch(u.transpose(2, 0, 1))
+        export_jsonl(io.StringIO(), u.transpose(2, 0, 1))
+        assert same_bits(u, before)
+        assert same_bits(c, canonical_coords_batch(before.transpose(2, 0, 1).copy()))
+        assert same_bits(g, _makhlin_batch(before.transpose(2, 0, 1).copy()))
+
+    def test_stacks_of_a_caller_are_not_overwritten(self):
+        gates = sample_gates(BLOCK_SIZE + 500, SamplerConfig(seed=40))
+        before = gates.copy()
+        canonical_coords_batch(gates)
+        export_jsonl(io.StringIO(), gates)
+        assert same_bits(gates, before)
+
+    def test_oracle_invariant_block_peak_memory(self):
+        """V is formed in place of the block, which is released before the
+        trace sums: no second 4 MB copy of the matrices."""
+        assert block_peak(_oracle_invariants_block) <= 9.5e6
+
+    @pytest.mark.parametrize("method", ["matrix_oracle", "coordinate_density"])
+    def test_summary_stream_is_the_summary_of_the_array(self, method):
+        n = 2 * BLOCK_SIZE + 5
+        want = summarize_samples(sample_canonical(n, SamplerConfig(seed=41, method=method)))
+        for w in (1, 2, 4):
+            assert _summarize_stream(n, SamplerConfig(seed=41, worker_count=w, method=method)) == want
+
+    @pytest.mark.parametrize("n", [2 * SHORT_BLOCK + 5, 2 * SHORT_BLOCK + 300])
+    def test_exports_of_the_stream_are_the_exports_of_the_arrays(self, monkeypatch, n):
+        """The first n has a final block on the eigvals route; the array
+        exporter converts in the same chunks, so it matches either way.
+        Short blocks keep the JSON conversion quick."""
+        monkeypatch.setattr(sampling, "BLOCK_SIZE", SHORT_BLOCK)
+        csv_want, jsonl_want = io.StringIO(), io.StringIO()
+        export_csv(csv_want, sample_canonical(n, SamplerConfig(seed=42)))
+        export_jsonl(jsonl_want, sample_gates(n, SamplerConfig(seed=42)))
+        for w in (1, 2):
+            config = SamplerConfig(seed=42, worker_count=w)
+            for fmt, want in (("csv", csv_want), ("jsonl", jsonl_want)):
+                got = io.StringIO()
+                _export_stream(got, fmt, n, config)
+                assert got.getvalue() == want.getvalue(), (fmt, w)
+
+    def test_whole_jsonl_blocks_keep_their_bytes(self):
+        """Only a final block shorter than the Jacobi route's threshold may
+        differ from a conversion of the whole stack, and within 1e-14."""
+        n = BLOCK_SIZE + 3
+        gates = sample_gates(n, SamplerConfig(seed=43))
+        got = io.StringIO()
+        _export_stream(got, "jsonl", n, SamplerConfig(seed=43))
+        lines = got.getvalue().splitlines(keepends=True)
+        assert "".join(lines[:BLOCK_SIZE]) == jsonl_row_by_row(gates[:BLOCK_SIZE])
+        whole = canonical_coords_batch(gates)[BLOCK_SIZE:]
+        tail = np.array([json.loads(line)["c"] for line in lines[BLOCK_SIZE:]])
+        np.testing.assert_allclose(tail, whole, rtol=0, atol=1e-14)
+
+    def test_region_mass_is_the_mean_weight(self):
+        """Σw / n is w.mean() bit for bit: every weight is a multiple of 1/2."""
+        n = 2 * BLOCK_SIZE + 77
+        c = sample_canonical(n, SamplerConfig(seed=44))
+        for region in (Region("pe"), Region("cube_c", (np.pi / 2, np.pi / 4, 0.0), 0.3, clip="unclipped")):
+            w = region.weights(c)
+            results = {wc: region_volume_mc(region, samples=n, seed=44, worker_count=wc) for wc in (1, 2, 4)}
+            assert len(set(results.values())) == 1
+            assert results[1].value == float(w.mean())
+            assert results[1].error_estimate == pytest.approx(
+                float(w.std(ddof=1)) / math.sqrt(n), rel=1e-12
+            )
+
+    def test_window_bounds_the_blocks_held(self, monkeypatch):
+        """At most worker_count blocks beyond the consumer's are drawn."""
+        drawn, held = [], []
+
+        def kernel(rng, m):
+            drawn.append(m)
+            return m
+
+        config = SamplerConfig(worker_count=3)
+        for i, (start, _) in enumerate(sampling._blocks(12 * BLOCK_SIZE, config, kernel)):
+            assert start == i * BLOCK_SIZE
+            held.append(len(drawn) - (i + 1))
+        assert len(drawn) == 12 and max(held) <= 3
+
+    def test_a_consumer_that_stops_early_waits_for_the_window_only(self):
+        drawn = []
+
+        def kernel(rng, m):
+            drawn.append(m)
+            return m
+
+        stream = sampling._blocks(64 * BLOCK_SIZE, SamplerConfig(worker_count=4), kernel)
+        next(stream)
+        stream.close()  # waits for the blocks already running
+        assert len(drawn) <= 5
+
+    def test_many_workers_with_frequent_switches(self):
+        """More workers than cores, switching threads every microsecond:
+        each worker writes only its own rows of the shared output."""
+        n = 10 * BLOCK_SIZE + 17
+        want = sample_canonical(n, SamplerConfig(seed=48, method="coordinate_density"))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = sample_canonical(n, SamplerConfig(seed=48, worker_count=8, method="coordinate_density"))
+        finally:
+            sys.setswitchinterval(interval)
+        assert same_bits(got, want)
+
+    @pytest.mark.parametrize("n", [2.5, 1e3, True, "7", None])
+    def test_counts_are_integers(self, n):
+        with pytest.raises(ValidationError, match="sample count must be a positive integer"):
+            sample_canonical(n)
+
+    def test_a_failed_block_is_raised_in_the_consumer(self):
+        def kernel(rng, m):
+            raise ArithmeticError("block failed")
+
+        with pytest.raises(ArithmeticError, match="block failed"):
+            list(sampling._blocks(4 * BLOCK_SIZE, SamplerConfig(worker_count=2), kernel))
+
+
+class TestBoundedMemory:
+    """Peaks with one worker at two sample counts a factor of 4 apart."""
+
+    def assert_flat(self, run):
+        """Two blocks against eight, of whatever size the stream has."""
+        block = sampling.BLOCK_SIZE
+        small, large = traced_peak(lambda: run(2 * block)), traced_peak(lambda: run(8 * block))
+        assert large <= 1.1 * small, (small, large)
+
+    @pytest.mark.parametrize(
+        "region",
+        [Region("pe"), Region("cube_c", (np.pi / 2, np.pi / 4, 0.0), 0.3, clip="unclipped")],
+        ids=["pe", "b-gate-cube"],
+    )
+    def test_region_volume_mc(self, region):
+        self.assert_flat(lambda n: region_volume_mc(region, samples=n, seed=45))
+
+    @pytest.mark.parametrize("fmt", ["summary", "csv", "jsonl"])
+    def test_sample_command(self, monkeypatch, fmt):
+        """On short blocks, which keep the traced text conversion quick."""
+        monkeypatch.setattr(sampling, "BLOCK_SIZE", SHORT_BLOCK)
+        runner = CliRunner()
+
+        def run(n):
+            args = ["sample", "-n", str(n), "--threads", "1", "--format", fmt, "-o", os.devnull]
+            assert runner.invoke(cli, args).exit_code == 0
+
+        self.assert_flat(run)
+
+    def test_summary_of_the_stream_holds_no_samples(self):
+        self.assert_flat(lambda n: _summarize_stream(n, SamplerConfig(seed=46)))

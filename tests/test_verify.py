@@ -140,6 +140,24 @@ class TestRunChecks:
         assert "raised" in results[0].detail
 
 
+class TestBlockReducers:
+    """The checks that reduce the sampler's stream block by block give the
+    details of the array path."""
+
+    def test_pe_count_is_the_array_fraction(self):
+        passed, detail = gategeom.verify._check_pe_mc(3, False)
+        cfg = SamplerConfig(seed=3, method="coordinate_density")
+        frac = gategeom.volumes.is_perfect_entangler(sample_canonical(100_000, cfg)).mean()
+        assert passed and detail.startswith(f"fraction {frac:.6f}, ")
+
+    def test_chi_square_histogram_is_the_array_histogram(self):
+        probabilities = bin_probabilities()
+        passed, detail = gategeom.verify._check_chi_square(3, False, lambda: probabilities)
+        cfg = SamplerConfig(seed=8, method="coordinate_density")
+        pval = chi_square_pvalue(sample_canonical(200_000, cfg), probabilities)
+        assert passed and detail == f"chi-square p-value {pval:.4f} on 200000 samples"
+
+
 class TestChiSquare:
     def test_true_samples_pass(self):
         coords = sample_canonical(100_000, SamplerConfig(seed=31))

@@ -461,6 +461,16 @@ class TestRegionMonteCarlo:
         four = region_volume_mc(region, samples=50_000, seed=8, worker_count=4)
         assert one.value == four.value
 
+    @pytest.mark.parametrize("samples", [1, 0, -5, 2.5, 1e3, True])
+    def test_sample_count_is_an_integer_of_at_least_two(self, samples):
+        """One sample gave VolumeResult(1.0, 0.0): an error from no spread."""
+        with pytest.raises(ValidationError, match="sample|samples"):
+            region_volume_mc(Region("pe"), samples=samples)
+
+    def test_two_samples_give_an_error_estimate(self):
+        result = region_volume_mc(Region("pe"), samples=2, seed=1)
+        assert result.value in (0.0, 0.5, 1.0) and math.isfinite(result.error_estimate)
+
     def test_region_validation(self):
         with pytest.raises(ValidationError):
             Region("sphere_g", (0.0, 0.0, 0.0), 0.1, clip="unclipped")
