@@ -51,7 +51,8 @@ _TIE_TOL = 1e-13
 
 #: Stacks of at least this many rows take the Jacobi route, which works on
 #: whole-stack arrays; below it one LAPACK call per matrix is cheaper.  Set
-#: from the measured crossover (README, "Canonical coordinates").
+#: from the measured crossover (README, "Canonical coordinates").  Sampler
+#: blocks take the Jacobi route at every length.
 _JACOBI_MIN_ROWS = 224
 #: Cyclic Jacobi sweeps.  Fixed, so that a row's result never depends on
 #: the rest of its stack.  Four converge every measured family and all but
@@ -160,17 +161,29 @@ def canonical_coords_batch(U) -> np.ndarray:
     return _spectral_coords(require_unitary_stack(U))
 
 
-def _spectral_coords(U: np.ndarray, owned: bool = False) -> np.ndarray:
+def _spectral_coords(U: np.ndarray) -> np.ndarray:
     """:func:`canonical_coords_batch` of a stack already known to be unitary.
 
     Stacks of fewer than ``_JACOBI_MIN_ROWS`` rows take LAPACK's ``det``
-    and ``eigvals`` per matrix, larger ones the Jacobi route; the two agree
-    to about 1e-15.  ``owned`` as in :func:`_det_and_congruence`.
+    and ``eigvals`` per matrix, larger ones :func:`_column_coords` of a
+    copy; the two agree to about 1e-15.
     """
-    det, m = _det_and_congruence(U, owned)
-    del U  # an owned stack is released before the sweeps
-    eig = np.linalg.eigvals(m) if m.ndim == 3 else _jacobi_spectrum(m)
-    del m
+    if U.shape[0] >= _JACOBI_MIN_ROWS:
+        return _column_coords(U.transpose(1, 2, 0).copy())
+    det, m = _det_and_congruence(U)
+    return _fold(np.linalg.eigvals(m), det)
+
+
+def _column_coords(u: np.ndarray) -> np.ndarray:
+    """The Jacobi route on a unitary stack laid out (4, 4, n), which the
+    caller gives up: ``u`` becomes V = U B and is released before the sweeps."""
+    det, m = _laplace_det(u), _upper_congruence(u)
+    del u
+    return _fold(_jacobi_spectrum(m), det)
+
+
+def _fold(eig: np.ndarray, det: np.ndarray) -> np.ndarray:
+    """Chamber coordinates from the eigenvalues of m, (n, 4), and det U."""
     lam = np.arctan2(eig.imag, eig.real)  # np.angle, without its wrapper
     lam /= 2.0
     lam -= (np.arctan2(det.imag, det.real) / 4.0)[:, None]
@@ -185,52 +198,50 @@ def _spectral_coords(U: np.ndarray, owned: bool = False) -> np.ndarray:
     return c
 
 
-def _det_and_congruence(U: np.ndarray, owned: bool = False) -> tuple[np.ndarray, np.ndarray]:
-    """det U and m = U_B^T U_B of a unitary stack, by the route for its size.
-
-    Below ``_JACOBI_MIN_ROWS`` rows: LAPACK's ``det``, and m as an
-    (n, 4, 4) stack.  From there on: the Laplace expansion, and m as its
-    upper triangle, (10, n), both on length-n arrays of the column layout.
-    That route overwrites the column layout with V = U B: the caller's
-    own stack only if it is ``owned`` (the caller's to lose) and already
-    laid out as (4, 4, n), a copy of it otherwise.
-    """
-    if U.shape[0] < _JACOBI_MIN_ROWS:
-        V = U @ _MAGIC_BASIS
-        # m = V^T P V with P = conj(Q) Q^dag = antidiag(1, -1, -1, 1), so
-        # m = X + X^T with X = v0 v3^T - v1 v2^T: rows 0, 1 times rows 3, 2.
-        outer = V[:, :2, :, None] * V[:, 3:1:-1, None, :]
-        X = outer[:, 0] - outer[:, 1]
-        return np.linalg.det(U), X + X.transpose(0, 2, 1)
-    u = U.transpose(1, 2, 0)
-    if not (owned and u.flags.c_contiguous):
-        u = u.copy(order="C")
-    return _laplace_det(u), _upper_congruence(u)
+def _det_and_congruence(U: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """det U by LAPACK and m = U_B^T U_B as an (n, 4, 4) stack: the route of
+    stacks shorter than ``_JACOBI_MIN_ROWS``."""
+    V = U @ _MAGIC_BASIS
+    # m = V^T P V with P = conj(Q) Q^dag = antidiag(1, -1, -1, 1), so
+    # m = X + X^T with X = v0 v3^T - v1 v2^T: rows 0, 1 times rows 3, 2.
+    outer = V[:, :2, :, None] * V[:, 3:1:-1, None, :]
+    X = outer[:, 0] - outer[:, 1]
+    return np.linalg.det(U), X + X.transpose(0, 2, 1)
 
 
-def _makhlin_batch(U: np.ndarray, owned: bool = False) -> np.ndarray:
+def _makhlin_batch(U: np.ndarray) -> np.ndarray:
     """Invariant triples of a stack already known to be unitary, (n, 4, 4) -> (n, 3).
 
     Makhlin's trace formulas need no spectrum: G1 = tr^2(m) / (16 det U)
     and G2 = (tr^2(m) - tr(m^2)) / (4 det U), with g1 - i g2 = G1 and
     g3 = Re G2 (Makhlin, Quantum Inf. Process. 1, 243 (2002)).  m is
     symmetric, so tr(m^2) is the sum of its squared entries.  They agree
-    with ``g_from_c`` of the kernel's coordinates to about 3e-15.
-    ``owned`` as in :func:`_det_and_congruence`.
+    with ``g_from_c`` of the kernel's coordinates to about 3e-15.  Stacks
+    take the routes of :func:`_spectral_coords` for their size.
     """
-    det, m = _det_and_congruence(U, owned)
-    if m.ndim == 3:
-        tr = m.trace(axis1=1, axis2=2)
-        sq = (m * m).sum(axis=(1, 2))
-    else:  # the upper triangle: each off-diagonal entry stands for two
-        tr = sum(m[k] for k in _SYM_DIAG)
-        sq = sum(m[k] * m[k] for k in _SYM_DIAG) + 2.0 * sum(m[k] * m[k] for k in _SYM_OFF)
-    del m
+    if U.shape[0] >= _JACOBI_MIN_ROWS:
+        return _column_invariants(U.transpose(1, 2, 0).copy())
+    det, m = _det_and_congruence(U)
+    return _trace_invariants(det, m.trace(axis1=1, axis2=2), (m * m).sum(axis=(1, 2)))
+
+
+def _column_invariants(u: np.ndarray) -> np.ndarray:
+    """The trace formulas on a stack taken as :func:`_column_coords` takes it;
+    each off-diagonal entry of m's upper triangle stands for two."""
+    det, m = _laplace_det(u), _upper_congruence(u)
+    del u
+    tr = sum(m[k] for k in _SYM_DIAG)
+    sq = sum(m[k] * m[k] for k in _SYM_DIAG) + 2.0 * sum(m[k] * m[k] for k in _SYM_OFF)
+    return _trace_invariants(det, tr, sq)
+
+
+def _trace_invariants(det: np.ndarray, tr: np.ndarray, sq: np.ndarray) -> np.ndarray:
+    """(g1, g2, g3) from det U, tr(m) and tr(m^2), shape (n, 3)."""
     tr2 = tr * tr  # numpy rounds tr *= tr of one row unlike its rows in a stack
     w = 0.25 / det
     G1 = (0.25 * tr2) * w
     G2 = (tr2 - sq) * w
-    g = np.empty((U.shape[0], 3))
+    g = np.empty((det.shape[0], 3))
     g[:, 0] = G1.real
     np.negative(G1.imag, out=g[:, 1])
     g[:, 2] = G2.real

@@ -9,17 +9,11 @@ construction and owes nothing to the formulas under test — the
 distribution checks play the two against each other.
 
 Streams are split into fixed-size blocks of ``BLOCK_SIZE`` rows, each
-seeded from its own ``SeedSequence`` spawn key, so results are
-bit-identical for a given seed no matter how many workers run the
-blocks.  A block's rows depend on the seed, its index and its length
-only: the whole blocks of a call are, bit for bit, the first rows of any
-longer call with the same seed.  The final partial block promises no
-such match, since its draws depend on its length.  Within one call, if
-that block has fewer than ``invariants._JACOBI_MIN_ROWS`` rows, the
-oracle's coordinates of it come from the kernel's ``eigvals`` route and
-its invariants from LAPACK's ``det`` and the (m, 4, 4) congruence, and
-the rest of the call from the Laplace determinant and the column layout;
-either way the two agree within 1e-14.
+seeded from its own ``SeedSequence`` spawn key.  Row i of every sampler
+depends on the seed and i alone: a block draws its rows in order, and no
+arithmetic on a row looks at the block's length.  So a call is, bit for
+bit, the first rows of any longer call with the same seed, at any number
+of workers.
 
 Every consumer reads one ordered stream, :func:`_blocks`: (start, block)
 pairs in block order, with at most ``worker_count`` blocks finished or
@@ -43,7 +37,7 @@ from .coords import is_perfect_entangler
 from .errors import ValidationError
 from .gates import _assemble_batch, require_unitary_stack
 from .geometry import WEYL_DENSITY_MAX, weyl_density
-from .invariants import _laplace_det, _makhlin_batch, _spectral_coords, g_from_c
+from .invariants import _column_coords, _column_invariants, _laplace_det, g_from_c
 
 #: Samples per deterministic stream block.
 BLOCK_SIZE = 1 << 14
@@ -124,65 +118,62 @@ def _chamber_block(rng: np.random.Generator, m: int) -> np.ndarray:
     Proposals are uniform on the chamber: descending-sorted uniforms fill
     the half-cell with c1 <= pi/2, and a fair coin reflects c1 across
     pi/2 (the density is symmetric under that reflection).  Acceptance is
-    the density over its known maximum.  Each round's proposals are drawn
-    and tested ``_CHUNK`` rows at a time; once the block is full, the rest
-    of the round is still drawn, untested, so that the stream after the
-    block does not depend on where in the round it filled.
+    the density over its known maximum.  The rows are the first m accepted
+    proposals of the stream; each draw is what the rest of the block needs
+    at the acceptance rate, with a margin, at most ``_CHUNK`` proposals.
     """
     out = np.empty((3, m))
     u = np.empty((_CHUNK, 5))
     have = 0
     while have < m:
-        batch = max(256, int((m - have) / _ACCEPT_RATE * 1.15))
-        for start in range(0, batch, _CHUNK):
-            draw = u[: min(_CHUNK, batch - start)]
-            rng.random(out=draw)
-            if have == m:
-                continue
-            # A three-comparator sorting network puts the uniforms in
-            # descending order, one proposal per column of c.
-            x, y, z = draw[:, 0], draw[:, 1], draw[:, 2]
-            hi, lo = np.maximum(x, y), np.minimum(x, y)
-            mid = np.minimum(hi, z)
-            c = np.empty((3, draw.shape[0]))
-            np.maximum(hi, z, out=c[0])
-            np.maximum(mid, lo, out=c[1])
-            np.minimum(mid, lo, out=c[2])
-            c *= np.pi / 2
-            np.subtract(np.pi, c[0], out=c[0], where=draw[:, 3] < 0.5)
-            accepted = c[:, draw[:, 4] * WEYL_DENSITY_MAX < weyl_density(c.T)]
-            take = min(m - have, accepted.shape[1])
-            out[:, have : have + take] = accepted[:, :take]
-            have += take
+        draw = u[: min(_CHUNK, max(256, int((m - have) / _ACCEPT_RATE * 1.15)))]
+        rng.random(out=draw)
+        # A three-comparator sorting network puts the uniforms in
+        # descending order, one proposal per column of c.
+        x, y, z = draw[:, 0], draw[:, 1], draw[:, 2]
+        hi, lo = np.maximum(x, y), np.minimum(x, y)
+        mid = np.minimum(hi, z)
+        c = np.empty((3, draw.shape[0]))
+        np.maximum(hi, z, out=c[0])
+        np.maximum(mid, lo, out=c[1])
+        np.minimum(mid, lo, out=c[2])
+        c *= np.pi / 2
+        np.subtract(np.pi, c[0], out=c[0], where=draw[:, 3] < 0.5)
+        accepted = c[:, draw[:, 4] * WEYL_DENSITY_MAX < weyl_density(c.T)]
+        take = min(m - have, accepted.shape[1])
+        out[:, have : have + take] = accepted[:, :take]
+        have += take
     return out.T
 
 
 def _full_block(rng: np.random.Generator, m: int) -> np.ndarray:
-    """All fifteen coordinates: chamber triple then four rotation triples."""
+    """All fifteen coordinates.  The chamber triple reads the block's stream,
+    rotation slot k a copy of it jumped k + 1 times (2^128 draws a jump),
+    taken first: no slot depends on how many proposals the chamber drew."""
+    slots = [np.random.Generator(rng.bit_generator.jumped(k + 1)) for k in range(4)]
     out = np.empty((m, 15))
     out[:, 12:15] = _chamber_block(rng, m)
-    for slot in range(4):
-        out[:, 3 * slot : 3 * slot + 3] = _su2_block(rng, m)
+    for k, slot in enumerate(slots):
+        out[:, 3 * k : 3 * k + 3] = _su2_block(slot, m)
     return out
 
 
 def _haar_columns(rng: np.random.Generator, m: int) -> np.ndarray:
     """Haar unitaries laid out (4, 4, m), from a complex Ginibre block.
 
-    The draws are those of an (m, 4, 4) block, made and written into the
-    column layout ``_TILE`` rows at a time, so that each tile's transpose
-    reads it from cache.  Gram-Schmidt on the columns, each orthogonalised
-    twice to stay at round-off, is the QR factor whose R has a positive
-    diagonal, which is exactly Haar distributed; it runs in place, on
-    length-m arrays.
+    Row i reads normals 32 i to 32 i + 31, (re, im) entry by entry, drawn
+    and written into the column layout ``_TILE`` rows at a time, so that
+    each tile's transpose reads it from cache.  Gram-Schmidt on the
+    columns, each orthogonalised twice to stay at round-off, is the QR
+    factor whose R has a positive diagonal, which is exactly Haar
+    distributed; it runs in place, on length-m arrays.
     """
     u = np.empty((4, 4, m), dtype=complex)
-    draw = np.empty((min(m, _TILE), 4, 4))
-    for part in (u.real, u.imag):
-        for start in range(0, m, _TILE):
-            tile = draw[: min(_TILE, m - start)]
-            rng.standard_normal(out=tile)
-            part[..., start : start + _TILE] = tile.transpose(1, 2, 0)
+    draw = np.empty((min(m, _TILE), 4, 4, 2))
+    for start in range(0, m, _TILE):
+        tile = draw[: min(_TILE, m - start)]
+        rng.standard_normal(out=tile)
+        u[..., start : start + _TILE] = tile.view(complex)[..., 0].transpose(1, 2, 0)
     for j in range(4):
         v = u[:, j]
         for _ in range(2 if j else 0):
@@ -223,29 +214,15 @@ def _assembled_block(rng: np.random.Generator, m: int) -> np.ndarray:
 
 
 def _oracle_coords_block(rng: np.random.Generator, m: int) -> np.ndarray:
-    """Chamber coordinates of one block of Haar unitaries, shape (m, 3).
-
-    Unitary by construction, and the kernel strips the phase itself.  The
-    Jacobi route transposes the (m, 4, 4) view back, which gives it the
-    column layout itself, uncopied; the block is the kernel's to overwrite
-    (the second argument), and it forms V = U B in place.
-    """
-    return _spectral_coords(_haar_columns(rng, m).transpose(2, 0, 1), True)
+    """Chamber coordinates of one block of Haar unitaries, shape (m, 3), by
+    the kernel's Jacobi route, which takes the block uncopied."""
+    return _column_coords(_haar_columns(rng, m))
 
 
 def _oracle_invariants_block(rng: np.random.Generator, m: int) -> np.ndarray:
-    """Invariant triples of one block of Haar unitaries, shape (m, 3).
-
-    Makhlin's trace formulas on the column layout, uncopied and
-    overwritten, as in :func:`_oracle_coords_block`; no spectrum is
-    computed.
-    """
-    return _makhlin_batch(_haar_columns(rng, m).transpose(2, 0, 1), True)
-
-
-def _chamber_invariants_block(rng: np.random.Generator, m: int) -> np.ndarray:
-    """Invariant triples of one block of chamber samples, shape (m, 3)."""
-    return g_from_c(_chamber_block(rng, m))
+    """Invariant triples of one block of Haar unitaries, shape (m, 3), by
+    Makhlin's trace formulas on the uncopied block; no spectrum is computed."""
+    return _column_invariants(_haar_columns(rng, m))
 
 
 def _canonical_kernel(config: SamplerConfig):
@@ -260,6 +237,13 @@ def _gates_kernel(config: SamplerConfig):
     if config.method == "coordinate_density":
         return _assembled_block
     return _matrix_block
+
+
+def _invariants_kernel(config: SamplerConfig):
+    """The block kernel of :func:`sample_invariants` under ``config``."""
+    if config.method == "coordinate_density":
+        return lambda rng, m: g_from_c(_chamber_block(rng, m))
+    return _oracle_invariants_block
 
 
 def _sample_count(n) -> int:
@@ -351,9 +335,7 @@ def sample_invariants(n: int, config: SamplerConfig = SamplerConfig()) -> np.nda
     projection, and needs no eigenvalues; its rows agree with ``g_from_c``
     of :func:`sample_canonical`'s to about 3e-15.
     """
-    if config.method == "coordinate_density":
-        return _fill(n, config, _chamber_invariants_block, (3,), float)
-    return _fill(n, config, _oracle_invariants_block, (3,), float)
+    return _fill(n, config, _invariants_kernel(config), (3,), float)
 
 
 def _chunks(a: np.ndarray):
@@ -445,7 +427,7 @@ def _write_jsonl(path, blocks) -> None:
     """The JSON lines of a stream of unitary blocks, each written as it comes."""
     with _sink(path) as fh:
         for gates in blocks:
-            c = _spectral_coords(gates)  # before the matrix copy, whose peak it would add to
+            c = _column_coords(gates.transpose(1, 2, 0).copy())  # copy freed before the matrix copy
             # A complex entry viewed as two floats is its [re, im] pair.
             matrix = np.ascontiguousarray(gates).view(float).reshape(*gates.shape, 2)
             fields = {"matrix": matrix, "c": c, "g": g_from_c(c), "is_pe": is_perfect_entangler(c)}
@@ -468,12 +450,20 @@ def export_jsonl(path, gates: np.ndarray) -> None:
     ``path`` may also be an open text stream; every matrix must be
     unitary.  Each line carries the matrix in the ``[[re, im], ...]`` grid
     format, its canonical coordinates ``c``, invariant triple ``g`` and
-    perfect-entangler flag ``is_pe``.  The stack is converted in
-    ``BLOCK_SIZE``-row chunks, as ``sample --format jsonl`` converts the
-    sampler's blocks, so a final chunk of fewer than
-    ``invariants._JACOBI_MIN_ROWS`` rows takes the ``eigvals`` route.
+    perfect-entangler flag ``is_pe``; each line depends on its matrix
+    alone.  The stack is checked ``BLOCK_SIZE`` rows at a time before
+    anything is written, and a rejected one again whole, so the error
+    names its worst row (a NaN row first) as ``require_unitary_stack`` does.
     """
-    _write_jsonl(path, _chunks(require_unitary_stack(gates, what="gate stack")))
+    gates = np.asarray(gates, dtype=complex)
+    if gates.shape[1:] != (4, 4):
+        require_unitary_stack(gates, "gate stack")  # raises, naming the shape
+    try:
+        chunks = [require_unitary_stack(gates[s : s + BLOCK_SIZE]) for s in range(0, len(gates), BLOCK_SIZE)]
+    except ValidationError:
+        require_unitary_stack(gates, "gate stack")  # raises, naming the worst row of all
+        raise
+    _write_jsonl(path, chunks)
 
 
 def _export_stream(path, fmt: str, n, config: SamplerConfig) -> None:

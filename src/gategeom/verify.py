@@ -283,9 +283,12 @@ def _check_chi_square(seed, full, bin_grid):
 
 def _check_two_method_ks(seed, full):
     n = 200_000 if full else 40_000
-    g_a = smp.sample_invariants(n, smp.SamplerConfig(seed=seed + 6, method="coordinate_density"))
-    g_b = smp.sample_invariants(n, smp.SamplerConfig(seed=seed + 7, method="matrix_oracle"))
-    pval = _ks_2samp_pvalue(g_a[:, 2], g_b[:, 2])
+    g3 = []
+    for offset, method in ((6, "coordinate_density"), (7, "matrix_oracle")):
+        cfg = smp.SamplerConfig(seed=seed + offset, method=method)
+        kernel = smp._invariants_kernel(cfg)  # each block kept as its g3 column
+        g3.append(smp._fill(n, cfg, lambda rng, m: kernel(rng, m)[:, 2], (), float))
+    pval = _ks_2samp_pvalue(*g3)
     return pval > 0.01, f"third-invariant two-sample KS p-value {pval:.4f}"
 
 
@@ -350,17 +353,6 @@ def _gamma_q(a: float, x: float) -> float:
 _MIN_EXPECTED = 10.0
 
 
-def chi_square_pvalue(coords: np.ndarray, probabilities: np.ndarray) -> float:
-    """Chi-square goodness-of-fit of sampled coordinates on the bin grid.
-
-    Bins with expected count below ``_MIN_EXPECTED`` are pooled into one
-    cell, the standard guard for the asymptotic distribution.  The
-    p-value is Q(dof / 2, chi^2 / 2) for dof one less than the cells.
-    """
-    counts, _ = np.histogramdd(coords, bins=_bin_edges(probabilities.shape))
-    return _counts_pvalue(counts, coords.shape[0], probabilities)
-
-
 def _bin_edges(shape) -> tuple:
     """Cell edges of a bin grid of ``shape`` over [0, pi] x [0, pi/2]^2."""
     return (
@@ -371,7 +363,13 @@ def _bin_edges(shape) -> tuple:
 
 
 def _counts_pvalue(counts: np.ndarray, n: int, probabilities: np.ndarray) -> float:
-    """:func:`chi_square_pvalue` of ``n`` samples with these cell counts."""
+    """Chi-square goodness-of-fit of ``n`` samples with these cell counts on
+    the bin grid.
+
+    Bins with expected count below ``_MIN_EXPECTED`` are pooled into one
+    cell, the standard guard for the asymptotic distribution.  The
+    p-value is Q(dof / 2, chi^2 / 2) for dof one less than the cells.
+    """
     expected = probabilities * n
     big = expected >= _MIN_EXPECTED
     f_obs = np.concatenate([counts[big], [counts[~big].sum()]])

@@ -5,6 +5,7 @@ import pytest
 
 from gategeom.coords import CanonicalCoords, FullCoords, Su2Params
 from gategeom.gates import _assemble_batch, assemble
+from gategeom.verify import _bin_edges, _counts_pvalue
 
 #: The trivial rotation.
 SU2_IDENTITY = Su2Params(0.0, 0.0, 0.0)
@@ -108,6 +109,13 @@ def matrix_to_json_dict(U: np.ndarray) -> dict:
     U = np.asarray(U, dtype=complex)
     assert U.shape == (4, 4)
     return {"matrix": [[[float(v.real), float(v.imag)] for v in row] for row in U]}
+
+
+def chi_square_pvalue(coords: np.ndarray, probabilities: np.ndarray) -> float:
+    """Chi-square goodness-of-fit of an array of sampled coordinates on the
+    bin grid: the statistic ``verify`` builds from the sampler's stream."""
+    counts, _ = np.histogramdd(coords, bins=_bin_edges(probabilities.shape))
+    return _counts_pvalue(counts, coords.shape[0], probabilities)
 
 
 def write_matrix_json(path, matrix) -> str:

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from scipy.stats import ks_2samp
 
-from conftest import CNOT_SWAP_MIDPOINT, interior_chamber_points, random_full_coords
+from conftest import CNOT_SWAP_MIDPOINT, chi_square_pvalue, interior_chamber_points, random_full_coords
 from gategeom.coords import CanonicalCoords, FullCoords, Su2Params
 from gategeom.gates import NAMED_GATE_POINTS, assemble
 from gategeom.geometry import (
@@ -27,7 +27,6 @@ from gategeom.geometry import (
 from gategeom.invariants import c_from_g, canonical_coords, g_from_c
 from gategeom.quadrature import bin_probabilities, integrate_over_chamber
 from gategeom.sampling import SamplerConfig, sample_canonical, sample_invariants
-from gategeom.verify import chi_square_pvalue
 from gategeom.volumes import (
     PE_VOLUME_CLOSED,
     cube_volume_closed,

@@ -9,9 +9,10 @@ is built and no closed-form series is expanded until a command needs it.
 
 The package's own modules import one another at module level only, and
 those imports form no cycle, so the import order is one way.  Every
-private function of the package is called from the package, and every
-private module-level constant is read there: production modules hold no
-code that only the tests use.
+private function of the package, and every public one outside
+``__all__``, is called from the package, and every private module-level
+constant is read there: production modules hold no code that only the
+tests use.
 """
 import ast
 import collections
@@ -196,7 +197,8 @@ def private_constants(tree) -> list[str]:
 
 
 def test_every_private_function_has_a_caller_in_the_package():
-    """Private module-level constants count too: each is read somewhere."""
+    """Private module-level constants count too: each is read somewhere.
+    So do public functions outside ``__all__``, which no user is promised."""
     trees = [parse(name) for name in MODULES]
     read = sum((references(tree) for tree in trees), collections.Counter())
     orphans = [
@@ -204,7 +206,7 @@ def test_every_private_function_has_a_caller_in_the_package():
         for tree in trees
         for fn in tree.body
         if isinstance(fn, ast.FunctionDef)
-        and is_private(fn.name)
+        and (is_private(fn.name) or fn.name not in gategeom.__all__)
         and not is_cli_command(fn)
         and read[fn.name] == references(fn)[fn.name]  # read only inside itself
     ]

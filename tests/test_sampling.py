@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import subprocess
 import sys
 import tracemalloc
 
@@ -17,7 +18,7 @@ from gategeom import invariants, sampling
 from gategeom.cli import cli
 from gategeom.coords import in_weyl_chamber
 from gategeom.errors import ValidationError
-from gategeom.gates import load_matrix_json
+from gategeom.gates import load_matrix_json, require_unitary_stack
 from gategeom.geometry import WEYL_DENSITY_MAX, weyl_density
 from gategeom.invariants import _makhlin_batch, canonical_coords_batch, g_from_c
 from gategeom.sampling import (
@@ -58,6 +59,14 @@ def rotation_angle_cdf_50_digits(alpha):
         return [(mpmath.mpf(a) - mpmath.sin(mpmath.mpf(a))) / four_pi for a in alpha]
 
 
+def chamber_proposals(u):
+    """Chamber proposals of rows of five uniforms, and which are accepted."""
+    c = np.sort(u[:, :3], axis=1)[:, ::-1] * (np.pi / 2)
+    flip = u[:, 3] < 0.5
+    c[flip, 0] = np.pi - c[flip, 0]
+    return c, u[:, 4] * WEYL_DENSITY_MAX < weyl_density(c)
+
+
 def chamber_block_whole_rounds(rng, m):
     """The chamber sampler drawing and testing each round of proposals in
     one piece; returns the block and the number of rounds it took."""
@@ -68,10 +77,7 @@ def chamber_block_whole_rounds(rng, m):
         batch = max(256, int(want / _ACCEPT_RATE * 1.15))
         u = rng.random((batch, 5))
         rounds += 1
-        c = np.sort(u[:, :3], axis=1)[:, ::-1] * (np.pi / 2)
-        flip = u[:, 3] < 0.5
-        c[flip, 0] = np.pi - c[flip, 0]
-        keep = u[:, 4] * WEYL_DENSITY_MAX < weyl_density(c)
+        c, keep = chamber_proposals(u)
         accepted = c[keep]
         take = min(want, accepted.shape[0])
         out[have : have + take] = accepted[:take]
@@ -80,12 +86,12 @@ def chamber_block_whole_rounds(rng, m):
 
 
 def haar_columns_untiled(rng, m):
-    """Haar columns from untiled transposes, with Gram-Schmidt's sums from
-    Python's ``sum`` and a division by the norm: the reference whose bits
+    """Haar columns from one untiled draw of the (m, 4, 4) complex block,
+    (re, im) pairs in row order, with Gram-Schmidt's sums from Python's
+    ``sum`` and a division by the norm: the reference whose bits
     :func:`_haar_columns` keeps."""
-    u = np.empty((4, 4, m), dtype=complex)
-    u.real = rng.standard_normal((m, 4, 4)).transpose(1, 2, 0)
-    u.imag = rng.standard_normal((m, 4, 4)).transpose(1, 2, 0)
+    pairs = rng.standard_normal((m, 4, 4, 2))
+    u = np.ascontiguousarray(pairs.view(complex)[..., 0].transpose(1, 2, 0))
     for j in range(4):
         v = u[:, j]
         for _ in range(2 if j else 0):
@@ -152,15 +158,6 @@ class TestDeterminism:
         pooled = sampler(n, SamplerConfig(seed=45, worker_count=3))
         np.testing.assert_array_equal(serial, pooled)
 
-    @pytest.mark.parametrize("sampler", [sample_canonical, sample_gates])
-    def test_whole_blocks_are_the_prefix_of_longer_calls(self, sampler):
-        """A short partial tail takes the ``eigvals`` route for coordinates, yet
-        the whole block before it matches a call that ends there."""
-        cfg = SamplerConfig(seed=44)
-        np.testing.assert_array_equal(
-            sampler(BLOCK_SIZE + 100, cfg)[:BLOCK_SIZE], sampler(BLOCK_SIZE, cfg)
-        )
-
     def test_seed_changes_the_stream(self):
         a = sample_canonical(100, SamplerConfig(seed=0))
         b = sample_canonical(100, SamplerConfig(seed=1))
@@ -178,8 +175,8 @@ class TestDeterminism:
         assert gates.shape == (500, 4, 4)
 
     def test_oracle_invariants_are_the_trace_formulas_of_its_gates(self):
-        """Both sizes of block: a whole one on the Jacobi route's layout and
-        a final one of 40 rows, which takes LAPACK's ``det``."""
+        """A whole block and a final one of 40 rows, both on the Jacobi
+        route's layout, against the batch map of the projected gates."""
         cfg = SamplerConfig(seed=29, worker_count=2)
         n = BLOCK_SIZE + 40
         np.testing.assert_allclose(
@@ -195,13 +192,14 @@ class TestDeterminism:
                 return fn(*args)
             return wrapped
 
-        for module, name in ((invariants, "_spectral_coords"), (sampling, "_spectral_coords"),
-                             (invariants, "_jacobi_spectrum"), (np.linalg, "eigvals")):
+        for module, name in ((invariants, "_spectral_coords"), (invariants, "_column_coords"),
+                             (sampling, "_column_coords"), (invariants, "_jacobi_spectrum"),
+                             (np.linalg, "eigvals")):
             monkeypatch.setattr(module, name, spy(name, getattr(module, name)))
-        g = sample_invariants(BLOCK_SIZE + 300, SamplerConfig(seed=31))
-        assert g.shape == (BLOCK_SIZE + 300, 3) and calls == []
-        sample_canonical(300, SamplerConfig(seed=31))
-        assert calls[:2] == ["_spectral_coords", "_jacobi_spectrum"]  # the spies see the kernel
+        g = sample_invariants(BLOCK_SIZE + 30, SamplerConfig(seed=31))
+        assert g.shape == (BLOCK_SIZE + 30, 3) and calls == []
+        sample_canonical(30, SamplerConfig(seed=31))
+        assert calls[:2] == ["_column_coords", "_jacobi_spectrum"]  # the spies see the kernel
 
     def test_oracle_coordinates_match_the_kernel_on_its_gates(self):
         """The block workers canonicalise the same stream, before projection."""
@@ -216,6 +214,82 @@ class TestDeterminism:
         np.testing.assert_array_equal(
             sample_invariants(2000, cfg), g_from_c(sample_canonical(2000, cfg))
         )
+
+
+#: Counts whose calls must be the first rows of a longer call: a row, a
+#: few, both sides of the batch maps' Jacobi threshold and of a block.
+PREFIX_COUNTS = (1, 5, 223, 224, BLOCK_SIZE - 1, BLOCK_SIZE + 1)
+
+
+class TestPrefixStability:
+    """Row i of every sampler depends on the seed and i alone."""
+
+    @pytest.mark.parametrize("method", ["matrix_oracle", "coordinate_density"])
+    @pytest.mark.parametrize(
+        "sampler", [sample_canonical, sample_gates, sample_invariants, sample_full_coords]
+    )
+    def test_every_call_is_the_start_of_a_longer_one(self, sampler, method):
+        """Bit for bit, signs of zeros included, at 1, 2 and 4 workers."""
+        for w in (1, 2, 4):
+            config = SamplerConfig(seed=3, worker_count=w, method=method)
+            longer = sampler(40_000, config)
+            for k in PREFIX_COUNTS:
+                assert same_bits(sampler(k, config), longer[:k]), (w, k)
+
+    @pytest.mark.parametrize("method", ["matrix-oracle", "coordinate-density"])
+    @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+    def test_sample_command_prints_the_first_rows(self, monkeypatch, fmt, method):
+        """Byte for byte, on short blocks, which keep the JSON conversion
+        quick and put several block edges under the counts."""
+        monkeypatch.setattr(sampling, "BLOCK_SIZE", SHORT_BLOCK)
+        runner = CliRunner()
+        header = 1 if fmt == "csv" else 0
+
+        def run(n):
+            args = ["sample", "-n", str(n), "--seed", "3", "--format", fmt,
+                    "--method", method, "--threads", "2"]
+            result = runner.invoke(cli, args)
+            assert result.exit_code == 0, result.output
+            return result.output
+
+        lines = run(3 * SHORT_BLOCK + 5).splitlines(keepends=True)
+        for k in (1, 5, 223, 224, SHORT_BLOCK - 1, SHORT_BLOCK + 1):
+            assert run(k) == "".join(lines[: header + k]), k
+
+
+#: Sampler outputs that no LAPACK or BLAS call touches, printed by a fresh
+#: process: digests of both methods' gates and invariants, then the CSV of
+#: ``gategeom sample -n 5 --seed 1``.
+BLAS_FREE_PROBE = """
+import hashlib
+from gategeom.cli import main
+from gategeom.sampling import SamplerConfig, sample_gates, sample_invariants
+for method in ("matrix_oracle", "coordinate_density"):
+    for sampler in (sample_gates, sample_invariants):
+        rows = sampler(3000, SamplerConfig(seed=1, method=method))
+        print(method, sampler.__name__, hashlib.sha256(rows.tobytes()).hexdigest(), flush=True)
+main(["sample", "-n", "5", "--seed", "1"])
+"""
+
+
+def run_probe(**env_changes) -> str:
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
+    src = os.path.dirname(os.path.dirname(sampling.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    done = subprocess.run([sys.executable, "-c", BLAS_FREE_PROBE], capture_output=True,
+                          text=True, env={**env, **env_changes}, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+class TestEmulatedBuild:
+    def test_samples_do_not_depend_on_the_openblas_kernels(self):
+        """OpenBLAS's Prescott kernels, set for the child process only, print
+        the bytes of the native run: short oracle blocks take the Jacobi
+        route, not LAPACK's ``det`` and ``eigvals``."""
+        native = run_probe()
+        assert native.count("\n") == 4 + 6
+        assert run_probe(OPENBLAS_CORETYPE="Prescott") == native
 
 
 class TestMarginals:
@@ -294,15 +368,40 @@ class TestBlockKernels:
         ],
     )
     def test_chunked_rounds_match_whole_rounds(self, monkeypatch, m, seed, chunk, rounds):
-        """Same rows, and the stream after the block (which the rotation
-        angles of the fifteen-coordinate sampler read) is where it was."""
+        """Same rows: the first m accepted proposals of the stream, however
+        the draws are cut.  Nothing reads the stream after the block."""
         if chunk is not None:
             monkeypatch.setattr(sampling, "_CHUNK", chunk)
-        whole_rng, rng = _block_rng(seed, 0), _block_rng(seed, 0)
-        expected, used = chamber_block_whole_rounds(whole_rng, m)
+        expected, used = chamber_block_whole_rounds(_block_rng(seed, 0), m)
         assert used == rounds
-        np.testing.assert_array_equal(_chamber_block(rng, m), expected)
-        np.testing.assert_array_equal(rng.random(16), whole_rng.random(16))
+        np.testing.assert_array_equal(_chamber_block(_block_rng(seed, 0), m), expected)
+
+    @pytest.mark.parametrize("m", [1, 1000, BLOCK_SIZE])
+    def test_chamber_draws_nothing_once_its_block_is_full(self, m):
+        """The block fills during its last draw: no draw follows the one
+        that holds its m-th accepted proposal."""
+        draws = []
+
+        class Counted:
+            def random(self, out):
+                draws.append(len(out))
+                return rng.random(out=out)
+
+        rng = _block_rng(5, 0)
+        _chamber_block(Counted(), m)
+        _, keep = chamber_proposals(_block_rng(5, 0).random((sum(draws), 5)))
+        assert np.count_nonzero(keep[: sum(draws[:-1])]) < m <= np.count_nonzero(keep)
+
+    def test_rotation_slots_read_streams_of_their_own(self):
+        """Slot k reads the block's stream jumped k + 1 times, the chamber
+        the block's stream itself."""
+        m = 1000
+        got = _full_block(_block_rng(6, 2), m)
+        base = _block_rng(6, 2).bit_generator
+        for k in range(4):
+            slot = np.random.Generator(base.jumped(k + 1))
+            np.testing.assert_array_equal(got[:, 3 * k : 3 * k + 3], sampling._su2_block(slot, m))
+        np.testing.assert_array_equal(got[:, 12:], _chamber_block(_block_rng(6, 2), m))
 
     @pytest.mark.parametrize("m", [1, 5, 223, 224, 1023, 1024, 1025, BLOCK_SIZE])
     def test_haar_columns_match_the_untiled_reference(self, m):
@@ -617,8 +716,8 @@ class TestBlockStream:
 
     @pytest.mark.parametrize("n", [224, 300])
     def test_column_layout_of_a_caller_is_not_overwritten(self, n):
-        """A transposed view of a contiguous (4, 4, n) stack reaches the
-        Jacobi route uncopied; only the sampler's own blocks are overwritten."""
+        """The Jacobi route overwrites its stack, so a caller's gets copied,
+        even a transposed view that is already in the (4, 4, n) layout."""
         u = np.ascontiguousarray(sample_gates(n, SamplerConfig(seed=39)).transpose(1, 2, 0))
         before = u.copy()
         c = canonical_coords_batch(u.transpose(2, 0, 1))
@@ -649,9 +748,8 @@ class TestBlockStream:
 
     @pytest.mark.parametrize("n", [2 * SHORT_BLOCK + 5, 2 * SHORT_BLOCK + 300])
     def test_exports_of_the_stream_are_the_exports_of_the_arrays(self, monkeypatch, n):
-        """The first n has a final block on the eigvals route; the array
-        exporter converts in the same chunks, so it matches either way.
-        Short blocks keep the JSON conversion quick."""
+        """Final blocks on either side of the Jacobi route's threshold for
+        the batch maps.  Short blocks keep the JSON conversion quick."""
         monkeypatch.setattr(sampling, "BLOCK_SIZE", SHORT_BLOCK)
         csv_want, jsonl_want = io.StringIO(), io.StringIO()
         export_csv(csv_want, sample_canonical(n, SamplerConfig(seed=42)))
@@ -663,18 +761,14 @@ class TestBlockStream:
                 _export_stream(got, fmt, n, config)
                 assert got.getvalue() == want.getvalue(), (fmt, w)
 
-    def test_whole_jsonl_blocks_keep_their_bytes(self):
-        """Only a final block shorter than the Jacobi route's threshold may
-        differ from a conversion of the whole stack, and within 1e-14."""
+    def test_jsonl_lines_are_those_of_the_whole_stack(self):
+        """A 3-row final block too: every line is the conversion of the
+        whole stack at once, which takes the Jacobi route."""
         n = BLOCK_SIZE + 3
         gates = sample_gates(n, SamplerConfig(seed=43))
         got = io.StringIO()
         _export_stream(got, "jsonl", n, SamplerConfig(seed=43))
-        lines = got.getvalue().splitlines(keepends=True)
-        assert "".join(lines[:BLOCK_SIZE]) == jsonl_row_by_row(gates[:BLOCK_SIZE])
-        whole = canonical_coords_batch(gates)[BLOCK_SIZE:]
-        tail = np.array([json.loads(line)["c"] for line in lines[BLOCK_SIZE:]])
-        np.testing.assert_allclose(tail, whole, rtol=0, atol=1e-14)
+        assert got.getvalue() == jsonl_row_by_row(gates)
 
     def test_region_mass_is_the_mean_weight(self):
         """Σw / n is w.mean() bit for bit: every weight is a multiple of 1/2."""
@@ -772,3 +866,34 @@ class TestBoundedMemory:
 
     def test_summary_of_the_stream_holds_no_samples(self):
         self.assert_flat(lambda n: _summarize_stream(n, SamplerConfig(seed=46)))
+
+    def test_export_jsonl_of_an_array(self, monkeypatch):
+        """The stack is checked chunk by chunk, not at once."""
+        monkeypatch.setattr(sampling, "BLOCK_SIZE", SHORT_BLOCK)
+        gates = sample_gates(8 * SHORT_BLOCK, SamplerConfig(seed=47))
+        self.assert_flat(lambda n: export_jsonl(os.devnull, gates[:n]))
+
+    def test_a_bad_row_in_a_later_chunk_writes_nothing(self, monkeypatch, tmp_path):
+        """Every chunk is checked before the file is opened, and the error
+        names the worst row of the whole stack (a NaN row first) by its
+        index, as the whole-stack check does."""
+        monkeypatch.setattr(sampling, "BLOCK_SIZE", SHORT_BLOCK)
+        clean = sample_gates(3 * SHORT_BLOCK, SamplerConfig(seed=48))
+        bad = SHORT_BLOCK + 17
+        path = tmp_path / "gates.jsonl"
+        for early_drift, late_entry in [(0.0, 1e-6), (1e-7, 1e-6), (1e-3, np.nan)]:
+            gates = clean.copy()
+            gates[5, 0, 0] += early_drift
+            gates[bad, 1, 2] += late_entry
+            with pytest.raises(ValidationError) as whole:
+                require_unitary_stack(gates, "gate stack")
+            assert f"unitarity violation at index {bad}:" in str(whole.value)
+            with pytest.raises(ValidationError) as chunked:
+                export_jsonl(path, gates)
+            assert str(chunked.value) == str(whole.value)
+            assert not path.exists()
+        gates = clean[: SHORT_BLOCK + 1].copy()
+        gates[SHORT_BLOCK] = gates[0] * 2.0  # a final chunk of one row
+        with pytest.raises(ValidationError, match=f"at index {SHORT_BLOCK}:"):
+            export_jsonl(path, gates)
+        assert not path.exists()

@@ -7,17 +7,11 @@ import gategeom.geometry
 import gategeom.quadrature
 import gategeom.verify
 import gategeom.volumes
+from conftest import chi_square_pvalue
 from gategeom.errors import ValidationError
 from gategeom.quadrature import bin_probabilities
-from gategeom.sampling import SamplerConfig, sample_canonical
-from gategeom.verify import (
-    CheckResult,
-    _elliptic_by_quadrature,
-    _gamma_q,
-    _ks_2samp_pvalue,
-    chi_square_pvalue,
-    run_checks,
-)
+from gategeom.sampling import SamplerConfig, sample_canonical, sample_invariants
+from gategeom.verify import CheckResult, _elliptic_by_quadrature, _gamma_q, _ks_2samp_pvalue, run_checks
 
 EXPECTED_CHECK_NAMES = {
     "chamber-normalization",
@@ -156,6 +150,15 @@ class TestBlockReducers:
         cfg = SamplerConfig(seed=8, method="coordinate_density")
         pval = chi_square_pvalue(sample_canonical(200_000, cfg), probabilities)
         assert passed and detail == f"chi-square p-value {pval:.4f} on 200000 samples"
+
+    def test_two_method_ks_is_the_array_pvalue(self):
+        """Each block is reduced to its g3 column; the p-value is that of
+        the two full arrays' third columns."""
+        passed, detail = gategeom.verify._check_two_method_ks(3, False)
+        g_a = sample_invariants(40_000, SamplerConfig(seed=9, method="coordinate_density"))
+        g_b = sample_invariants(40_000, SamplerConfig(seed=10, method="matrix_oracle"))
+        pval = _ks_2samp_pvalue(g_a[:, 2], g_b[:, 2])
+        assert passed and detail == f"third-invariant two-sample KS p-value {pval:.4f}"
 
 
 class TestChiSquare:
