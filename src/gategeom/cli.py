@@ -71,8 +71,10 @@ def _dumps(payload) -> str:
     return json.dumps(_round_floats(payload), indent=2, sort_keys=True)
 
 
-def _default_threads() -> int:
-    return os.cpu_count() or 1
+def _worker_count(threads) -> int:
+    """``--threads`` as given, checked by ``SamplerConfig``, or every core
+    when it is not given."""
+    return (os.cpu_count() or 1) if threads is None else threads
 
 
 _ANGLE_RE = re.compile(r"^(-?)(\d+\.?\d*|\.\d+)?\*?pi(?:/(\d+\.?\d*|\.\d+))?$")
@@ -265,7 +267,7 @@ def _run_volume(opts: dict, closed, quadrature, region: vol.Region) -> None:
     Monte-Carlo options are checked before any method runs, whichever run.
     """
     wanted = _parse_methods(opts["methods"])
-    config = SamplerConfig(seed=opts["seed"], worker_count=opts["threads"] or _default_threads())
+    config = SamplerConfig(seed=opts["seed"], worker_count=_worker_count(opts["threads"]))
     samples = vol._mc_sample_count(opts["samples"])
     results, notes = {}, {}
     for m in wanted:
@@ -395,7 +397,7 @@ def sample(count, seed, method, threads, fmt, output):
     """
     cfg = SamplerConfig(
         seed=seed,
-        worker_count=threads or _default_threads(),
+        worker_count=_worker_count(threads),
         method=method.replace("-", "_"),
     )
     if fmt == "summary":

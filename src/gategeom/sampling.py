@@ -24,8 +24,6 @@ comes, so they hold a few blocks whatever the sample count.
 """
 from __future__ import annotations
 
-import csv
-import json
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
@@ -59,15 +57,13 @@ class SamplerConfig:
     method: str = "matrix_oracle"  # or "coordinate_density"
 
     def __post_init__(self):
-        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
-            raise ValidationError(f"seed must be a non-negative integer, got {self.seed!r}")
+        _integer(self.seed, "seed", 0)
+        _integer(self.worker_count, "worker_count", 1)
         if self.method not in ("matrix_oracle", "coordinate_density"):
             raise ValidationError(
                 f"unknown sampling method {self.method!r}; "
                 "use matrix_oracle or coordinate_density"
             )
-        if self.worker_count < 1:
-            raise ValidationError("worker_count must be at least 1")
 
 
 def _block_rng(seed: int, block: int) -> np.random.Generator:
@@ -246,11 +242,18 @@ def _invariants_kernel(config: SamplerConfig):
     return _oracle_invariants_block
 
 
+def _integer(value, what: str, least: int) -> int:
+    """``value`` as an int, if it is an integer of at least ``least`` (0 or
+    1); bools are not integers here."""
+    if isinstance(value, (bool, np.bool_)) or not isinstance(value, (int, np.integer)) or value < least:
+        kind = "positive" if least else "non-negative"
+        raise ValidationError(f"{what} must be a {kind} integer, got {value!r}")
+    return int(value)
+
+
 def _sample_count(n) -> int:
-    """``n`` as an int, if it is a positive integer (bools are not)."""
-    if isinstance(n, (bool, np.bool_)) or not isinstance(n, (int, np.integer)) or n <= 0:
-        raise ValidationError(f"sample count must be a positive integer, got {n!r}")
-    return int(n)
+    """``n`` as an int, if it is a positive integer."""
+    return _integer(n, "sample count", 1)
 
 
 def _blocks(n, config: SamplerConfig, kernel):
@@ -403,24 +406,38 @@ def _sink(path_or_file, newline=None):
     return open(path_or_file, "w", newline=newline, encoding="utf-8")
 
 
-def _row_chunks(*arrays):
-    """Zipped rows of the arrays as Python objects, ``_CHUNK`` rows at a
-    time, so that an export converts each value once and holds one chunk."""
-    for start in range(0, arrays[0].shape[0], _CHUNK):
-        yield zip(*(a[start : start + _CHUNK].tolist() for a in arrays))
+#: A CSV row c1,c2,c3,g1,g2,g3,is_pe, by its perfect-entangler flag.  %r
+#: of a float is its shortest round-trip form, what ``csv`` wrote.
+_CSV_ROW = ("%r," * 6 + "0\r\n", "%r," * 6 + "1\r\n")
+#: A JSON line by its flag, with the separators of ``json.dumps``, whose
+#: floats are their %r too: the matrix as 4 rows of 4 [re, im] pairs.
+_JSONL_LINE = tuple(
+    '{"matrix": [%s], "c": [%%r, %%r, %%r], "g": [%%r, %%r, %%r], "is_pe": %s}\n'
+    % (", ".join(["[" + ", ".join(["[%r, %r]"] * 4) + "]"] * 4), flag)
+    for flag in ("false", "true")
+)
+
+
+def _write_rows(fh, templates, flags, *arrays) -> None:
+    """Row i of the arrays, their values in order, through ``templates[flags[i]]``.
+
+    ``_CHUNK`` rows at a time are converted to Python floats and formatted
+    by one ``%`` on the chunk's templates joined, so an export converts
+    each value once and holds one chunk of text.
+    """
+    for start in range(0, len(flags), _CHUNK):
+        stop = min(start + _CHUNK, len(flags))
+        values = np.hstack([a[start:stop].reshape(stop - start, -1) for a in arrays])
+        template = "".join([templates[f] for f in flags[start:stop].tolist()])
+        fh.write(template % tuple(values.ravel().tolist()))
 
 
 def _write_csv(path, blocks) -> None:
     """The CSV rows of a stream of coordinate blocks, each written as it comes."""
     with _sink(path, newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["c1", "c2", "c3", "g1", "g2", "g3", "is_pe"])
+        fh.write("c1,c2,c3,g1,g2,g3,is_pe\r\n")
         for coords in blocks:
-            g = g_from_c(coords)
-            pe = is_perfect_entangler(coords).astype(int)
-            # csv writes a float as str(), its shortest round-trip form.
-            for rows in _row_chunks(coords, g, pe):
-                writer.writerows([*ci, *gi, flag] for ci, gi, flag in rows)
+            _write_rows(fh, _CSV_ROW, is_perfect_entangler(coords), coords, g_from_c(coords))
 
 
 def _write_jsonl(path, blocks) -> None:
@@ -429,10 +446,8 @@ def _write_jsonl(path, blocks) -> None:
         for gates in blocks:
             c = _column_coords(gates.transpose(1, 2, 0).copy())  # copy freed before the matrix copy
             # A complex entry viewed as two floats is its [re, im] pair.
-            matrix = np.ascontiguousarray(gates).view(float).reshape(*gates.shape, 2)
-            fields = {"matrix": matrix, "c": c, "g": g_from_c(c), "is_pe": is_perfect_entangler(c)}
-            for rows in _row_chunks(*fields.values()):
-                fh.writelines(json.dumps(dict(zip(fields, row))) + "\n" for row in rows)
+            matrix = np.ascontiguousarray(gates).view(float)
+            _write_rows(fh, _JSONL_LINE, is_perfect_entangler(c), matrix, c, g_from_c(c))
 
 
 def export_csv(path, coords: np.ndarray) -> None:

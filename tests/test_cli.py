@@ -345,6 +345,7 @@ class TestVolumeCommands:
             (["cube", "--gate", "cnot", "--side", "0.1", "--samples", "0"], "sample count"),
             (["pe", "--samples", "1"], "at least 2 samples"),
             (["pe", "--threads", "-2"], "worker_count"),
+            (["pe", "--methods", "mc", "--threads", "0"], "worker_count must be a positive integer"),
         ],
     )
     def test_monte_carlo_options_are_checked_whatever_the_methods(self, runner, args, message):
@@ -385,6 +386,14 @@ class TestSampleCommand:
         result = runner.invoke(cli, ["sample", "-n", "3", "--seed", "-1"])
         assert result.exit_code == 2
         assert "seed must be a non-negative integer" in result.stderr
+
+    @pytest.mark.parametrize("threads", ["0", "-1"])
+    def test_threads_must_be_positive(self, runner, threads):
+        """--threads 0 ran on every core, as if the option were not given."""
+        result = runner.invoke(cli, ["sample", "-n", "3", "--threads", threads])
+        assert result.exit_code == 2
+        assert "worker_count must be a positive integer" in result.stderr
+        assert result.stdout == ""
 
     def test_summary_format(self, runner):
         result = runner.invoke(

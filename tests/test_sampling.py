@@ -14,7 +14,7 @@ from click.testing import CliRunner
 from scipy.stats import ks_2samp, kstest
 
 from conftest import matrix_to_json_dict, same_bits
-from gategeom import invariants, sampling
+from gategeom import geometry, invariants, sampling, volumes
 from gategeom.cli import cli
 from gategeom.coords import in_weyl_chamber
 from gategeom.errors import ValidationError
@@ -45,7 +45,7 @@ from gategeom.sampling import (
     summarize_samples,
 )
 from gategeom.verify import _ks_2samp_pvalue
-from gategeom.volumes import PE_VOLUME_CLOSED, Region, is_perfect_entangler, region_volume_mc
+from gategeom.volumes import PE_VOLUME_CLOSED, Region, _mc_points_block, is_perfect_entangler, region_volume_mc
 
 
 def rotation_angle_cdf(alpha):
@@ -118,11 +118,13 @@ class TestSamplerConfig:
         with pytest.raises(ValidationError, match="matrix_oracle or coordinate_density"):
             SamplerConfig(method="metropolis")
 
-    def test_worker_count_validated(self):
-        with pytest.raises(ValidationError):
-            SamplerConfig(worker_count=0)
+    @pytest.mark.parametrize("workers", [0, -1, 2.5, True, np.bool_(True), "3", None])
+    def test_worker_count_must_be_a_positive_integer(self, workers):
+        """2.5 and True ran, and "3" and None raised TypeError."""
+        with pytest.raises(ValidationError, match="worker_count must be a positive integer"):
+            SamplerConfig(worker_count=workers)
 
-    @pytest.mark.parametrize("seed", [-1, 1.5, "3", None])
+    @pytest.mark.parametrize("seed", [-1, 1.5, "3", None, True, False])
     def test_seed_must_be_a_non_negative_integer(self, seed):
         with pytest.raises(ValidationError, match="seed must be a non-negative integer"):
             SamplerConfig(seed=seed)
@@ -833,6 +835,57 @@ class TestBlockStream:
 
         with pytest.raises(ArithmeticError, match="block failed"):
             list(sampling._blocks(4 * BLOCK_SIZE, SamplerConfig(worker_count=2), kernel))
+
+
+#: One region of each kind, cubes both clipped and not, around the b-gate.
+MC_REGIONS = (
+    Region("pe"),
+    Region("cube_c", (np.pi / 2, np.pi / 4, 0.0), 0.3),
+    Region("cube_c", (np.pi / 2, np.pi / 4, 0.0), 0.3, clip="unclipped"),
+    Region("sphere_g", (0.0, 0.0, 0.0), 0.3),
+    Region("cylinder_g", (0.1, 0.05, 0.0), 0.2, 1.0),
+)
+
+
+class TestMonteCarloRoute:
+    """The masses read the oracle's gates through the trace invariants and
+    the cubic, and weigh the points the spectral route gives."""
+
+    def test_no_spectrum_and_no_density(self, monkeypatch):
+        calls = []
+
+        def spy(name, fn):
+            def wrapped(*args):
+                calls.append(name)
+                return fn(*args)
+            return wrapped
+
+        for module, name in ((invariants, "_spectral_coords"), (invariants, "_column_coords"),
+                             (sampling, "_column_coords"), (invariants, "_jacobi_spectrum"),
+                             (np.linalg, "eigvals"), (geometry, "weyl_density"),
+                             (sampling, "weyl_density"), (volumes, "weyl_density")):
+            monkeypatch.setattr(module, name, spy(name, getattr(module, name)))
+        for region in MC_REGIONS:
+            region_volume_mc(region, samples=BLOCK_SIZE + 30, seed=32, worker_count=2)
+        assert calls == []
+        sample_canonical(30, SamplerConfig(seed=32))
+        sample_canonical(30, SamplerConfig(seed=32, method="coordinate_density"))
+        assert set(calls) >= {"_column_coords", "_jacobi_spectrum", "weyl_density"}  # the spies see them
+
+    @pytest.mark.parametrize("seed", [46, 47])
+    def test_weights_are_those_of_the_spectral_points(self, seed):
+        """2^18 rows: the cubic's losses move no weight of any region kind."""
+        n = 1 << 18
+        config = SamplerConfig(seed=seed, worker_count=2)
+        cubic = sampling._fill(n, config, _mc_points_block, (3,), float)
+        spectral = sample_canonical(n, config)
+        assert np.abs(cubic - spectral).max() < 1e-8
+        for region in MC_REGIONS:
+            np.testing.assert_array_equal(region.weights(cubic), region.weights(spectral), err_msg=str(region))
+
+    def test_block_peak_memory(self):
+        """Within the bound of the oracle's other block kernels."""
+        assert block_peak(_mc_points_block) <= 9.5e6
 
 
 class TestBoundedMemory:
