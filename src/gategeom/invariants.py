@@ -427,18 +427,27 @@ def _c_from_g_batch(g: np.ndarray) -> np.ndarray:
     edge = m**3 / 4.0
     arg = np.divide(-q, edge, out=np.zeros_like(q), where=edge > 0.0)
     phi = np.arccos(np.clip(arg, -1.0, 1.0)) / 3.0
-    k = np.arange(3.0)
-    t = m[:, None] * np.cos(phi[:, None] - 2.0 * np.pi * k / 3.0)
-    z = np.sort(t + (g3 / 3.0)[:, None], axis=-1)
-    over = np.abs(z).max(axis=-1) - 1.0
+    shift = g3 / 3.0
+    x, y, w = (m * np.cos(phi - 2.0 * np.pi * k / 3.0) + shift for k in (0.0, 1.0, 2.0))
+    # A three-comparator sorting network writes the roots into the columns
+    # of c in ascending order, so the largest |root| is at an end.
+    c = np.empty((len(g), 3))
+    lo, hi = np.minimum(x, y), np.maximum(x, y)
+    mid = np.minimum(hi, w, out=x)
+    np.maximum(hi, w, out=c[:, 2])
+    np.minimum(lo, mid, out=c[:, 0])
+    np.maximum(lo, mid, out=c[:, 1])
+    over = np.maximum(-c[:, 0], c[:, 2]) - 1.0
     bad = (p > budget) | (np.abs(q) - edge > budget) | (over > np.cbrt(budget))
     if bad.any():
         raise InvalidInvariantsError(
             f"no gate has the invariants {tuple(g[bad][0])}, not even within round-off"
         )
-    half = np.arccos(np.clip(z, -1.0, 1.0)) / 2.0
-    c1 = np.where(g2 >= 0.0, half[:, 0], np.pi - half[:, 0])
-    return np.stack([c1, half[:, 1], half[:, 2]], axis=-1)
+    np.clip(c, -1.0, 1.0, out=c)
+    np.arccos(c, out=c)
+    c /= 2.0
+    np.subtract(np.pi, c[:, 0], out=c[:, 0], where=g2 < 0.0)
+    return c
 
 
 def c_from_g(g1: float, g2: float, g3: float) -> CanonicalCoords:

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coords import is_perfect_entangler
+from .coords import in_weyl_chamber, is_perfect_entangler
 from .errors import ValidationError
 from .gates import _assemble_batch, require_unitary_stack
 from .geometry import WEYL_DENSITY_MAX, weyl_density
@@ -455,8 +455,22 @@ def export_csv(path, coords: np.ndarray) -> None:
 
     ``path`` may also be an open text stream.  Floats use their shortest
     round-trip representation; the perfect-entangler flag is 1 or 0.
+    ``coords`` must have shape (n, 3) and hold finite chamber points; it
+    is checked ``BLOCK_SIZE`` rows at a time before anything is written,
+    and the error names the first bad row by its index.
     """
-    _write_csv(path, _chunks(np.asarray(coords, dtype=float)))
+    coords = np.asarray(coords, dtype=float)
+    if coords.ndim != 2 or coords.shape[1] != 3:
+        raise ValidationError(f"expected coordinates of shape (n, 3), got {coords.shape}")
+    for start, chunk in zip(range(0, len(coords), BLOCK_SIZE), _chunks(coords)):
+        with np.errstate(invalid="ignore", over="ignore"):  # NaN and inf rows fail the test
+            bad = ~in_weyl_chamber(chunk[:, 0], chunk[:, 1], chunk[:, 2])
+        if bad.any():
+            row = start + int(np.argmax(bad))
+            raise ValidationError(
+                f"row {row} of the coordinates, {tuple(coords[row].tolist())}, is no finite chamber point"
+            )
+    _write_csv(path, _chunks(coords))
 
 
 def export_jsonl(path, gates: np.ndarray) -> None:

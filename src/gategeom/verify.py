@@ -2,8 +2,10 @@
 itself, each pitting two independent routes against each other.
 
 ``quick`` keeps the whole battery within a few seconds; ``full`` adds
-the large-sample distribution tests.  The statistics are computed here
-with numpy and :mod:`math`, so the battery needs nothing beyond numpy.
+the large-sample distribution tests and the acceptance battery's cases,
+which it measures by running these checks.  Each contractual quantity
+has one bound, in ``_BOUNDS``.  The statistics are computed here with
+numpy and :mod:`math`, so the battery needs nothing beyond numpy.
 Constants are looked up through their modules at call time, so a
 deliberately corrupted constant is caught rather than baked in.
 """
@@ -35,13 +37,46 @@ class CheckResult:
     duration: float
 
 
+#: The one bound of each contractual quantity.  A deviation passes below
+#: its bound (relative where the check's detail says so); a p-value, and
+#: the sampled wedge fraction's distance in standard errors, as named.
+_BOUNDS = {
+    "chamber-mass": 1e-13,
+    "pe-mass-quadrature": 2e-14,
+    "pe-fraction-standard-errors": 5.0,
+    "cube-closed-form": 3e-13,
+    "density-peak-value": 1e-13,
+    "density-peak-position": 1e-12,
+    "metric-determinant": 8e-13,
+    "frame-determinant": 1.5e-10,
+    "invariant-roundtrip": 1e-9,
+    "matrix-invariants": 1e-13,
+    "gram-identity": 5e-11,
+    "change-of-variables": 3e-12,
+    "cylinder-closed-form": 1e-13,
+    "origin-body-closed-form": 3e-14,
+    "origin-elementary-form": 1e-15,
+    "elliptic-integrals": 2e-13,
+    "bin-grid-mass": 1e-13,
+    "chi-square-pvalue": 0.01,
+    "two-method-ks-pvalue": 0.01,
+}
+
+
+def _below(quantity: str, value: float) -> tuple[bool, str]:
+    """Whether ``value`` is under the bound of ``quantity``, and both as text."""
+    bound = _BOUNDS[quantity]
+    return value < bound, f"{value:.2e} (bound {bound:g})"
+
+
 def _random_full_coords(rng, margin: float = 0.25) -> FullCoords:
     """A chart point comfortably away from every coordinate singularity.
 
     Each rotation angle keeps ``margin`` from 0, 4 pi and 2 pi, where
     sin(alpha / 2) = 0 and the axis angles drop out of the chart, and the
     chamber's sine product is no smaller than the least rotation factor
-    sin(alpha / 2)**2 sin(theta) that allows.
+    sin(alpha / 2)**2 sin(theta) that allows.  A coin after each try's
+    uniforms reflects an accepted c1 across pi/2, which keeps every test.
     """
     floor = np.sin(margin / 2) ** 2 * np.sin(margin)
 
@@ -57,6 +92,7 @@ def _random_full_coords(rng, margin: float = 0.25) -> FullCoords:
 
     while True:
         c = np.sort(rng.uniform(0.1, np.pi / 2 - 0.05, 3))[::-1]
+        flip = rng.random() < 0.5
         if (
             c[0] - c[1] > margin / 3
             and c[1] - c[2] > margin / 3
@@ -65,21 +101,31 @@ def _random_full_coords(rng, margin: float = 0.25) -> FullCoords:
             and abs(geom._chamber_sine_product(c)) > floor
         ):
             break
+    if flip:
+        c[0] = np.pi - c[0]
     return FullCoords(
         su2(), su2(), su2(), su2(), CanonicalCoords(float(c[0]), float(c[1]), float(c[2]))
     )
 
 
 def _chamber_interior_points(rng, n: int, margin: float = 0.02) -> np.ndarray:
+    """``n`` chamber points at least ``margin`` from every face, (n, 3).
+
+    Descending-sorted uniforms fill the half with c1 <= pi/2, and a coin
+    per row, drawn after each batch's uniforms, reflects c1 across pi/2
+    once the margins are tested; the reflection maps them onto each other.
+    """
     pts = []
     while len(pts) < n:
         c = np.sort(rng.uniform(margin, np.pi / 2, (4 * n, 3)), axis=1)[:, ::-1]
+        flip = rng.random(4 * n) < 0.5
         ok = (
             (c[:, 0] - c[:, 1] > margin)
             & (c[:, 1] - c[:, 2] > margin)
             & (c[:, 2] > margin)
             & (c[:, 0] + c[:, 1] < np.pi - margin)
         )
+        c[flip, 0] = np.pi - c[flip, 0]
         pts.extend(c[ok])
     return np.asarray(pts[:n])
 
@@ -89,14 +135,14 @@ def _chamber_interior_points(rng, n: int, margin: float = 0.02) -> np.ndarray:
 
 def _check_chamber_normalization(seed, full):
     v = quad.integrate_over_chamber()
-    dev = abs(v - 1.0)
-    return dev < 1e-13, f"chamber mass {v:.12f}, |dev| {dev:.2e}"
+    passed, dev = _below("chamber-mass", abs(v - 1.0))
+    return passed, f"chamber mass {v:.12f}, |dev| {dev}"
 
 
 def _check_pe_quadrature(seed, full):
     v = vol.pe_volume("quadrature").value
-    dev = abs(v - vol.PE_VOLUME_CLOSED)
-    return dev < 2e-14, f"wedge mass {v:.12f} vs closed {vol.PE_VOLUME_CLOSED:.12f}, |dev| {dev:.2e}"
+    passed, dev = _below("pe-mass-quadrature", abs(v - vol.PE_VOLUME_CLOSED))
+    return passed, f"wedge mass {v:.12f} vs closed {vol.PE_VOLUME_CLOSED:.12f}, |dev| {dev}"
 
 
 def _check_pe_mc(seed, full):
@@ -109,56 +155,73 @@ def _check_pe_mc(seed, full):
 
     frac = sum(k for _, k in smp._blocks(n, cfg, count)) / n
     se = np.sqrt(vol.PE_VOLUME_CLOSED * (1 - vol.PE_VOLUME_CLOSED) / n)
-    dev = abs(frac - vol.PE_VOLUME_CLOSED)
-    return dev < 5 * se, f"fraction {frac:.6f}, {dev / se:.2f} standard errors off"
+    passed, off = _below("pe-fraction-standard-errors", abs(frac - vol.PE_VOLUME_CLOSED) / se)
+    return passed, f"fraction {frac:.6f}, standard errors off {off}"
+
+
+#: Cubes whose closed form ``quick`` checks against quadrature.
+_QUICK_CUBES = [
+    ((0.0, 0.0, 0.0), 0.6),
+    ((np.pi / 2, np.pi / 2, np.pi / 2), 1.0),
+    ((np.pi / 4, np.pi / 4, np.pi / 4), 0.8),
+    ((np.pi / 2, 0.0, 0.0), 1.2),
+    ((np.pi / 2, np.pi / 4, 0.0), 0.5),
+    ((np.pi / 2, np.pi / 4, np.pi / 4), 0.5),
+    ((0.8, 0.0, 0.0), 0.7),
+    ((0.9, 0.5, 0.25), 0.2),
+    ((np.pi, np.pi / 2, np.pi / 2), 0.5),  # an image of cnot
+    ((0.9, 0.5, 0.0), 0.2),  # across the c3 = 0 face, no crease
+]
+#: ``full`` adds small cubes on the named gate points and the cnot-swap
+#: midpoint, on the c1 axis and in the interior.
+_FULL_CUBES = _QUICK_CUBES + [
+    (center, side)
+    for centers, sides in (
+        (
+            [*dict.fromkeys(gates_mod.NAMED_GATE_POINTS.values()), (np.pi / 2, np.pi / 4, np.pi / 4)],
+            (0.1, 0.2, 0.3),
+        ),
+        ([(0.3, 0.0, 0.0), (0.8, 0.0, 0.0), (1.4, 0.0, 0.0)], (0.1, 0.2, 0.25)),
+        ([(0.9, 0.5, 0.25)], (0.1, 0.2, 0.24)),
+    )
+    for center in centers
+    for side in sides
+]
 
 
 def _check_cube_closed_forms(seed, full):
-    cases = [
-        ((0.0, 0.0, 0.0), 0.6),
-        ((np.pi / 2, np.pi / 2, np.pi / 2), 1.0),
-        ((np.pi / 4, np.pi / 4, np.pi / 4), 0.8),
-        ((np.pi / 2, 0.0, 0.0), 1.2),
-        ((np.pi / 2, np.pi / 4, 0.0), 0.5),
-        ((np.pi / 2, np.pi / 4, np.pi / 4), 0.5),
-        ((0.8, 0.0, 0.0), 0.7),
-        ((0.9, 0.5, 0.25), 0.2),
-        ((np.pi, np.pi / 2, np.pi / 2), 0.5),  # an image of cnot
-        ((0.9, 0.5, 0.0), 0.2),  # across the c3 = 0 face, no crease
-    ]
-    worst = 0.0
-    for center, side in cases:
-        closed = vol.cube_volume_closed(center, side)
-        numeric = vol.cube_volume_quadrature(center, side)
-        worst = max(worst, abs(numeric - closed) / closed)
-    return worst < 3e-13, f"worst closed-vs-quadrature relative deviation {worst:.2e}"
+    cases = _FULL_CUBES if full else _QUICK_CUBES
+    passed, dev = _below("cube-closed-form", _worst_relative(
+        (vol.cube_volume_closed(*x), vol.cube_volume_quadrature(*x)) for x in cases
+    ))
+    return passed, f"worst closed-vs-quadrature relative deviation {dev} over {len(cases)} cubes"
 
 
 def _check_density_max(seed, full):
     point, value = geom.weyl_density_max_point()
-    dev = abs(value - geom.WEYL_DENSITY_MAX)
-    pos = np.abs(point.as_array() - np.array([np.pi / 2, np.pi / 4, 0.0])).max()
-    return (
-        dev < 1e-13 and pos < 1e-12,
-        f"peak {value:.12f} at {tuple(round(x, 6) for x in point.as_tuple())}",
-    )
+    ok_value, dev = _below("density-peak-value", abs(value - geom.WEYL_DENSITY_MAX))
+    offset = np.abs(point.as_array() - np.array([np.pi / 2, np.pi / 4, 0.0])).max()
+    ok_pos, pos = _below("density-peak-position", offset)
+    peak = tuple(round(x, 6) for x in point.as_tuple())
+    return ok_value and ok_pos, f"peak {value:.12f} at {peak}, |value dev| {dev}, |position dev| {pos}"
 
 
 def _check_metric_determinant(seed, full):
     rng = np.random.default_rng(seed)
-    n = 60 if full else 15
+    n = 100 if full else 15
     worst = 0.0
     for _ in range(n):
         x = _random_full_coords(rng)
         det = np.linalg.det(geom.metric_tensor(x))
         closed = geom.det_g_closed(x)
         worst = max(worst, abs(det - closed) / abs(closed))
-    return worst < 5e-12, f"worst det(metric) relative deviation {worst:.2e}"
+    passed, dev = _below("metric-determinant", worst)
+    return passed, f"worst det(metric) relative deviation {dev} over {n} chart points"
 
 
 def _check_frame(seed, full):
     rng = np.random.default_rng(seed + 1)
-    n = 8 if full else 3
+    n = 20 if full else 3
     worst = 0.0
     for _ in range(n):
         x = _random_full_coords(rng)
@@ -166,7 +229,8 @@ def _check_frame(seed, full):
         got = abs(np.linalg.det(E))
         want = np.sqrt(geom.det_g_closed(x))
         worst = max(worst, abs(got - want) / want)
-    return worst < 2e-10, f"worst |det frame| vs sqrt(det metric) deviation {worst:.2e}"
+    passed, dev = _below("frame-determinant", worst)
+    return passed, f"worst |det frame| vs sqrt(det metric) relative deviation {dev} over {n} chart points"
 
 
 def _check_invariant_roundtrip(seed, full):
@@ -175,14 +239,15 @@ def _check_invariant_roundtrip(seed, full):
     c = _chamber_interior_points(rng, n)
     g = inv.g_from_c(c)
     back = inv._c_from_g_batch(g)
-    worst = np.abs(back - c).max()
-    return worst < 1e-9, f"worst coordinate round-trip deviation {worst:.2e}"
+    passed, dev = _below("invariant-roundtrip", np.abs(back - c).max())
+    return passed, f"worst coordinate round-trip deviation {dev} over {n} points"
 
 
 def _check_matrix_invariants(seed, full):
     rng = np.random.default_rng(seed + 3)
+    n = 40 if full else 10
     worst = 0.0
-    for _ in range(40 if full else 10):
+    for _ in range(n):
         x = _random_full_coords(rng)
         U = gates_mod.assemble(x)
         got = inv.makhlin_invariants(U).as_array()
@@ -190,38 +255,62 @@ def _check_matrix_invariants(seed, full):
         worst = max(worst, np.abs(got - want).max())
         back = inv.canonical_coords(U).as_array()
         worst = max(worst, np.abs(back - x.c.as_array()).max())
-    return worst < 1e-13, f"worst matrix-extraction deviation {worst:.2e}"
+    passed, dev = _below("matrix-invariants", worst)
+    return passed, f"worst matrix-extraction deviation {dev} over {n} gates"
 
 
 def _check_jacobian(seed, full):
     rng = np.random.default_rng(seed + 4)
-    c = _chamber_interior_points(rng, 1_000 if full else 200)
+    n = 1_000 if full else 200
+    c = _chamber_interior_points(rng, n)
     J = geom.jacobian(c)
     g = inv.g_from_c(c)
-    worst_gram = np.abs(
-        J @ np.swapaxes(J, -1, -2) - geom.jjt_closed(g[..., 0], g[..., 1], g[..., 2])
-    ).max()
+    gram = np.abs(J @ np.swapaxes(J, -1, -2) - geom.jjt_closed(g[..., 0], g[..., 1], g[..., 2])).max()
+    ok_gram, gram = _below("gram-identity", gram)
     # change of variables: chamber density = invariant density * |det J|
     lhs = geom.weyl_density(c)
     rhs = geom.makhlin_density(g[..., 0], g[..., 1]) * np.abs(np.linalg.det(J))
-    worst_cov = np.abs(lhs - rhs).max()
-    worst = max(worst_gram, worst_cov)
-    return worst < 5e-11, f"worst Jacobian identity deviation {worst:.2e}"
+    ok_cov, cov = _below("change-of-variables", np.abs(lhs - rhs).max())
+    return ok_gram and ok_cov, (
+        f"worst Gram identity deviation {gram}, change of variables {cov} over {n} points"
+    )
+
+
+def _worst_relative(pairs) -> float:
+    """The largest |numeric - closed| / closed over (closed, numeric) masses."""
+    return max(abs(numeric - closed) / closed for closed, numeric in pairs)
+
+
+#: Cylinders ((g1, g2) centre, radius, height), their radii multiples of
+#: the centre's distance from the axis (0.6, 0.5) across the branch at 1,
+#: and origin bodies (shape, size, height); ``full`` adds smaller ones.
+_QUICK_CYLINDERS = [((0.48, -0.36), 0.6 * r, 0.3) for r in (0.5, 1 - 1e-6, 1.0, 1 + 1e-6, 2.0)]
+_FULL_CYLINDERS = _QUICK_CYLINDERS + [((0.5, 0.0), 0.5 * r, 0.2) for r in (0.5, 1 - 1e-6, 1 + 1e-6, 2.0)]
+_QUICK_BODIES = [("cube", 0.3, None), ("cylinder", 0.5, 0.3), ("sphere", 0.4, None)]
+_FULL_BODIES = _QUICK_BODIES + [("cylinder", 0.2, 0.15), ("sphere", 0.2, None), ("cube", 0.2, None)]
 
 
 def _check_cylinders(seed, full):
-    center = (0.48, -0.36)
-    rho = np.hypot(*center)
-    worst = 0.0
-    for ratio in (0.5, 1 - 1e-6, 1.0, 1 + 1e-6, 2.0):
-        closed = vol.cylinder_volume_g(center, rho * ratio, 0.3)
-        numeric = vol.cylinder_volume_quadrature(center, rho * ratio, 0.3)
-        worst = max(worst, abs(numeric - closed) / closed)
-    for shape, size, h in (("cube", 0.3, None), ("cylinder", 0.5, 0.3), ("sphere", 0.4, None)):
-        closed = vol.origin_volume_g(shape, size, h)
-        numeric = vol.origin_volume_quadrature(shape, size, h)
-        worst = max(worst, abs(numeric - closed) / closed)
-    return worst < 1e-13, f"worst cylinder/origin deviation {worst:.2e}"
+    cylinders, bodies = (_FULL_CYLINDERS, _FULL_BODIES) if full else (_QUICK_CYLINDERS, _QUICK_BODIES)
+    ok_cyl, cyl = _below("cylinder-closed-form", _worst_relative(
+        (vol.cylinder_volume_g(*x), vol.cylinder_volume_quadrature(*x)) for x in cylinders
+    ))
+    ok_body, body = _below("origin-body-closed-form", _worst_relative(
+        (vol.origin_volume_g(*x), vol.origin_volume_quadrature(*x)) for x in bodies
+    ))
+    passed = ok_cyl and ok_body
+    detail = (
+        f"worst relative closed-vs-quadrature deviation of {len(cylinders)} cylinders {cyl}, "
+        f"of {len(bodies)} origin bodies {body}"
+    )
+    if full:  # the origin closed forms against their elementary values
+        ok_exact, exact = _below("origin-elementary-form", max(
+            abs(vol.origin_volume_g("cylinder", 0.2, 0.15) - 6 * 0.2 * 0.15),
+            abs(vol.origin_volume_g("sphere", 0.2) - 3 * np.pi * 0.04),
+            abs(vol.origin_volume_g("cube", 0.2) - 12 * 0.04 / np.pi * math.log(1 + math.sqrt(2))),
+        ))
+        passed, detail = passed and ok_exact, f"{detail}; origin closed forms exact to {exact}"
+    return passed, detail
 
 
 def _check_elliptic(seed, full):
@@ -229,7 +318,8 @@ def _check_elliptic(seed, full):
     for k in (0.0, 0.1, 0.5, 0.9, 0.999, 1 - 1e-9):
         K, E = _elliptic_by_quadrature(k)
         worst = max(worst, abs(vol.elliptic_K(k) - K), abs(vol.elliptic_E(k) - E))
-    return worst < 2e-13, f"worst AGM-vs-quadrature deviation {worst:.2e}"
+    passed, dev = _below("elliptic-integrals", worst)
+    return passed, f"worst AGM-vs-quadrature deviation {dev}"
 
 
 def _elliptic_by_quadrature(k: float) -> tuple[float, float]:
@@ -261,8 +351,8 @@ def _check_sampler_determinism(seed, full):
 
 def _check_bin_grid(seed, full, bin_grid):
     p = bin_grid()
-    dev = abs(p.sum() - 1.0)
-    return dev < 1e-13 and np.all(p >= 0), f"grid mass {p.sum():.12f}"
+    passed, dev = _below("bin-grid-mass", abs(p.sum() - 1.0))
+    return passed and np.all(p >= 0), f"grid mass {p.sum():.12f}, |dev| {dev}"
 
 
 def _check_chi_square(seed, full, bin_grid):
@@ -278,7 +368,8 @@ def _check_chi_square(seed, full, bin_grid):
     # Integer-valued counts: their sum does not depend on the order.
     counts = sum(h for _, h in smp._blocks(n, cfg, histogram))
     pval = _counts_pvalue(counts, n, probabilities)
-    return pval > 0.01, f"chi-square p-value {pval:.4f} on {n} samples"
+    bound = _BOUNDS["chi-square-pvalue"]
+    return pval > bound, f"chi-square p-value {pval:.4f} on {n} samples (bound {bound:g})"
 
 
 def _check_two_method_ks(seed, full):
@@ -289,7 +380,8 @@ def _check_two_method_ks(seed, full):
         kernel = smp._invariants_kernel(cfg)  # each block kept as its g3 column
         g3.append(smp._fill(n, cfg, lambda rng, m: kernel(rng, m)[:, 2], (), float))
     pval = _ks_2samp_pvalue(*g3)
-    return pval > 0.01, f"third-invariant two-sample KS p-value {pval:.4f}"
+    bound = _BOUNDS["two-method-ks-pvalue"]
+    return pval > bound, f"third-invariant two-sample KS p-value {pval:.4f} (bound {bound:g})"
 
 
 def _ks_2samp_pvalue(a: np.ndarray, b: np.ndarray) -> float:

@@ -156,11 +156,11 @@ def _length(value, what: str, positive: bool = False) -> float:
     return v
 
 
-def _center(center, what: str) -> np.ndarray:
-    """``center`` as an array of three finite floats."""
+def _center(center, what: str, size: int = 3) -> np.ndarray:
+    """``center`` as an array of ``size`` (three, or two for an axis) finite floats."""
     ctr = np.asarray(center, dtype=float)
-    if ctr.shape != (3,) or not np.isfinite(ctr).all():
-        raise ValidationError(f"{what} must be three finite numbers, got {center!r}")
+    if ctr.shape != (size,) or not np.isfinite(ctr).all():
+        raise ValidationError(f"{what} must be {('two', 'three')[size - 2]} finite numbers, got {center!r}")
     return ctr
 
 
@@ -300,7 +300,7 @@ def cylinder_volume_g(center, radius: float, height: float) -> float:
     it matches the quadrature route everywhere and the sampled mass only
     where the cylinder stays inside the attainable set.
     """
-    g1, g2 = (float(v) for v in center)
+    g1, g2 = _center(center, "center", 2).tolist()
     R, h = _length(radius, "radius"), _length(height, "height")
     rho = _length(math.hypot(g1, g2), "the center's distance from the g3 axis")
     if rho == 0.0:
@@ -324,7 +324,7 @@ def cylinder_volume_quadrature(center, radius: float, height: float) -> float:
     ray grazes the circle; both are written in the angle's distance u
     from that point and integrated on the graded line rule.
     """
-    g1, g2 = (float(v) for v in center)
+    g1, g2 = _center(center, "center", 2).tolist()
     R, h = _length(radius, "radius"), _length(height, "height")
     rho = _length(math.hypot(g1, g2), "the center's distance from the g3 axis")
     if R == 0.0 or h == 0.0:

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from gategeom.coords import CanonicalCoords, FullCoords, Su2Params
+from gategeom.coords import FullCoords, Su2Params
 from gategeom.gates import _assemble_batch, assemble
 from gategeom.verify import _bin_edges, _counts_pvalue
 
@@ -32,37 +32,6 @@ def random_su2_params(rng, margin: float = 0.25) -> Su2Params:
         theta=float(rng.uniform(margin, np.pi - margin)),
         phi=float(rng.uniform(0.0, 2 * np.pi)),
     )
-
-
-def random_full_coords(rng, margin: float = 0.25) -> FullCoords:
-    c = interior_chamber_points(rng, 1)[0]
-    return FullCoords(
-        a1=random_su2_params(rng, margin),
-        b1=random_su2_params(rng, margin),
-        a2=random_su2_params(rng, margin),
-        b2=random_su2_params(rng, margin),
-        c=CanonicalCoords(*c),
-    )
-
-
-def interior_chamber_points(rng, n: int, margin: float = 0.05) -> np.ndarray:
-    """Strictly interior chamber triples, away from every wall."""
-    out = np.empty((n, 3))
-    have = 0
-    while have < n:
-        c = np.sort(rng.uniform(0.0, np.pi / 2, size=(4 * n, 3)), axis=1)[:, ::-1]
-        if rng.random() < 0.5:
-            c[:, 0] = np.pi - c[:, 0]
-        keep = (
-            (c[:, 2] > margin)
-            & (c[:, 1] - c[:, 2] > margin)
-            & (c[:, 0] - c[:, 1] > margin)
-            & (np.pi - c[:, 0] - c[:, 1] > margin)
-        )
-        got = c[keep][: n - have]
-        out[have : have + got.shape[0]] = got
-        have += got.shape[0]
-    return out
 
 
 def local_gate(a: Su2Params, b: Su2Params) -> np.ndarray:

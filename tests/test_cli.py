@@ -7,12 +7,13 @@ import pytest
 from click.testing import CliRunner
 
 import gategeom.volumes
-from conftest import CNOT, matrix_to_json_dict, random_full_coords, write_matrix_json
+from conftest import CNOT, matrix_to_json_dict, write_matrix_json
 from gategeom.cli import _FMT, cli, parse_angle
 from gategeom.coords import in_weyl_chamber
 from gategeom.gates import assemble
 from gategeom.invariants import canonical_coords, g_from_c
 from gategeom.volumes import cube_volume_quadrature, is_perfect_entangler
+from gategeom.verify import _random_full_coords
 
 DATA = Path(__file__).parent / "data"
 
@@ -190,7 +191,7 @@ class TestInvariantsCommand:
 
 class TestCanonicalizeCommand:
     def test_recovers_coordinates_of_a_dressed_gate(self, runner, rng, tmp_path):
-        x = random_full_coords(rng)
+        x = _random_full_coords(rng)
         path = write_matrix_json(tmp_path / "gate.json", assemble(x))
         result = runner.invoke(cli, ["canonicalize", path, "--json"])
         assert result.exit_code == 0

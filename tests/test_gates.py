@@ -13,7 +13,6 @@ from conftest import (
     cores,
     local_gate,
     matrix_to_json_dict,
-    random_full_coords,
     random_su2_params,
     write_matrix_json,
 )
@@ -35,6 +34,7 @@ from gategeom.gates import (
 from gategeom.invariants import _MAGIC_BASIS as MAGIC_BASIS
 from gategeom.invariants import canonical_coords_batch
 from gategeom.sampling import export_jsonl
+from gategeom.verify import _random_full_coords
 
 I2 = np.eye(2)
 I4 = np.eye(4)
@@ -177,13 +177,13 @@ class TestAssemble:
             return expm(-0.5j * v.alpha * np.einsum("j,jab->ab", axis, sigma))
 
         for _ in range(200):
-            x = random_full_coords(rng, margin=0.0)
+            x = _random_full_coords(rng, margin=0.0)
             core = expm(-0.5j * np.einsum("j,jab->ab", x.c.as_tuple(), pairs))
             want = np.kron(rotation(x.a1), rotation(x.b1)) @ core @ np.kron(rotation(x.a2), rotation(x.b2))
             np.testing.assert_allclose(assemble(x), want, rtol=0, atol=2e-13)
 
     def test_scalar_is_a_row_of_the_batch(self, rng):
-        xs = [random_full_coords(rng) for _ in range(50)]
+        xs = [_random_full_coords(rng) for _ in range(50)]
         batch = _assemble_batch(np.array([x.as_array() for x in xs])).transpose(2, 0, 1)
         x = xs[0]  # plain tuples where the dataclasses would go
         xs[0] = FullCoords(x.a1, x.b1.as_tuple(), x.a2, x.b2, x.c.as_tuple())

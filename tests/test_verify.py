@@ -1,3 +1,8 @@
+import ast
+import inspect
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.special
@@ -11,7 +16,17 @@ from conftest import chi_square_pvalue
 from gategeom.errors import ValidationError
 from gategeom.quadrature import bin_probabilities
 from gategeom.sampling import SamplerConfig, sample_canonical, sample_invariants
-from gategeom.verify import CheckResult, _elliptic_by_quadrature, _gamma_q, _ks_2samp_pvalue, run_checks
+from gategeom.verify import (
+    _BOUNDS,
+    _CHECKS,
+    CheckResult,
+    _chamber_interior_points,
+    _elliptic_by_quadrature,
+    _gamma_q,
+    _ks_2samp_pvalue,
+    _random_full_coords,
+    run_checks,
+)
 
 EXPECTED_CHECK_NAMES = {
     "chamber-normalization",
@@ -99,22 +114,30 @@ class TestRunChecks:
         assert value_dev > 1e-8 and pos_dev > 1e-4
 
     @pytest.mark.parametrize(
-        "check,module,route,drift",
+        "check,module,route,drift,quantity,old_bound",
         [
-            ("metric-determinant", gategeom.geometry, "det_g_closed", 4e-9),
-            ("jacobian-identities", gategeom.geometry, "makhlin_density", 1e-10),
-            ("elliptic-integrals", gategeom.volumes, "elliptic_K", 1e-12),
-            ("frame-vs-metric", gategeom.geometry, "det_g_closed", 1e-9),
+            ("metric-determinant", gategeom.geometry, "det_g_closed", 4e-9, "metric-determinant", 1e-8),
+            ("jacobian-identities", gategeom.geometry, "makhlin_density", 1e-10, "change-of-variables", 1e-8),
+            ("elliptic-integrals", gategeom.volumes, "elliptic_K", 1e-12, "elliptic-integrals", 1e-10),
+            ("frame-vs-metric", gategeom.geometry, "det_g_closed", 1e-9, "frame-determinant", 1e-4),
+            # Bounds the acceptance battery and verify once held apart.
+            ("cube-closed-forms", gategeom.volumes, "cube_volume_closed", 1e-12, "cube-closed-form", 3e-12),
+            ("metric-determinant", gategeom.geometry, "det_g_closed", 2e-12, "metric-determinant", 5e-12),
+            ("frame-vs-metric", gategeom.geometry, "det_g_closed", 3.5e-10, "frame-determinant", 2e-10),
+            ("jacobian-identities", gategeom.geometry, "makhlin_density", 5e-12, "change-of-variables", 5e-11),
+            ("cylinder-volumes", gategeom.volumes, "origin_volume_quadrature", 6e-14, "origin-body-closed-form", 1e-13),
         ],
     )
-    def test_small_drift_is_caught(self, monkeypatch, check, module, route, drift):
-        """Each bound sits about 100x above what its check measures, so a
-        drift its earlier bound (1e-8, 1e-8, 1e-10, 1e-4) let through fails."""
+    def test_small_drift_is_caught(self, monkeypatch, check, module, route, drift, quantity, old_bound):
+        """A drift an earlier, looser bound of the quantity let through
+        reads between it and today's bound, and fails the check."""
         exact = getattr(module, route)
         monkeypatch.setattr(module, route, lambda *a: exact(*a) * (1.0 + drift))
         for level in ("quick", "full"):
             [result] = run_checks(level, names=[check])
             assert not result.passed, result.detail
+            read = {float(b): float(v) for v, b in re.findall(r"(\S+) \(bound (\S+)\)", result.detail)}
+            assert _BOUNDS[quantity] < read[_BOUNDS[quantity]] < old_bound, result.detail
 
     @pytest.mark.parametrize("level", ["quick", "full"])
     def test_frame_check_passes_on_every_seed(self, level):
@@ -134,6 +157,66 @@ class TestRunChecks:
         assert "raised" in results[0].detail
 
 
+class TestPointDraws:
+    """The one interior-point draw and the one chart-point draw."""
+
+    def test_the_reflection_keeps_every_accepted_point(self):
+        """The coins follow each batch's uniforms: the rows are those a
+        draw with no reflection accepts, some with c1 taken to pi - c1."""
+        c = _chamber_interior_points(np.random.default_rng(2), 500)
+        u = np.sort(np.random.default_rng(2).uniform(0.02, np.pi / 2, (2000, 3)), axis=1)[:, ::-1]
+        u = u[(u[:, 0] - u[:, 1] > 0.02) & (u[:, 1] - u[:, 2] > 0.02) & (u[:, 2] > 0.02)][:500]
+        np.testing.assert_array_equal(c[:, 1:], u[:, 1:])
+        assert np.all((c[:, 0] == u[:, 0]) | (c[:, 0] == np.pi - u[:, 0]))
+        assert 0.4 < np.mean(c[:, 0] > np.pi / 2) < 0.6
+
+    def test_chart_points_reach_both_halves(self):
+        rng = np.random.default_rng(3)
+        c1 = np.array([_random_full_coords(rng).c.c1 for _ in range(400)])
+        assert 0.4 < np.mean(c1 > np.pi / 2) < 0.6
+
+
+def float_bounds(function: ast.AST) -> list:
+    """Float literals inside the comparisons of a function's body."""
+    return [
+        node.value
+        for compare in ast.walk(function)
+        if isinstance(compare, ast.Compare)
+        for node in ast.walk(compare)
+        if isinstance(node, ast.Constant) and isinstance(node.value, float)
+    ]
+
+
+class TestOneBoundPerQuantity:
+    #: Acceptance criteria that measure a quantity ``verify`` measures.
+    SHARED_CRITERIA = ("01", "03", "04", "06", "07", "08", "09", "10")
+
+    def test_the_detector_sees_a_literal_bound(self):
+        tree = ast.parse("def f(x, se):\n    return x < 1e-13 or x <= 3.0 * se")
+        assert float_bounds(tree) == [1e-13, 3.0]
+
+    def test_checks_read_every_bound_from_the_table(self):
+        tree = ast.parse(inspect.getsource(gategeom.verify))
+        checks = [f for f in tree.body if isinstance(f, ast.FunctionDef) and f.name.startswith("_check_")]
+        assert len(checks) == len(_CHECKS)
+        assert {f.name: float_bounds(f) for f in checks if float_bounds(f)} == {}
+
+    def test_shared_criteria_read_no_bound_of_their_own(self):
+        tree = ast.parse(Path(__file__).with_name("test_acceptance.py").read_text())
+        prefixes = tuple(f"test_criterion_{n}_" for n in self.SHARED_CRITERIA)
+        criteria = [f for f in tree.body if isinstance(f, ast.FunctionDef) and f.name.startswith(prefixes)]
+        assert len(criteria) == len(self.SHARED_CRITERIA)
+        assert {f.name: float_bounds(f) for f in criteria if float_bounds(f)} == {}
+
+    def test_readme_table_is_the_table(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        section = readme.split("### Contractual bounds", 1)[1].split("\n#", 1)[0]
+        rows = [re.split(r"(?<!\\)\|", line)[1:-1] for line in section.splitlines() if line.startswith("| `")]
+        assert {row[0].strip(" `"): float(row[3]) for row in rows} == _BOUNDS
+        assert len(rows) == len(_BOUNDS)
+        assert {row[2].strip(" `") for row in rows} <= {name for name, _ in _CHECKS}
+
+
 class TestBlockReducers:
     """The checks that reduce the sampler's stream block by block give the
     details of the array path."""
@@ -149,7 +232,7 @@ class TestBlockReducers:
         passed, detail = gategeom.verify._check_chi_square(3, False, lambda: probabilities)
         cfg = SamplerConfig(seed=8, method="coordinate_density")
         pval = chi_square_pvalue(sample_canonical(200_000, cfg), probabilities)
-        assert passed and detail == f"chi-square p-value {pval:.4f} on 200000 samples"
+        assert passed and detail == f"chi-square p-value {pval:.4f} on 200000 samples (bound 0.01)"
 
     def test_two_method_ks_is_the_array_pvalue(self):
         """Each block is reduced to its g3 column; the p-value is that of
@@ -158,7 +241,7 @@ class TestBlockReducers:
         g_a = sample_invariants(40_000, SamplerConfig(seed=9, method="coordinate_density"))
         g_b = sample_invariants(40_000, SamplerConfig(seed=10, method="matrix_oracle"))
         pval = _ks_2samp_pvalue(g_a[:, 2], g_b[:, 2])
-        assert passed and detail == f"third-invariant two-sample KS p-value {pval:.4f}"
+        assert passed and detail == f"third-invariant two-sample KS p-value {pval:.4f} (bound 0.01)"
 
 
 class TestChiSquare:
