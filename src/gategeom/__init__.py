@@ -66,16 +66,7 @@ from .volumes import (
     PE_VOLUME_CLOSED,
     Region,
     VolumeResult,
-    cube_volume_closed,
-    cube_volume_quadrature,
-    cylinder_volume_g,
-    cylinder_volume_quadrature,
-    elliptic_E,
-    elliptic_K,
-    origin_volume_g,
-    origin_volume_quadrature,
-    pe_volume,
-    region_volume_mc,
+    region_volume,
 )
 from .verify import run_checks
 
@@ -104,13 +95,7 @@ __all__ = [
     "c_from_g",
     "canonical_coords",
     "canonical_coords_batch",
-    "cube_volume_closed",
-    "cube_volume_quadrature",
-    "cylinder_volume_g",
-    "cylinder_volume_quadrature",
     "det_g_closed",
-    "elliptic_E",
-    "elliptic_K",
     "export_csv",
     "export_jsonl",
     "frame_finite_difference",
@@ -125,11 +110,8 @@ __all__ = [
     "makhlin_density",
     "makhlin_invariants",
     "metric_tensor",
-    "origin_volume_g",
-    "origin_volume_quadrature",
-    "pe_volume",
     "project_su4",
-    "region_volume_mc",
+    "region_volume",
     "require_unitary",
     "run_checks",
     "sample_canonical",

@@ -257,43 +257,31 @@ def _volume_options(fn):
     return fn
 
 
-def _run_volume(opts: dict, closed, quadrature, region: vol.Region) -> None:
-    """Run the chosen methods and print per-method values and agreement.
-
-    ``opts`` holds the shared options of :func:`_volume_options`.
-    ``closed`` and ``quadrature`` are calls returning a value or a
-    ``VolumeResult``; ``region`` is what the Monte-Carlo method samples.
-    A method out of its range becomes a note when other methods run.  The
-    Monte-Carlo options are checked before any method runs, whichever run.
-    """
+def _run_volume(opts: dict, region: vol.Region) -> None:
+    """Run the chosen methods on ``region`` and print per-method values and
+    agreement.  ``opts`` holds the options of :func:`_volume_options`; the
+    Monte-Carlo ones are checked before any method runs, whichever run.  A
+    method out of its range becomes a note when other methods run."""
     wanted = _parse_methods(opts["methods"])
     config = SamplerConfig(seed=opts["seed"], worker_count=_worker_count(opts["threads"]))
     samples = vol._mc_sample_count(opts["samples"])
     results, notes = {}, {}
     for m in wanted:
-        if m == "mc":
-            results[m] = vol.region_volume_mc(
-                region, samples=samples, seed=config.seed, worker_count=config.worker_count
-            )
-            continue
         try:
-            value = closed() if m == "closed" else quadrature()
+            results[m] = vol.region_volume(region, m, samples, config.seed, config.worker_count)
         except RangeError as exc:
             if len(wanted) == 1:
                 raise
             notes[m] = f"unavailable ({exc})"
-            continue
-        results[m] = value if isinstance(value, vol.VolumeResult) else vol.VolumeResult(value)
     checks = []
     if "closed" in results and "quadrature" in results:
         exact, quad = results["closed"].value, results["quadrature"].value
         checks.append(abs(quad - exact) <= _AGREE_REL * max(abs(exact), 1e-300))
-    if "mc" in results:
-        ref = results.get("closed", results.get("quadrature"))
-        if ref is not None:
-            mc = results["mc"]
-            band = _AGREE_SIGMA * max(mc.error_estimate or 0.0, 1e-300)
-            checks.append(abs(mc.value - ref.value) <= band)
+    ref = results.get("closed", results.get("quadrature"))
+    if "mc" in results and ref is not None:
+        mc = results["mc"]
+        band = _AGREE_SIGMA * max(mc.error_estimate or 0.0, 1e-300)
+        checks.append(abs(mc.value - ref.value) <= band)
     payload = {}
     for name, res in results.items():
         payload[name] = res.value
@@ -309,9 +297,7 @@ def _run_volume(opts: dict, closed, quadrature, region: vol.Region) -> None:
 @_volume_options
 def volume_pe(**opts):
     """Mass of the perfect-entangler wedge."""
-    _run_volume(
-        opts, lambda: vol.pe_volume("closed"), lambda: vol.pe_volume("quadrature"), vol.Region("pe")
-    )
+    _run_volume(opts, vol.Region("pe"))
 
 
 @volume.command("cube")
@@ -333,12 +319,7 @@ def volume_cube(gate, center, side, clip, **opts):
     a = parse_angle(side)
     if "closed" in _parse_methods(opts["methods"]) and clip != "none":
         raise click.UsageError("closed cube forms exist only for clip=none")
-    _run_volume(
-        opts,
-        lambda: vol.cube_volume_closed(ctr, a),
-        lambda: vol.cube_volume_quadrature(ctr, a, clip=clip),
-        vol.Region("cube_c", tuple(ctr), a, clip="unclipped" if clip == "none" else "chamber"),
-    )
+    _run_volume(opts, vol.Region("cube_c", tuple(ctr), a, clip="unclipped" if clip == "none" else clip))
 
 
 @volume.command("cylinder")
@@ -350,12 +331,7 @@ def volume_cylinder(center, radius, height, **opts):
     """Mass of a g3-aligned cylinder in invariant space."""
     ctr = _parse_triple(center, "center")
     validate_invariant_ranges(*ctr)
-    _run_volume(
-        opts,
-        lambda: vol.cylinder_volume_g(ctr[:2], radius, height),
-        lambda: vol.cylinder_volume_quadrature(ctr[:2], radius, height),
-        vol.Region("cylinder_g", ctr, radius, height),
-    )
+    _run_volume(opts, vol.Region("cylinder_g", ctr, radius, height))
 
 
 @volume.command("sphere")
@@ -363,12 +339,7 @@ def volume_cylinder(center, radius, height, **opts):
 @_volume_options
 def volume_sphere(radius, **opts):
     """Mass of an origin-centred sphere in invariant space."""
-    _run_volume(
-        opts,
-        lambda: vol.origin_volume_g("sphere", radius),
-        lambda: vol.origin_volume_quadrature("sphere", radius),
-        vol.Region("sphere_g", (0.0, 0.0, 0.0), radius),
-    )
+    _run_volume(opts, vol.Region("sphere_g", (0.0, 0.0, 0.0), radius))
 
 
 @cli.command()

@@ -214,7 +214,10 @@ def load_matrix_json(source: str | IO) -> np.ndarray:
                 raise ValidationError(
                     f"entry ({r},{c}) must be a [re, im] pair of numbers"
                 )
-            out[r, c] = complex(ent[0], ent[1])
+            try:
+                out[r, c] = complex(ent[0], ent[1])
+            except OverflowError:
+                raise ValidationError(f"entry ({r},{c}) is too large for a float") from None
     if not np.all(np.isfinite(out.view(float))):
         raise ValidationError("matrix contains non-finite entries")
     return out

@@ -5,9 +5,9 @@ The three real invariants (g1, g2, g3) classify gates up to single-qubit
 rotations on either side.  ``canonical_coords_batch`` is the one map from
 unitaries to chamber coordinates: it reads them off the eigenphases of
 the Bell-basis congruence ``m = U_B^T U_B``.  The invariants of a matrix
-need no spectrum: ``_makhlin_batch`` takes them from the traces of the
-same m and det U, Makhlin's formulas, and agrees with ``g_from_c`` of the
-coordinates to about 3e-15.  ``g_from_c`` and ``c_from_g`` convert
+need no spectrum: ``makhlin_invariants`` takes them from the traces of
+the same m and det U, Makhlin's formulas, and agrees with ``g_from_c`` of
+the coordinates to about 3e-15.  ``g_from_c`` and ``c_from_g`` convert
 between coordinates and invariants.
 """
 from __future__ import annotations
@@ -209,22 +209,6 @@ def _det_and_congruence(U: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.linalg.det(U), X + X.transpose(0, 2, 1)
 
 
-def _makhlin_batch(U: np.ndarray) -> np.ndarray:
-    """Invariant triples of a stack already known to be unitary, (n, 4, 4) -> (n, 3).
-
-    Makhlin's trace formulas need no spectrum: G1 = tr^2(m) / (16 det U)
-    and G2 = (tr^2(m) - tr(m^2)) / (4 det U), with g1 - i g2 = G1 and
-    g3 = Re G2 (Makhlin, Quantum Inf. Process. 1, 243 (2002)).  m is
-    symmetric, so tr(m^2) is the sum of its squared entries.  They agree
-    with ``g_from_c`` of the kernel's coordinates to about 3e-15.  Stacks
-    take the routes of :func:`_spectral_coords` for their size.
-    """
-    if U.shape[0] >= _JACOBI_MIN_ROWS:
-        return _column_invariants(U.transpose(1, 2, 0).copy())
-    det, m = _det_and_congruence(U)
-    return _trace_invariants(det, m.trace(axis1=1, axis2=2), (m * m).sum(axis=(1, 2)))
-
-
 def _column_invariants(u: np.ndarray) -> np.ndarray:
     """The trace formulas on a stack taken as :func:`_column_coords` takes it;
     each off-diagonal entry of m's upper triangle stands for two."""
@@ -236,7 +220,9 @@ def _column_invariants(u: np.ndarray) -> np.ndarray:
 
 
 def _trace_invariants(det: np.ndarray, tr: np.ndarray, sq: np.ndarray) -> np.ndarray:
-    """(g1, g2, g3) from det U, tr(m) and tr(m^2), shape (n, 3)."""
+    """(g1, g2, g3) from det U, tr(m) and tr(m^2), shape (n, 3): Makhlin's
+    G1 = tr^2(m) / (16 det U) = g1 - i g2 and G2 = (tr^2(m) - tr(m^2)) /
+    (4 det U), g3 = Re G2 (Quantum Inf. Process. 1, 243 (2002))."""
     tr2 = tr * tr  # numpy rounds tr *= tr of one row unlike its rows in a stack
     w = 0.25 / det
     G1 = (0.25 * tr2) * w
@@ -377,12 +363,13 @@ def makhlin_invariants(U) -> LocalInvariants:
     """Extract the invariant triple from a unitary.
 
     The result is independent of global phase and of single-qubit
-    rotations applied before or after the gate.  It is the row of
-    :func:`_makhlin_batch` for a one-row stack: Makhlin's trace formulas,
-    with no eigenvalues, within about 3e-15 of ``g_from_c`` of
-    :func:`canonical_coords`.
+    rotations applied before or after the gate.  It comes from Makhlin's
+    trace formulas (:func:`_trace_invariants`), with no eigenvalues, and
+    lies within about 3e-15 of ``g_from_c`` of :func:`canonical_coords`.
     """
-    return LocalInvariants(*_makhlin_batch(require_unitary(U)[None])[0].tolist())
+    det, m = _det_and_congruence(require_unitary(U)[None])
+    g = _trace_invariants(det, m.trace(axis1=1, axis2=2), (m * m).sum(axis=(1, 2)))
+    return LocalInvariants(*g[0].tolist())
 
 
 def g_from_c(c, /):

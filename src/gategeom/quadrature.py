@@ -26,11 +26,13 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from collections import Counter
 from functools import lru_cache
 
 import numpy as np
 
+from .errors import ValidationError
 from .geometry import weyl_density
 
 _PI = np.pi
@@ -204,10 +206,20 @@ def _fold(lo: float, hi: float) -> Counter:
     [k pi/2, (k+1) pi/2] maps by c - k pi/2 for even k and (k+1) pi/2 - c
     for odd k.  Each end takes one subtraction from the exact multiple,
     and an end on a cut maps onto the wall, so no piece loses width.
-    Returns the (a, b) images with their multiplicities.
+    Returns the (a, b) images with their multiplicities, in cell order.
     """
     q, pieces = _PI / 2, Counter()
-    for k in range(math.floor(lo / q) - 1, math.ceil(hi / q) + 1):
+    # first: the least k with k q >= lo; end: the greatest with k q <= hi
+    # (rounding of the quotients moves either by one at most).  Cells first
+    # to end - 1 lie whole in [lo, hi] and each maps onto (0, pi/2): they
+    # are counted at once, so the cost does not grow with the length.
+    first, end = math.ceil(lo / q), math.floor(hi / q)
+    first += int(first * q < lo) - int((first - 1) * q >= lo)
+    end += int((end + 1) * q <= hi) - int(end * q > hi)
+    for k in dict.fromkeys((first - 1, first, end)):
+        if first <= k < end:
+            pieces[0.0, q] += end - first
+            continue
         m, n = k * q, (k + 1) * q
         a, b = max(lo, m), min(hi, n)
         if a < b and k % 2 == 0:
@@ -225,13 +237,17 @@ def _box_abs_mass(lo, hi) -> float:
     coordinates, so the box's mass is that of its folded images in
     [0, pi/2]^3, each taken in all six orders of its sides and clipped to
     the chamber part c3 <= c2 <= c1 there.  Identical images are
-    integrated once and weighted by their multiplicity.
+    integrated once and weighted by their multiplicity.  Each image's
+    mass is at most 1, so a box whose multiplicities sum beyond the
+    largest float is rejected.
     """
     images = Counter()
     for pieces in itertools.product(*(_fold(float(a), float(b)).items() for a, b in zip(lo, hi))):
         weight = math.prod(n for _, n in pieces)
         for image in itertools.permutations(side for side, _ in pieces):
             images[image] += weight
+    if sum(images.values()) > sys.float_info.max:
+        raise ValidationError(f"the box from {lo} to {hi} holds too many images for a float mass")
     blocks = [_clipped_blocks(*zip(*image)) for image in images]
     groups = np.repeat(np.arange(len(blocks)), [len(b) for b in blocks])
     rows = list(itertools.chain.from_iterable(blocks))

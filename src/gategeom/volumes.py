@@ -10,7 +10,8 @@ full cube, i.e. they count every reflected copy of the chamber the cube
 touches; that convention is what makes single closed forms possible at
 corners and edges, and leaves each cube mass unchanged by the density's
 symmetries (see :func:`cube_volume_closed`).  A chamber-clipped variant
-is available through :func:`cube_volume_quadrature`.
+is available through :func:`cube_volume_quadrature`.  The public call,
+:func:`region_volume`, dispatches to these per-shape routes.
 """
 from __future__ import annotations
 
@@ -49,7 +50,7 @@ def pe_volume(method: str = "closed") -> VolumeResult:
     order; its error estimate is the change from the default order,
     floored at 1e-14 relative so that the reported digits do not hang on
     summation order.  The sampled mass is
-    ``region_volume_mc(Region("pe"), ...)``.
+    ``region_volume(Region("pe"), "mc")``.
     """
     if method == "closed":
         return VolumeResult(PE_VOLUME_CLOSED)
@@ -222,21 +223,22 @@ def cube_volume_closed(center, side: float) -> float:
     raise RangeError("no closed form at this center and side; use cube_volume_quadrature")
 
 
-def cube_volume_quadrature(center, side: float, clip: str = "none") -> float:
+def cube_volume_quadrature(center, side: float, clip: str = "unclipped") -> float:
     """Quadrature mass of a coordinate cube.
 
-    ``clip="none"`` integrates |density| over the full cube (the closed
-    forms' convention); ``clip="chamber"`` keeps only the part inside the
-    fundamental cell.  Either mode is converged to round-off.
+    ``clip="unclipped"`` integrates |density| over the full cube (the
+    closed forms' convention); ``clip="chamber"`` keeps only the part
+    inside the fundamental cell, as :class:`Region` spells them.  Either
+    mode is converged to round-off.
     """
     center = _center(center, "cube center")
     a = _length(side, "cube side", positive=True)
     lo, hi = center - a / 2.0, center + a / 2.0
-    if clip == "none":
+    if clip == "unclipped":
         return _box_abs_mass(lo, hi)
     if clip == "chamber":
         return _box_clipped_mass(lo, hi)
-    raise ValidationError(f"unknown clip mode {clip!r}; use none or chamber")
+    raise ValidationError(f"unknown clip mode {clip!r}; use unclipped or chamber")
 
 
 # ---------------------------------------------------------------------------
@@ -363,7 +365,7 @@ def origin_volume_g(shape: str, size: float, height: float | None = None) -> flo
     if shape == "cylinder":
         if height is None:
             raise ValidationError("cylinder needs a height")
-        return 6.0 * s * _length(height, "height")
+        return cylinder_volume_g((0.0, 0.0), s, height)
     if shape == "sphere":
         return 3.0 * math.pi * s * s
     raise ValidationError(f"unknown shape {shape!r}; use cube, cylinder or sphere")
@@ -379,7 +381,7 @@ def origin_volume_quadrature(shape: str, size: float, height: float | None = Non
     if shape == "cylinder":
         if height is None:
             raise ValidationError("cylinder needs a height")
-        return cylinder_volume_quadrature((0.0, 0.0), s, float(height))
+        return cylinder_volume_quadrature((0.0, 0.0), s, height)
     if shape == "sphere":
         # Each slice's radius sqrt(s^2 - z^2), over z = s sin(theta).
         val = 2.0 * _integrate_line(lambda t: (s * np.cos(t)) ** 2, 0.0, np.pi / 2)
@@ -388,23 +390,23 @@ def origin_volume_quadrature(shape: str, size: float, height: float | None = Non
 
 
 # ---------------------------------------------------------------------------
-# Monte-Carlo region masses.
+# Regions, their masses by each method, and the Monte-Carlo route.
 
 
-_KINDS = ("pe", "cube_c", "cylinder_g", "sphere_g")
+_KINDS = ("pe", "cube_c", "cube_g", "cylinder_g", "sphere_g")
 
 
 @dataclass(frozen=True)
 class Region:
-    """A region whose sampled mass can be estimated.
+    """A region of the chamber or of invariant space.
 
-    Kinds: ``pe``, ``cube_c``, ``cylinder_g``, ``sphere_g``.  ``center``
-    is a coordinate or invariant triple (the (g1, g2) pair plus g3 for
-    cylinders); ``size`` is a cube side or a radius; ``height`` applies
-    to cylinders only.  ``clip`` selects, for coordinate cubes, whether
-    mass means the physical chamber-clipped membership (``"chamber"``)
-    or the reflected-copy count matching the closed cube forms
-    (``"unclipped"``).
+    Kinds: ``pe``, ``cube_c``, ``cube_g``, ``cylinder_g``, ``sphere_g``.
+    ``center`` is a coordinate or invariant triple (the (g1, g2) pair plus
+    g3 for cylinders); ``size`` is a cube side or a radius; ``height``
+    applies to cylinders only.  ``clip`` selects, for coordinate cubes,
+    whether mass means the physical chamber-clipped membership
+    (``"chamber"``) or the reflected-copy count matching the closed cube
+    forms (``"unclipped"``).
     """
 
     kind: str
@@ -422,8 +424,8 @@ class Region:
             raise ValidationError("unclipped counting applies only to coordinate cubes")
         if self.kind != "pe":
             _center(self.center, "region center")
-            cube = self.kind == "cube_c"
-            _length(self.size, "cube side" if cube else "radius", positive=cube)
+            what = "cube side" if self.kind.startswith("cube") else "radius"
+            _length(self.size, what, positive=self.kind == "cube_c")
         if self.kind == "cylinder_g":
             _length(self.height, "height")
 
@@ -439,6 +441,8 @@ class Region:
             if self.clip == "unclipped":
                 return _cube_orbit_multiplicity(c, ctr - half, ctr + half)
             inside = np.all(np.abs(c - ctr) <= half, axis=-1)
+        elif self.kind == "cube_g":
+            inside = np.all(np.abs(g_from_c(c) - ctr) <= self.size / 2.0, axis=-1)
         elif self.kind == "cylinder_g":
             g = g_from_c(c)
             planar = (g[:, 0] - ctr[0]) ** 2 + (g[:, 1] - ctr[1]) ** 2 <= self.size**2
@@ -536,3 +540,36 @@ def region_volume_mc(
         squares += s2
     variance = max(squares - total * total / n, 0.0) / (n - 1)
     return VolumeResult(total / n, math.sqrt(variance / n))
+
+
+def region_volume(
+    region: Region, method: str, samples: int = 1_000_000, seed: int = 0, worker_count: int = 1
+) -> VolumeResult:
+    """Mass of ``region`` by ``method``: ``"closed"``, ``"quadrature"`` or ``"mc"``.
+
+    ``samples``, ``seed`` and ``worker_count`` reach ``"mc"`` only, which is
+    :func:`region_volume_mc`; the others return the bits of the per-shape
+    routes.  A method that does not exist for the region raises
+    :class:`RangeError`: a chamber-clipped cube has no closed form, and
+    invariant-space cubes and spheres have only ``"mc"`` off g = 0.
+    """
+    if method == "mc":
+        return region_volume_mc(region, samples, seed, worker_count)
+    if method not in ("closed", "quadrature"):
+        raise ValidationError(f"unknown method {method!r}; use closed, quadrature or mc")
+    closed, kind, ctr, size = method == "closed", region.kind, region.center, region.size
+    if kind == "pe":
+        return pe_volume(method)
+    if kind == "cube_c" and closed and region.clip == "chamber":
+        raise RangeError("a chamber-clipped cube has no closed form; use quadrature")
+    if kind == "cube_c":
+        value = cube_volume_closed(ctr, size) if closed else cube_volume_quadrature(ctr, size, region.clip)
+    elif kind == "cylinder_g":
+        route = cylinder_volume_g if closed else cylinder_volume_quadrature
+        value = route(ctr[:2], size, region.height)
+    elif any(ctr):
+        raise RangeError(f"a {kind} region has a {method} mass only at the origin; use mc")
+    else:
+        route = origin_volume_g if closed else origin_volume_quadrature
+        value = route("sphere" if kind == "sphere_g" else "cube", size)
+    return VolumeResult(value)

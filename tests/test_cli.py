@@ -170,6 +170,17 @@ class TestInvariantsCommand:
         assert result.exit_code == 2
         assert "unitarity violation" in result.stderr
 
+    @pytest.mark.parametrize("command", ["invariants", "canonicalize", "classify"])
+    def test_entry_too_large_for_a_float_is_input_error(self, runner, tmp_path, command):
+        """An integer entry of 10**400 raised a bare OverflowError: exit 1."""
+        matrix = matrix_to_json_dict(CNOT)
+        matrix["matrix"][2][1] = [0, 10**400]
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps(matrix))
+        result = runner.invoke(cli, [command, str(path)])
+        assert result.exit_code == 2
+        assert "entry (2,1) is too large for a float" in result.stderr
+
     def test_missing_file_is_io_error(self, runner, tmp_path):
         result = runner.invoke(cli, ["invariants", str(tmp_path / "absent.json")])
         assert result.exit_code == 3
@@ -332,6 +343,16 @@ class TestVolumeCommands:
         )
         assert result.exit_code == 2
         assert "center must be three finite numbers" in result.stderr
+
+    def test_long_cube_quadrature_returns_at_once(self, runner):
+        """Its fold visited every pi/2 cell along each side: minutes at 1e9."""
+        args = ["volume", "cube", "--gate", "identity", "--methods", "quadrature", "--json"]
+        result = runner.invoke(cli, [*args, "--side", "1e9"])
+        assert result.exit_code == 0
+        assert json.loads(result.output)["quadrature"] > 0
+        result = runner.invoke(cli, [*args, "--side", "1e300"])
+        assert result.exit_code == 2
+        assert "too many images" in result.stderr
 
     def test_unknown_method_rejected(self, runner):
         result = runner.invoke(

@@ -315,6 +315,13 @@ class TestMatrixJson:
         with pytest.raises(ValidationError):
             load_matrix_dict({"matrix": grid})
 
+    @pytest.mark.parametrize("big", [10**400, -(10**309)])
+    def test_rejects_integers_too_large_for_a_float(self, big):
+        grid = [[[0, 0]] * 4 for _ in range(4)]
+        grid[3] = [[0, 0], [0, 0], [big, 0], [0, 0]]
+        with pytest.raises(ValidationError, match=r"entry \(3,2\) is too large for a float"):
+            load_matrix_dict({"matrix": grid})
+
     def test_load_from_file(self, tmp_path):
         path = write_matrix_json(tmp_path / "swap.json", SWAP)
         np.testing.assert_allclose(load_matrix_json(path), SWAP, atol=0)

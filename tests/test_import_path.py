@@ -41,14 +41,22 @@ results = run_checks("quick")
 assert len(results) == 16 and all(r.passed for r in results), [r.detail for r in results]
 """,
     "cylinder_volume_quadrature": """
-from gategeom import cylinder_volume_quadrature
+from gategeom.volumes import cylinder_volume_quadrature
 assert cylinder_volume_quadrature((0.5, 0.0), 0.25, 0.2) > 0
 assert cylinder_volume_quadrature((0.5, 0.0), 1.0, 0.2) > 0
 """,
     "origin_volume_quadrature": """
-from gategeom import origin_volume_quadrature
+from gategeom.volumes import origin_volume_quadrature
 for shape, height in (("cube", None), ("cylinder", 0.3), ("sphere", None)):
     assert origin_volume_quadrature(shape, 0.4, height) > 0
+""",
+    "region_volume-quadrature": """
+from gategeom import Region, region_volume
+regions = [Region("pe"), Region("cube_c", (1.2, 0.6, 0.3), 0.2, clip="unclipped"),
+           Region("cube_c", (1.2, 0.6, 0.3), 0.2), Region("cube_g", (0.0, 0.0, 0.0), 0.3),
+           Region("cylinder_g", (0.5, 0.0, 0.0), 0.25, 0.2), Region("sphere_g", (0.0, 0.0, 0.0), 0.4)]
+for region in regions:
+    assert region_volume(region, "quadrature").value > 0
 """,
     "cli-volume-cylinder": """
 from gategeom.cli import main

@@ -25,9 +25,11 @@ from gategeom.invariants import (
     _JACOBI_MIN_ROWS,
     _MIX,
     _SYM_OFF,
+    _column_invariants,
+    _det_and_congruence,
     _laplace_det,
     _largest_off_diagonal,
-    _makhlin_batch,
+    _trace_invariants,
     c_from_g,
     canonical_coords,
     canonical_coords_batch,
@@ -399,7 +401,7 @@ class TestScalarIsABatchRow:
 
     def test_makhlin_invariants(self, rng):
         U = scalar_families(rng)
-        g = _makhlin_batch(U)
+        g = lapack_invariants(U)
         for i in range(U.shape[0]):
             assert np.array(makhlin_invariants(U[i]).as_tuple()).tobytes() == g[i].tobytes()
 
@@ -477,6 +479,18 @@ def dressed_stack(rng, cores: np.ndarray) -> np.ndarray:
 def tiled(points: np.ndarray) -> np.ndarray:
     """The rows of ``points`` repeated to fill one stack of the Jacobi route."""
     return np.resize(points, (max(_JACOBI_MIN_ROWS, len(points)), *points.shape[1:]))
+
+
+def lapack_invariants(U: np.ndarray) -> np.ndarray:
+    """Makhlin's trace formulas on an (n, 4, 4) stack by the LAPACK
+    determinant and the stacked congruence: ``makhlin_invariants``'s route."""
+    det, m = _det_and_congruence(U)
+    return _trace_invariants(det, m.trace(axis1=1, axis2=2), (m * m).sum(axis=(1, 2)))
+
+
+def column_invariants(U: np.ndarray) -> np.ndarray:
+    """The trace formulas on the samplers' route: the (4, 4, n) copy."""
+    return _column_invariants(U.transpose(1, 2, 0).copy())
 
 
 def both_routes(U: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -672,8 +686,8 @@ class TestTraceRouteReference:
         return np.array(out)
 
     def test_against_50_digits(self, gates):
-        small = _makhlin_batch(gates)
-        jacobi = _makhlin_batch(tiled(gates))[: len(gates)]
+        small = lapack_invariants(gates)
+        jacobi = column_invariants(tiled(gates))[: len(gates)]
         for U, *rows in zip(gates, small, jacobi):
             want = trace_reference(U)
             for got in (*rows, makhlin_invariants(U).as_array()):
@@ -682,7 +696,7 @@ class TestTraceRouteReference:
 
     def test_zeros_are_positive_on_both_layouts(self, gates):
         """Unfixed, the formulas give -0.0 for the cnot's g1 and the identity's g2."""
-        for g in (_makhlin_batch(gates), _makhlin_batch(tiled(gates))):
+        for g in (lapack_invariants(gates), column_invariants(tiled(gates))):
             zeros = g[g == 0.0]
             assert zeros.size >= 4 and not np.signbit(zeros).any()
 

@@ -4,7 +4,9 @@ README's "Library" section documents every name below.  A change that
 adds or removes a public name edits this tuple and that section together,
 and a change that adds or removes an option edits ``PUBLIC_OPTIONS``.
 """
+import ast
 import dataclasses
+import importlib
 import inspect
 import re
 from pathlib import Path
@@ -32,13 +34,7 @@ PUBLIC_NAMES = (
     "c_from_g",
     "canonical_coords",
     "canonical_coords_batch",
-    "cube_volume_closed",
-    "cube_volume_quadrature",
-    "cylinder_volume_g",
-    "cylinder_volume_quadrature",
     "det_g_closed",
-    "elliptic_E",
-    "elliptic_K",
     "export_csv",
     "export_jsonl",
     "frame_finite_difference",
@@ -53,11 +49,8 @@ PUBLIC_NAMES = (
     "makhlin_density",
     "makhlin_invariants",
     "metric_tensor",
-    "origin_volume_g",
-    "origin_volume_quadrature",
-    "pe_volume",
     "project_su4",
-    "region_volume_mc",
+    "region_volume",
     "require_unitary",
     "run_checks",
     "sample_canonical",
@@ -70,7 +63,9 @@ PUBLIC_NAMES = (
     "weyl_density_max_point",
 )
 
-#: Names the package exported before its surface was frozen, and no longer.
+#: Names the package exported once, and no longer.  The per-shape volume
+#: routes and the elliptic integrals that ``region_volume`` and ``verify``
+#: call stay in ``gategeom.volumes``; only the package namespace drops them.
 RETIRED_NAMES = (
     "CHAMBER_TOL",
     "CNOT",
@@ -81,6 +76,12 @@ RETIRED_NAMES = (
     "SWAP",
     "box_integral_abs_density",
     "box_integral_chamber_clipped",
+    "cube_volume_closed",
+    "cube_volume_quadrature",
+    "cylinder_volume_g",
+    "cylinder_volume_quadrature",
+    "elliptic_E",
+    "elliptic_K",
     "full_haar_density",
     "generators",
     "integrate_pe_region",
@@ -89,6 +90,10 @@ RETIRED_NAMES = (
     "locally_equivalent",
     "matrix_from_json_dict",
     "matrix_to_json_dict",
+    "origin_volume_g",
+    "origin_volume_quadrature",
+    "pe_volume",
+    "region_volume_mc",
     "su2_density",
     "su2_factor",
     "weyl_density_cosine",
@@ -98,7 +103,7 @@ RETIRED_NAMES = (
 
 def test_all_is_the_frozen_tuple():
     assert tuple(gategeom.__all__) == PUBLIC_NAMES
-    assert len(PUBLIC_NAMES) <= 60
+    assert len(PUBLIC_NAMES) <= 47
 
 
 #: Every option of the surface: (public name, defaulted parameter or
@@ -113,14 +118,10 @@ PUBLIC_OPTIONS = frozenset(
         ("SamplerConfig", "seed"),
         ("SamplerConfig", "worker_count"),
         ("VolumeResult", "error_estimate"),
-        ("cube_volume_quadrature", "clip"),
         ("in_weyl_chamber", "tol"),
-        ("origin_volume_g", "height"),
-        ("origin_volume_quadrature", "height"),
-        ("pe_volume", "method"),
-        ("region_volume_mc", "samples"),
-        ("region_volume_mc", "seed"),
-        ("region_volume_mc", "worker_count"),
+        ("region_volume", "samples"),
+        ("region_volume", "seed"),
+        ("region_volume", "worker_count"),
         ("require_unitary", "what"),
         ("run_checks", "level"),
         ("run_checks", "names"),
@@ -152,7 +153,7 @@ def _options(name):
 def test_options_are_the_frozen_ledger():
     ledger = {(name, option) for name in PUBLIC_NAMES for option in _options(name)}
     assert ledger == PUBLIC_OPTIONS
-    assert len(PUBLIC_OPTIONS) <= 25
+    assert len(PUBLIC_OPTIONS) <= 21
 
 
 def test_every_public_name_resolves():
@@ -171,3 +172,76 @@ def test_readme_documents_every_public_name():
     library = readme[readme.index("## Library"):]
     documented = set(re.findall(r"`([A-Za-z_][A-Za-z0-9_]*)`", library))
     assert set(PUBLIC_NAMES) <= documented, sorted(set(PUBLIC_NAMES) - documented)
+
+
+BENCH = Path(__file__).parents[1] / "bench"
+
+
+def dotted(node) -> str | None:
+    """``a.b.c`` of a chain of attribute reads on a name, else None."""
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        base = dotted(node.value)
+        return base and f"{base}.{node.attr}"
+    return None
+
+
+def package_reads(path: Path) -> set[str]:
+    """Every package name a file reads, as ``gategeom.<module>.<name>``:
+    the names it imports from the package and the attributes it reads off
+    the package modules it imports.  The file is parsed, not run."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    modules, reads = {}, set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").partition(".")[0] == "gategeom":
+            for alias in node.names:
+                full = f"{node.module}.{alias.name}"
+                try:
+                    importlib.import_module(full)
+                    modules[alias.asname or alias.name] = full
+                except ModuleNotFoundError:
+                    reads.add(full)
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.partition(".")[0] == "gategeom":
+                    modules[alias.asname or "gategeom"] = alias.name if alias.asname else "gategeom"
+    for node in ast.walk(tree):
+        name = dotted(node) if isinstance(node, ast.Attribute) else None
+        head, _, rest = (name or "").partition(".")
+        if head in modules:
+            reads.add(f"{modules[head]}.{rest}")
+    return reads
+
+
+def resolves(full: str) -> bool:
+    """Whether a dotted name exists: its longest module prefix imports and
+    the rest are attributes along the way."""
+    parts = full.split(".")
+    for cut in range(len(parts), 0, -1):
+        try:
+            obj = importlib.import_module(".".join(parts[:cut]))
+        except ModuleNotFoundError:
+            continue
+        for attr in parts[cut:]:
+            if not hasattr(obj, attr):
+                return False
+            obj = getattr(obj, attr)
+        return True
+    return False
+
+
+def test_every_name_the_benchmark_reads_resolves():
+    """The benchmark calls the per-shape volume routes and other module
+    functions by name; renaming one would break it, so each name it reads
+    from the package must exist, whether public or not."""
+    reads = set().union(*(package_reads(BENCH / f) for f in ("workloads.py", "selftest.py")))
+    assert {
+        "gategeom.volumes.cube_volume_closed",
+        "gategeom.volumes.pe_volume",
+        "gategeom.volumes.Region",
+        "gategeom.sampling.sample_gates",
+        "gategeom.invariants.project_su4",
+    } <= reads
+    assert not sorted(full for full in reads if not resolves(full))
+

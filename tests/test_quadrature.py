@@ -1,5 +1,6 @@
 import itertools
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -192,12 +193,56 @@ class TestBoxIntegrals:
         assert _fold(-q, 2 * q) == {(0.0, q): 3}
         assert _fold(3 * q, 5 * q) == {(0.0, q): 2}
 
+    def test_fold_counts_the_cells_the_loop_visits(self):
+        """Same pieces, counts and order as visiting every cell: random
+        intervals, ends on multiples of pi/2 and one float either side of
+        them, and long intervals up to 1e6."""
+        rng = np.random.default_rng(44)
+        q = math.pi / 2
+        centers, sides = rng.uniform(-50.0, 50.0, 3000), 10.0 ** rng.uniform(-12.0, 3.0, 3000)
+        intervals = [(c - s / 2, c + s / 2) for c, s in zip(centers.tolist(), sides.tolist())]
+        for j in range(-6, 7):
+            for i in range(j + 1, j + 8):
+                lo, hi = j * q, i * q
+                intervals += [(lo, hi), (lo, hi - 0.3), (lo + 0.3, hi)]
+                intervals += [(math.nextafter(lo, -math.inf), math.nextafter(hi, math.inf)),
+                              (math.nextafter(lo, math.inf), math.nextafter(hi, -math.inf))]
+        intervals += [(0.3 - s / 2, 0.3 + s / 2) for s in (1e4, 1e5, 1e6)] + [(-1e6, 0.7)]
+        for lo, hi in intervals:
+            assert list(_fold(lo, hi).items()) == list(fold_by_cells(lo, hi).items()), (lo, hi)
+
+    def test_long_boxes_take_constant_time(self):
+        """Visiting every cell takes time in proportion to the side; with
+        the whole cells counted, side 1e12 returns at once, and the mass
+        grows as the side cubed, up to the end pieces."""
+        big = cube_volume_quadrature((0.0, 0.0, 0.0), 1e12)
+        assert cube_volume_quadrature((0.0, 0.0, 0.0), 2e12) == pytest.approx(8.0 * big, rel=1e-9)
+
+    def test_box_whose_images_overflow_a_float_is_rejected(self):
+        """It raised a bare OverflowError, which the command line does not map."""
+        with pytest.raises(ValidationError, match="too many images"):
+            cube_volume_quadrature((0.0, 0.0, 0.0), 1e300)
+
     def test_corner_validation(self):
         """Boxes reach the engines as cubes, validated by the cube route."""
         with pytest.raises(ValidationError):
             cube_volume_quadrature([0.0, 0.0], 1.0, clip="chamber")
         with pytest.raises(ValidationError):
             cube_volume_quadrature([0.5, 0.5, 0.5], -0.1, clip="chamber")
+
+
+def fold_by_cells(lo, hi):
+    """The fold by visiting every cell between the ends, one at a time:
+    the reference for ``_fold``'s count of the whole cells."""
+    q, pieces = math.pi / 2, Counter()
+    for k in range(math.floor(lo / q) - 1, math.ceil(hi / q) + 1):
+        m, n = k * q, (k + 1) * q
+        a, b = max(lo, m), min(hi, n)
+        if a < b and k % 2 == 0:
+            pieces[a - m, q if b == n else b - m] += 1
+        elif a < b:
+            pieces[n - b, q if a == m else n - a] += 1
+    return pieces
 
 
 @pytest.fixture(scope="module")

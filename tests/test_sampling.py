@@ -21,7 +21,7 @@ from gategeom.coords import in_weyl_chamber
 from gategeom.errors import ValidationError
 from gategeom.gates import load_matrix_json, require_unitary_stack
 from gategeom.geometry import WEYL_DENSITY_MAX, weyl_density
-from gategeom.invariants import _makhlin_batch, canonical_coords_batch, g_from_c
+from gategeom.invariants import _column_invariants, canonical_coords_batch, g_from_c
 from gategeom.sampling import (
     BLOCK_SIZE,
     SamplerConfig,
@@ -186,11 +186,15 @@ class TestDeterminism:
 
     def test_oracle_invariants_are_the_trace_formulas_of_its_gates(self):
         """A whole block and a final one of 40 rows, both on the Jacobi
-        route's layout, against the batch map of the projected gates."""
+        route's layout, against the trace formulas of the projected gates
+        on that layout."""
         cfg = SamplerConfig(seed=29, worker_count=2)
         n = BLOCK_SIZE + 40
         np.testing.assert_allclose(
-            sample_invariants(n, cfg), _makhlin_batch(sample_gates(n, cfg)), rtol=0, atol=1e-14
+            sample_invariants(n, cfg),
+            _column_invariants(sample_gates(n, cfg).transpose(1, 2, 0).copy()),
+            rtol=0,
+            atol=1e-14,
         )
 
     def test_oracle_invariants_take_no_spectrum(self, monkeypatch):
@@ -751,11 +755,9 @@ class TestBlockStream:
         u = np.ascontiguousarray(sample_gates(n, SamplerConfig(seed=39)).transpose(1, 2, 0))
         before = u.copy()
         c = canonical_coords_batch(u.transpose(2, 0, 1))
-        g = _makhlin_batch(u.transpose(2, 0, 1))
         export_jsonl(io.StringIO(), u.transpose(2, 0, 1))
         assert same_bits(u, before)
         assert same_bits(c, canonical_coords_batch(before.transpose(2, 0, 1).copy()))
-        assert same_bits(g, _makhlin_batch(before.transpose(2, 0, 1).copy()))
 
     def test_stacks_of_a_caller_are_not_overwritten(self):
         gates = sample_gates(BLOCK_SIZE + 500, SamplerConfig(seed=40))

@@ -6,8 +6,9 @@ import pytest
 import scipy.special
 from scipy.integrate import simpson
 
-from conftest import CNOT_SWAP_MIDPOINT
+from conftest import CNOT_SWAP_MIDPOINT, same_bits
 from test_import_path import run_fresh
+from gategeom import verify
 from gategeom.errors import RangeError, ValidationError
 from gategeom.gates import NAMED_GATE_POINTS
 from gategeom.volumes import (
@@ -25,6 +26,7 @@ from gategeom.volumes import (
     origin_volume_g,
     origin_volume_quadrature,
     pe_volume,
+    region_volume,
     region_volume_mc,
 )
 
@@ -312,6 +314,9 @@ class TestOriginVolumes:
     def test_sphere_and_cylinder_forms(self):
         assert origin_volume_g("sphere", 0.25) == pytest.approx(3.0 * np.pi * 0.0625)
         assert origin_volume_g("cylinder", 0.1, height=0.3) == pytest.approx(0.18)
+        # The origin cylinder is the cylinder route's, bit for bit.
+        origin_cylinder = origin_volume_g("cylinder", 0.3, 0.4)
+        assert origin_cylinder == cylinder_volume_g((0.0, 0.0), 0.3, 0.4) == 6.0 * 0.3 * 0.4
 
     def test_validation(self):
         with pytest.raises(ValidationError):
@@ -480,6 +485,8 @@ class TestRegionMonteCarlo:
             ("cube_c", (np.pi / 2, np.pi / 4, 0.0), math.inf),
             ("sphere_g", (0.0, 0.0, 0.0), -1.0),
             ("sphere_g", (0.0, 0.0, 0.0), math.nan),
+            ("cube_g", (0.0, 0.0, 0.0), -0.1),
+            ("cube_g", (0.0, 0.0, 0.0), math.inf),
             ("cylinder_g", (0.1, 0.1, 0.0), math.nan, 0.2),
             ("cylinder_g", (0.1, 0.1, 0.0), 0.2, -0.2),
         ],
@@ -515,3 +522,120 @@ class TestRegionMonteCarlo:
     def test_pe_and_unclipped_cube_stay_valid(self):
         assert Region("pe").size == 0.0
         assert Region("cube_c", (np.pi / 2, np.pi / 4, 0.0), 0.3, clip="unclipped").size == 0.3
+
+
+def symmetry_image(name, image):
+    perm, signs, half, shifts = SYMMETRY_IMAGES[image]
+    c = np.asarray(ALL_CLOSED_FORM_POINTS[name])[list(perm)]
+    return tuple(np.asarray(signs) * (c + half * np.pi) + np.pi * np.asarray(shifts))
+
+
+#: Every cube of this file's closed-form tests and of ``verify``'s tables,
+#: as (center, side); some are out of the closed forms' range.
+CUBES = (
+    verify._FULL_CUBES
+    + [(ALL_CLOSED_FORM_POINTS[n], a) for n in sorted(ALL_CLOSED_FORM_POINTS) for a in (0.15, 0.4)]
+    + [(symmetry_image(n, i), a) for n in sorted(ALL_CLOSED_FORM_POINTS)
+       for i in sorted(SYMMETRY_IMAGES) for a in (0.15, 0.4)]
+    + [((c1, 0.0, 0.0), 0.25) for c1 in (0.3, 0.8, 1.4)]
+    + [((c1, 0.0, 0.0), 0.9 * min(c1, np.pi - c1)) for c1 in (1e-3, 0.02, 0.1, np.pi - 0.03)]
+    + [((0.9, 0.5, 0.25), a) for a in (0.1, 0.24, 0.6)]
+    + [((0.9, 0.5, 0.0), 0.2), ((0.9, 0.5, -0.05), 0.2), ((2.5, -0.4, 1.2), 0.15)]
+    + [((np.pi / 2, np.pi / 4, 0.0), a) for a in (0.01, 0.3, 1.0)]
+    + [((0.3, 0.0, 0.0), 0.7), ((0.0, 0.0, 0.0), 0.05)]
+)
+#: Every cylinder of this file and of ``verify``'s tables, as ((g1, g2),
+#: radius, height), and the origin bodies as (shape, size, height).
+CYLINDERS = (
+    verify._FULL_CYLINDERS
+    + [((0.36, 0.48), k * 0.6, 0.3) for k in (1e-5, 1e-3, 0.02)]
+    + [((0.5, 0.0), 0.5 * (1 + d), 0.2) for d in (-1e-9, 1e-9)]
+    + [((0.0, 0.0), 0.3, 0.4), ((0.9, 0.0), 0.05, 0.2), ((0.5, 0.0), 0.0, 0.2), ((0.5, 0.0), 0.2, 0.0)]
+)
+BODIES = verify._FULL_BODIES + [("sphere", 0.25, None), ("cylinder", 0.1, 0.3), ("cube", 0.0, None)]
+
+
+def body_region(shape, size, height):
+    if shape == "cylinder":
+        return Region("cylinder_g", (0.0, 0.0, 0.7), size, height)
+    return Region(f"{shape}_g", (0.0, 0.0, 0.0), size)
+
+
+def same_result(route, call):
+    """``call()`` is ``VolumeResult(route())`` bit for bit, or raises as it does."""
+    try:
+        expected = route()
+    except RangeError:
+        with pytest.raises(RangeError):
+            call()
+        return
+    got = call()
+    assert isinstance(got, VolumeResult) and got.error_estimate is None
+    assert same_bits(got.value, expected)
+
+
+class TestRegionVolume:
+    """One call over every region: the per-shape routes' bits."""
+
+    @pytest.mark.parametrize("method", ["closed", "quadrature"])
+    def test_pe_is_pe_volume(self, method):
+        assert region_volume(Region("pe"), method) == pe_volume(method)
+
+    def test_cubes_are_the_cube_routes(self):
+        for center, side in CUBES:
+            region = Region("cube_c", tuple(center), side, clip="unclipped")
+            same_result(lambda: cube_volume_closed(center, side), lambda: region_volume(region, "closed"))
+            same_result(lambda: cube_volume_quadrature(center, side),
+                        lambda: region_volume(region, "quadrature"))
+
+    def test_clipped_cubes_are_the_clipped_route(self):
+        for center, side in verify._QUICK_CUBES + [((np.pi / 2, np.pi / 4, np.pi / 4), np.pi)]:
+            region = Region("cube_c", center, side)
+            same_result(lambda: cube_volume_quadrature(center, side, clip="chamber"),
+                        lambda: region_volume(region, "quadrature"))
+
+    def test_cylinders_are_the_cylinder_routes(self):
+        for (g1, g2), radius, height in CYLINDERS:
+            region = Region("cylinder_g", (g1, g2, -0.4), radius, height)
+            for method, route in (("closed", cylinder_volume_g), ("quadrature", cylinder_volume_quadrature)):
+                same_result(lambda: route((g1, g2), radius, height), lambda: region_volume(region, method))
+
+    def test_origin_bodies_are_the_origin_routes(self):
+        for body in BODIES:
+            region = body_region(*body)
+            same_result(lambda: origin_volume_g(*body), lambda: region_volume(region, "closed"))
+            same_result(lambda: origin_volume_quadrature(*body), lambda: region_volume(region, "quadrature"))
+
+    def test_mc_is_region_volume_mc(self):
+        region = Region("cube_c", (np.pi / 2, np.pi / 4, 0.0), 0.3, clip="unclipped")
+        assert region_volume(region, "mc", samples=5000, seed=3, worker_count=2) == region_volume_mc(
+            region, samples=5000, seed=3, worker_count=2
+        )
+
+    @pytest.mark.parametrize(
+        "region",
+        [
+            Region("sphere_g", (0.1, 0.0, 0.0), 0.05),
+            Region("sphere_g", (0.0, 0.0, -0.2), 0.05),
+            Region("cube_g", (0.0, 0.05, 0.0), 0.1),
+        ],
+    )
+    @pytest.mark.parametrize("method", ["closed", "quadrature"])
+    def test_off_origin_bodies_have_no_deterministic_mass(self, region, method):
+        with pytest.raises(RangeError, match="only at the origin"):
+            region_volume(region, method)
+
+    def test_clipped_cube_has_no_closed_form(self):
+        with pytest.raises(RangeError, match="chamber-clipped"):
+            region_volume(Region("cube_c", (0.9, 0.5, 0.25), 0.2), "closed")
+
+    @pytest.mark.parametrize("method", ["bootstrap", "Closed", None])
+    def test_unknown_method_names_all_three(self, method):
+        with pytest.raises(ValidationError, match="closed, quadrature or mc"):
+            region_volume(Region("pe"), method)
+
+    def test_invariant_cube_mc_tracks_the_origin_form(self):
+        """Side 0.05 keeps the cube inside the attainable set."""
+        result = region_volume(Region("cube_g", (0.0, 0.0, 0.0), 0.05), "mc", samples=400_000, seed=9)
+        assert abs(result.value - origin_volume_g("cube", 0.05)) <= 5.0 * result.error_estimate
+
