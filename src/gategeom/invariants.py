@@ -169,24 +169,25 @@ def _spectral_coords(U: np.ndarray) -> np.ndarray:
     copy; the two agree to about 1e-15.
     """
     if U.shape[0] >= _JACOBI_MIN_ROWS:
-        return _column_coords(U.transpose(1, 2, 0).copy())
+        u = U.transpose(1, 2, 0).copy()
+        return _column_coords(u, _laplace_det(u))
     det, m = _det_and_congruence(U)
     return _fold(np.linalg.eigvals(m), det)
 
 
-def _column_coords(u: np.ndarray) -> np.ndarray:
-    """The Jacobi route on a unitary stack laid out (4, 4, n), which the
-    caller gives up: ``u`` becomes V = U B and is released before the sweeps."""
-    det, m = _laplace_det(u), _upper_congruence(u)
+def _column_coords(u: np.ndarray, det) -> np.ndarray:
+    """The Jacobi route on a (4, 4, n) unitary stack, which the caller gives
+    up, and its det U: ``u`` becomes V = U B and is released before the sweeps."""
+    m = _upper_congruence(u)
     del u
     return _fold(_jacobi_spectrum(m), det)
 
 
-def _fold(eig: np.ndarray, det: np.ndarray) -> np.ndarray:
+def _fold(eig: np.ndarray, det) -> np.ndarray:
     """Chamber coordinates from the eigenvalues of m, (n, 4), and det U."""
     lam = np.arctan2(eig.imag, eig.real)  # np.angle, without its wrapper
     lam /= 2.0
-    lam -= (np.arctan2(det.imag, det.real) / 4.0)[:, None]
+    lam -= np.arctan2(det.imag, det.real)[..., None] / 4.0
     c = lam @ _PAIRING
     c -= np.pi * np.rint(c / np.pi)  # modulo pi, which also turns -0 into +0
     odd = np.multiply.reduce(c, axis=-1) < 0.0  # an odd number of negative c_i
@@ -209,17 +210,17 @@ def _det_and_congruence(U: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.linalg.det(U), X + X.transpose(0, 2, 1)
 
 
-def _column_invariants(u: np.ndarray) -> np.ndarray:
-    """The trace formulas on a stack taken as :func:`_column_coords` takes it;
-    each off-diagonal entry of m's upper triangle stands for two."""
-    det, m = _laplace_det(u), _upper_congruence(u)
+def _column_invariants(u: np.ndarray, det) -> np.ndarray:
+    """The trace formulas on a stack and det U taken as :func:`_column_coords`
+    takes them; each off-diagonal entry of m's upper triangle stands for two."""
+    m = _upper_congruence(u)
     del u
     tr = sum(m[k] for k in _SYM_DIAG)
     sq = sum(m[k] * m[k] for k in _SYM_DIAG) + 2.0 * sum(m[k] * m[k] for k in _SYM_OFF)
     return _trace_invariants(det, tr, sq)
 
 
-def _trace_invariants(det: np.ndarray, tr: np.ndarray, sq: np.ndarray) -> np.ndarray:
+def _trace_invariants(det, tr: np.ndarray, sq: np.ndarray) -> np.ndarray:
     """(g1, g2, g3) from det U, tr(m) and tr(m^2), shape (n, 3): Makhlin's
     G1 = tr^2(m) / (16 det U) = g1 - i g2 and G2 = (tr^2(m) - tr(m^2)) /
     (4 det U), g3 = Re G2 (Quantum Inf. Process. 1, 243 (2002))."""
@@ -227,7 +228,7 @@ def _trace_invariants(det: np.ndarray, tr: np.ndarray, sq: np.ndarray) -> np.nda
     w = 0.25 / det
     G1 = (0.25 * tr2) * w
     G2 = (tr2 - sq) * w
-    g = np.empty((det.shape[0], 3))
+    g = np.empty((tr.shape[0], 3))
     g[:, 0] = G1.real
     np.negative(G1.imag, out=g[:, 1])
     g[:, 2] = G2.real

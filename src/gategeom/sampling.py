@@ -3,10 +3,10 @@
 Two independent routes are provided.  The coordinate sampler draws the
 fifteen chart coordinates from their exact marginals (inverse-CDF for
 the rotation angles, rejection against the chamber density for the
-commuting core) and assembles the matrix.  The matrix oracle draws a
-complex Ginibre matrix and orthonormalises it, which is Haar by
-construction and owes nothing to the formulas under test — the
-distribution checks play the two against each other.
+commuting core) and assembles the matrix.  The matrix oracle completes
+three orthonormalised Gaussian columns with conjugate cofactors, which is
+Haar on SU(4) by construction and owes nothing to the formulas under test
+— the distribution checks play the two against each other.
 
 Streams are split into fixed-size blocks of ``BLOCK_SIZE`` rows, each
 seeded from its own ``SeedSequence`` spawn key.  Row i of every sampler
@@ -45,8 +45,8 @@ _ACCEPT_RATE = 2.0 / np.pi**2
 #: Rows at a time: proposals the chamber sampler tests, rows an exporter
 #: converts to Python objects.
 _CHUNK = 4096
-#: Rows of a Ginibre block drawn and copied into the column layout at a
-#: time: a 1024-row tile (128 KB) stays in cache for its transpose.
+#: Rows of a Gaussian block drawn and copied into the column layout at a
+#: time: a 1024-row tile (96 KB) stays in cache for its transpose.
 _TILE = 1024
 
 
@@ -155,22 +155,22 @@ def _full_block(rng: np.random.Generator, m: int) -> np.ndarray:
 
 
 def _haar_columns(rng: np.random.Generator, m: int) -> np.ndarray:
-    """Haar unitaries laid out (4, 4, m), from a complex Ginibre block.
+    """Haar SU(4) unitaries laid out (4, 4, m), with det U = 1 by construction.
 
-    Row i reads normals 32 i to 32 i + 31, (re, im) entry by entry, drawn
-    and written into the column layout ``_TILE`` rows at a time, so that
-    each tile's transpose reads it from cache.  Gram-Schmidt on the
-    columns, each orthogonalised twice to stay at round-off, is the QR
-    factor whose R has a positive diagonal, which is exactly Haar
-    distributed; it runs in place, on length-m arrays.
+    Row i reads normals 24 i to 24 i + 23, a 4 x 3 block of (re, im) pairs,
+    drawn into the column layout ``_TILE`` rows at a time, each tile's
+    transpose read from cache.  Gram-Schmidt, each column orthogonalised
+    twice to stay at round-off, gives three columns of a Haar U(4) matrix,
+    which are those of a Haar SU(4) one (Mezzadri, Notices AMS 54, 2007);
+    U^-1 = adj U = U^dag then makes column 4 its cofactors' conjugate.
     """
     u = np.empty((4, 4, m), dtype=complex)
-    draw = np.empty((min(m, _TILE), 4, 4, 2))
+    draw = np.empty((min(m, _TILE), 4, 3, 2))
     for start in range(0, m, _TILE):
         tile = draw[: min(_TILE, m - start)]
         rng.standard_normal(out=tile)
-        u[..., start : start + _TILE] = tile.view(complex)[..., 0].transpose(1, 2, 0)
-    for j in range(4):
+        u[:, :3, start : start + _TILE] = tile.view(complex)[..., 0].transpose(1, 2, 0)
+    for j in range(3):
         v = u[:, j]
         for _ in range(2 if j else 0):
             # Each coefficient is summed from its first term: the 0 that
@@ -191,17 +191,22 @@ def _haar_columns(rng: np.random.Generator, m: int) -> np.ndarray:
         # numpy divides a complex by a real as (re * (1/c), im * (1/c)), so
         # this multiply gives the bits of v /= norm, in under half the time.
         v *= 1.0 / np.sqrt(norm2)
+    # C[i, 3] = (-1)^(i+1) det of rows p < q < r, expanded along column 2; the
+    # minors are named, so numpy's temporary elision cannot reorder a product.
+    d = {(a, b): u[a, 0] * u[b, 1] - u[b, 0] * u[a, 1] for a in range(4) for b in range(a + 1, 4)}
+    for i in range(4):
+        p, q, r = (k for k in range(4) if k != i)
+        x, y, z = u[p, 2] * d[q, r], u[q, 2] * d[p, r], u[r, 2] * d[p, q]
+        np.conjugate(x - y + z if i % 2 else y - x - z, out=u[i, 3])
     return u
 
 
 def _matrix_block(rng: np.random.Generator, m: int) -> np.ndarray:
-    """Haar unitaries projected to determinant one, shape (m, 4, 4).
+    """Haar SU(4) unitaries, shape (m, 4, 4).
 
     A transposed view of the column layout; the caller copies it out.
     """
-    u = _haar_columns(rng, m)
-    u *= np.exp(-1j * np.angle(_laplace_det(u)) / 4.0)
-    return u.transpose(2, 0, 1)
+    return _haar_columns(rng, m).transpose(2, 0, 1)
 
 
 def _assembled_block(rng: np.random.Generator, m: int) -> np.ndarray:
@@ -212,34 +217,24 @@ def _assembled_block(rng: np.random.Generator, m: int) -> np.ndarray:
 def _oracle_coords_block(rng: np.random.Generator, m: int) -> np.ndarray:
     """Chamber coordinates of one block of Haar unitaries, shape (m, 3), by
     the kernel's Jacobi route, which takes the block uncopied."""
-    return _column_coords(_haar_columns(rng, m))
+    return _column_coords(_haar_columns(rng, m), 1.0)
 
 
 def _oracle_invariants_block(rng: np.random.Generator, m: int) -> np.ndarray:
     """Invariant triples of one block of Haar unitaries, shape (m, 3), by
     Makhlin's trace formulas on the uncopied block; no spectrum is computed."""
-    return _column_invariants(_haar_columns(rng, m))
+    return _column_invariants(_haar_columns(rng, m), 1.0)
 
 
-def _canonical_kernel(config: SamplerConfig):
-    """The block kernel of :func:`sample_canonical` under ``config``."""
-    if config.method == "coordinate_density":
-        return _chamber_block
-    return _oracle_coords_block
-
-
-def _gates_kernel(config: SamplerConfig):
-    """The block kernel of :func:`sample_gates` under ``config``."""
-    if config.method == "coordinate_density":
-        return _assembled_block
-    return _matrix_block
-
-
-def _invariants_kernel(config: SamplerConfig):
-    """The block kernel of :func:`sample_invariants` under ``config``."""
-    if config.method == "coordinate_density":
-        return lambda rng, m: g_from_c(_chamber_block(rng, m))
-    return _oracle_invariants_block
+#: The block kernel of ``sample_<output>`` by (output, method).
+_KERNELS = {
+    ("canonical", "matrix_oracle"): _oracle_coords_block,
+    ("canonical", "coordinate_density"): _chamber_block,
+    ("gates", "matrix_oracle"): _matrix_block,
+    ("gates", "coordinate_density"): _assembled_block,
+    ("invariants", "matrix_oracle"): _oracle_invariants_block,
+    ("invariants", "coordinate_density"): lambda rng, m: g_from_c(_chamber_block(rng, m)),
+}
 
 
 def _integer(value, what: str, least: int) -> int:
@@ -312,12 +307,12 @@ def _fill(n, config: SamplerConfig, kernel, row_shape, dtype) -> np.ndarray:
 
 def sample_canonical(n: int, config: SamplerConfig = SamplerConfig()) -> np.ndarray:
     """Chamber coordinates of ``n`` random gates, shape (n, 3)."""
-    return _fill(n, config, _canonical_kernel(config), (3,), float)
+    return _fill(n, config, _KERNELS["canonical", config.method], (3,), float)
 
 
 def sample_gates(n: int, config: SamplerConfig = SamplerConfig()) -> np.ndarray:
     """Random gate matrices, shape (n, 4, 4)."""
-    return _fill(n, config, _gates_kernel(config), (4, 4), complex)
+    return _fill(n, config, _KERNELS["gates", config.method], (4, 4), complex)
 
 
 def sample_full_coords(n: int, config: SamplerConfig = SamplerConfig()) -> np.ndarray:
@@ -333,12 +328,12 @@ def sample_invariants(n: int, config: SamplerConfig = SamplerConfig()) -> np.nda
     """Invariant triples (g1, g2, g3) of random gates, shape (n, 3).
 
     The coordinate method returns ``g_from_c`` of :func:`sample_canonical`,
-    bit for bit.  The matrix oracle takes Makhlin's trace formulas on each
-    block of the gates of :func:`sample_gates`, before the phase
-    projection, and needs no eigenvalues; its rows agree with ``g_from_c``
-    of :func:`sample_canonical`'s to about 3e-15.
+    bit for bit.  The matrix oracle takes Makhlin's trace formulas, with
+    det U = 1, on each block of the gates of :func:`sample_gates`, and
+    needs no eigenvalues; its rows agree with ``g_from_c`` of
+    :func:`sample_canonical`'s to about 3e-15.
     """
-    return _fill(n, config, _invariants_kernel(config), (3,), float)
+    return _fill(n, config, _KERNELS["invariants", config.method], (3,), float)
 
 
 def _chunks(a: np.ndarray):
@@ -394,7 +389,7 @@ def summarize_samples(coords: np.ndarray) -> dict:
 def _summarize_stream(n, config: SamplerConfig) -> dict:
     """``summarize_samples(sample_canonical(n, config))``, bit for bit,
     with each block reduced in its worker."""
-    kernel = _canonical_kernel(config)
+    kernel = _KERNELS["canonical", config.method]
     return _summary(
         terms for _, terms in _blocks(n, config, lambda rng, m: _summary_terms(kernel(rng, m)))
     )
@@ -440,14 +435,21 @@ def _write_csv(path, blocks) -> None:
             _write_rows(fh, _CSV_ROW, is_perfect_entangler(coords), coords, g_from_c(coords))
 
 
+def _jsonl_block(gates: np.ndarray) -> tuple:
+    """A block of unitaries, (m, 4, 4), and its chamber coordinates by the
+    Jacobi route on a copy, det U by Laplace expansion."""
+    u = gates.transpose(1, 2, 0).copy()
+    return gates, _column_coords(u, _laplace_det(u))
+
+
 def _write_jsonl(path, blocks) -> None:
-    """The JSON lines of a stream of unitary blocks, each written as it comes."""
+    """The JSON lines of a stream of :func:`_jsonl_block` pairs, each written as it comes."""
     with _sink(path) as fh:
-        for gates in blocks:
-            c = _column_coords(gates.transpose(1, 2, 0).copy())  # copy freed before the matrix copy
+        for gates, c in blocks:
             # A complex entry viewed as two floats is its [re, im] pair.
             matrix = np.ascontiguousarray(gates).view(float)
             _write_rows(fh, _JSONL_LINE, is_perfect_entangler(c), matrix, c, g_from_c(c))
+            del gates, matrix  # released before the next block is drawn
 
 
 def export_csv(path, coords: np.ndarray) -> None:
@@ -492,14 +494,17 @@ def export_jsonl(path, gates: np.ndarray) -> None:
     except ValidationError:
         require_unitary_stack(gates, "gate stack")  # raises, naming the worst row of all
         raise
-    _write_jsonl(path, chunks)
+    _write_jsonl(path, map(_jsonl_block, chunks))
 
 
 def _export_stream(path, fmt: str, n, config: SamplerConfig) -> None:
     """``export_csv`` of ``sample_canonical(n, config)`` or, for ``jsonl``,
     ``export_jsonl`` of ``sample_gates(n, config)``, each block written as
-    soon as it and every earlier block are done.  ``n`` is checked before
-    anything is written."""
-    kernel = _gates_kernel(config) if fmt == "jsonl" else _canonical_kernel(config)
-    blocks = (block for _, block in _blocks(n, config, kernel))
-    (_write_jsonl if fmt == "jsonl" else _write_csv)(path, blocks)
+    soon as it and every earlier block are done, jsonl blocks canonicalised
+    in their worker.  ``n`` is checked before anything is written."""
+    if fmt == "jsonl":
+        gates = _KERNELS["gates", config.method]
+        write, kernel = _write_jsonl, lambda rng, m: _jsonl_block(gates(rng, m))
+    else:
+        write, kernel = _write_csv, _KERNELS["canonical", config.method]
+    write(path, (block for _, block in _blocks(n, config, kernel)))

@@ -148,7 +148,7 @@ def _check_pe_quadrature(seed, full):
 def _check_pe_mc(seed, full):
     n = 1_000_000 if full else 100_000
     cfg = smp.SamplerConfig(seed=seed, method="coordinate_density")
-    kernel = smp._canonical_kernel(cfg)
+    kernel = smp._KERNELS["canonical", cfg.method]
 
     def count(rng, m):
         return np.count_nonzero(vol.is_perfect_entangler(kernel(rng, m)))
@@ -358,7 +358,7 @@ def _check_bin_grid(seed, full, bin_grid):
 def _check_chi_square(seed, full, bin_grid):
     n = 1_000_000 if full else 200_000
     cfg = smp.SamplerConfig(seed=seed + 5, method="coordinate_density")
-    kernel = smp._canonical_kernel(cfg)
+    kernel = smp._KERNELS["canonical", cfg.method]
     probabilities = bin_grid()
     edges = _bin_edges(probabilities.shape)
 
@@ -377,7 +377,7 @@ def _check_two_method_ks(seed, full):
     g3 = []
     for offset, method in ((6, "coordinate_density"), (7, "matrix_oracle")):
         cfg = smp.SamplerConfig(seed=seed + offset, method=method)
-        kernel = smp._invariants_kernel(cfg)  # each block kept as its g3 column
+        kernel = smp._KERNELS["invariants", cfg.method]  # each block kept as its g3 column
         g3.append(smp._fill(n, cfg, lambda rng, m: kernel(rng, m)[:, 2], (), float))
     pval = _ks_2samp_pvalue(*g3)
     bound = _BOUNDS["two-method-ks-pvalue"]

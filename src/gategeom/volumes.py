@@ -524,9 +524,18 @@ def region_volume_mc(
     Each block's weights are reduced in its worker to their sum and sum of
     squares.  Every weight is a multiple of 1/2, so both sums are exact in
     any order, the value is the mean of all the weights bit for bit, and
-    memory does not grow with ``samples`` (at least 2).
+    memory does not grow with ``samples`` (at least 2).  An unclipped cube
+    whose sums could pass 2^53 quarters raises before any block is drawn.
     """
     n = _mc_sample_count(samples)
+    if region.clip == "unclipped":
+        # A coordinate has at most k = floor(side / pi) + 1 shifts in the side, one
+        # more for rounding here, so a weight (a halved permanent) is at most 24 k^3.
+        k = math.floor(region.size / math.pi) + 2
+        if 4 * n * (24 * k**3) ** 2 > 2**53:
+            raise ValidationError(
+                f"cube side {region.size!r} is too large to sum exactly over {n} samples"
+            )
     config = SamplerConfig(seed=seed, worker_count=worker_count)
 
     def moments(rng, m):

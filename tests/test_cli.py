@@ -1,4 +1,6 @@
 import json
+import math
+import warnings
 from pathlib import Path
 
 import click
@@ -239,6 +241,19 @@ class TestVolumeCommands:
         payload = json.loads(result.output)
         assert "unavailable" in payload["closed"]
         assert payload["quadrature"] > 0
+
+    @pytest.mark.parametrize(("side", "code"), [("1e150", 2), ("1e53", 2), ("0.3", 0), ("10", 0)])
+    def test_cube_mc_refuses_sums_it_cannot_keep_exact(self, runner, side, code):
+        """1e150 printed mc = inf and mc_error = nan with an overflow warning,
+        and exited 0."""
+        args = ["volume", "cube", "--gate", "identity", "--side", side,
+                "--methods", "mc", "--samples", "100", "--json"]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            result = runner.invoke(cli, args)
+        assert result.exit_code == code and caught == []
+        if code == 0:
+            assert math.isfinite(json.loads(result.output)["mc_error"])
 
     def test_cube_chamber_clip_matches_library(self, runner):
         result = runner.invoke(

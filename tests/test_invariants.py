@@ -489,8 +489,10 @@ def lapack_invariants(U: np.ndarray) -> np.ndarray:
 
 
 def column_invariants(U: np.ndarray) -> np.ndarray:
-    """The trace formulas on the samplers' route: the (4, 4, n) copy."""
-    return _column_invariants(U.transpose(1, 2, 0).copy())
+    """The trace formulas on the samplers' route: the (4, 4, n) copy, with
+    its Laplace determinant."""
+    u = U.transpose(1, 2, 0).copy()
+    return _column_invariants(u, _laplace_det(u))
 
 
 def both_routes(U: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -94,20 +94,42 @@ def chamber_block_whole_rounds(rng, m):
 
 
 def haar_columns_untiled(rng, m):
-    """Haar columns from one untiled draw of the (m, 4, 4) complex block,
-    (re, im) pairs in row order, with Gram-Schmidt's sums from Python's
-    ``sum`` and a division by the norm: the reference whose bits
-    :func:`_haar_columns` keeps."""
-    pairs = rng.standard_normal((m, 4, 4, 2))
-    u = np.ascontiguousarray(pairs.view(complex)[..., 0].transpose(1, 2, 0))
-    for j in range(4):
+    """Haar SU(4) columns from one untiled draw of the (m, 4, 3) complex
+    block, (re, im) pairs in row order, with Gram-Schmidt's sums from
+    Python's ``sum`` and a division by the norm, and the fourth column the
+    conjugated cofactors, each the signed 3 x 3 minor of the other rows
+    expanded along column 2: the reference whose bits :func:`_haar_columns`
+    keeps."""
+    pairs = rng.standard_normal((m, 4, 3, 2))
+    u = np.empty((4, 4, m), dtype=complex)
+    u[:, :3] = pairs.view(complex)[..., 0].transpose(1, 2, 0)
+    for j in range(3):
         v = u[:, j]
         for _ in range(2 if j else 0):
             r = [sum(np.conj(u[i, k]) * v[i] for i in range(4)) for k in range(j)]
             for k, rk in enumerate(r):
                 v -= u[:, k] * rk
         v /= np.sqrt(sum(v[i].real ** 2 + v[i].imag ** 2 for i in range(4)))
+    # The 2 x 2 minors of columns 0 and 1 are named before they multiply:
+    # numpy may turn a product with a temporary operand around, and complex
+    # products with FMA are not bitwise commutative.
+    minor = {(a, b): u[a, 0] * u[b, 1] - u[b, 0] * u[a, 1] for a in range(4) for b in range(a + 1, 4)}
+    for i in range(4):
+        p, q, r = [k for k in range(4) if k != i]
+        det3 = u[p, 2] * minor[q, r] - u[q, 2] * minor[p, r] + u[r, 2] * minor[p, q]
+        u[i, 3] = (det3 if i % 2 else -det3).conj()
     return u
+
+
+def su4_deviation(U):
+    """max |U^dag U - I| and max |det U - 1| of an (n, 4, 4) stack, the
+    determinant by LAPACK, 2^15 rows at a time."""
+    gram = det = 0.0
+    for start in range(0, len(U), 1 << 15):
+        part = U[start : start + (1 << 15)]
+        gram = max(gram, float(np.abs(np.conj(part.transpose(0, 2, 1)) @ part - np.eye(4)).max()))
+        det = max(det, float(np.abs(np.linalg.det(part) - 1.0).max()))
+    return gram, det
 
 
 def block_peak(block_fn, m=BLOCK_SIZE):
@@ -186,16 +208,12 @@ class TestDeterminism:
 
     def test_oracle_invariants_are_the_trace_formulas_of_its_gates(self):
         """A whole block and a final one of 40 rows, both on the Jacobi
-        route's layout, against the trace formulas of the projected gates
-        on that layout."""
+        route's layout, against the trace formulas of the gates on that
+        layout with det U = 1, bit for bit: no projection comes between."""
         cfg = SamplerConfig(seed=29, worker_count=2)
         n = BLOCK_SIZE + 40
-        np.testing.assert_allclose(
-            sample_invariants(n, cfg),
-            _column_invariants(sample_gates(n, cfg).transpose(1, 2, 0).copy()),
-            rtol=0,
-            atol=1e-14,
-        )
+        gates = sample_gates(n, cfg).transpose(1, 2, 0).copy()
+        assert same_bits(sample_invariants(n, cfg), _column_invariants(gates, 1.0))
 
     def test_oracle_invariants_take_no_spectrum(self, monkeypatch):
         calls = []
@@ -443,6 +461,40 @@ class TestMatrixSamples:
         gram = np.einsum("nij,nkj->nik", U, U.conj())
         assert np.abs(gram - eye).max() < 1e-10
         assert np.abs(np.linalg.det(U) - 1.0).max() < 1e-10
+
+    def test_oracle_blocks_lie_in_su4_to_round_off(self):
+        """2^17 rows: the cofactor column makes det U = 1 with no projection
+        (measured 1.3e-15 for both)."""
+        gram, det = su4_deviation(sample_gates(1 << 17, SamplerConfig(seed=48, worker_count=2)))
+        assert gram <= 1e-14 and det <= 1e-14, (gram, det)
+
+    def test_unconjugated_cofactors_fail_the_su4_bound(self):
+        """A seeded fault: the fourth column left as the cofactors themselves."""
+        u = _haar_columns(_block_rng(48, 0), 1024)
+        np.conjugate(u[:, 3], out=u[:, 3])
+        assert min(su4_deviation(u.transpose(2, 0, 1))) > 1e-2
+
+    def test_no_oracle_kernel_takes_a_determinant(self, monkeypatch):
+        """det U = 1 by construction: only user stacks, and the exporters,
+        which canonicalise what they write as ``export_jsonl`` does, expand one."""
+        calls = []
+
+        def spy(u):
+            calls.append(u.shape[2])
+            return laplace_det(u)
+
+        laplace_det = invariants._laplace_det
+        for module in (invariants, sampling):
+            monkeypatch.setattr(module, "_laplace_det", spy)
+        n, config = BLOCK_SIZE + 30, SamplerConfig(seed=49, worker_count=2)
+        for sampler in (sample_gates, sample_invariants, sample_canonical):
+            sampler(n, config)
+        _summarize_stream(n, config)
+        region_volume_mc(Region("pe"), samples=n, seed=49, worker_count=2)
+        assert calls == []
+        canonical_coords_batch(sample_gates(224, config))
+        export_jsonl(io.StringIO(), sample_gates(30, config))
+        assert calls == [224, 30]  # the spy sees the user-stack routes
 
     def test_peak_memory_is_about_one_output(self):
         """Blocks are written into the output, never gathered and concatenated."""
@@ -803,10 +855,12 @@ class TestBlockStream:
         assert got.getvalue() == jsonl_row_by_row(gates)
 
     def test_region_mass_is_the_mean_weight(self):
-        """Σw / n is w.mean() bit for bit: every weight is a multiple of 1/2."""
+        """Σw / n is w.mean() bit for bit: every weight is a multiple of 1/2,
+        and a side-10 cube's, up to 1536, stays within the exactness bound."""
         n = 2 * BLOCK_SIZE + 77
         c = sample_canonical(n, SamplerConfig(seed=44))
-        for region in (Region("pe"), Region("cube_c", (np.pi / 2, np.pi / 4, 0.0), 0.3, clip="unclipped")):
+        cubes = [Region("cube_c", (np.pi / 2, np.pi / 4, 0.0), side, clip="unclipped") for side in (0.3, 10.0)]
+        for region in (Region("pe"), *cubes):
             w = region.weights(c)
             results = {wc: region_volume_mc(region, samples=n, seed=44, worker_count=wc) for wc in (1, 2, 4)}
             assert len(set(results.values())) == 1

@@ -8,7 +8,7 @@ from scipy.integrate import simpson
 
 from conftest import CNOT_SWAP_MIDPOINT, same_bits
 from test_import_path import run_fresh
-from gategeom import verify
+from gategeom import verify, volumes
 from gategeom.errors import RangeError, ValidationError
 from gategeom.gates import NAMED_GATE_POINTS
 from gategeom.volumes import (
@@ -456,6 +456,17 @@ class TestRegionMonteCarlo:
         one = region_volume_mc(region, samples=50_000, seed=8, worker_count=1)
         four = region_volume_mc(region, samples=50_000, seed=8, worker_count=4)
         assert one.value == four.value
+
+    @pytest.mark.parametrize(("side", "samples"), [(1e150, 100), (1e53, 100), (10.0, 250_199_980)])
+    def test_unclipped_cube_sums_past_2_to_53_are_refused(self, monkeypatch, side, samples):
+        """side 1e150 printed inf and NaN with an overflow warning, side 1e53 a
+        NaN error.  At side 10 a weight is at most 24 * 5^3, so 250199979
+        samples keep 4 n w^2 within 2^53 and one more does not.  Nothing is
+        drawn."""
+        monkeypatch.setattr(volumes, "_mc_points_block", None)
+        region = Region("cube_c", NAMED_GATE_POINTS["identity"], side, clip="unclipped")
+        with pytest.raises(ValidationError, match="too large to sum exactly"):
+            region_volume_mc(region, samples=samples)
 
     @pytest.mark.parametrize("samples", [1, 0, -5, 2.5, 1e3, True])
     def test_sample_count_is_an_integer_of_at_least_two(self, samples):
