@@ -80,7 +80,7 @@ def in_weyl_chamber(c1, c2, c3, tol: float = _CHAMBER_TOL):
     c1 = np.asarray(c1)
     c2 = np.asarray(c2)
     c3 = np.asarray(c3)
-    ok = (c3 >= -tol) & (c2 - c3 >= -tol) & (c1 - c2 >= -tol) & (np.pi - c1 - c2 >= -tol)
+    ok = (c3 >= -tol) & (c2 - c3 >= -tol) & (c1 - c2 >= -tol) & (c1 + c2 <= np.pi + tol)
     if ok.ndim == 0:
         return bool(ok)
     return ok

@@ -4,11 +4,12 @@ invariant space and the Weyl chamber.
 The three real invariants (g1, g2, g3) classify gates up to single-qubit
 rotations on either side.  ``canonical_coords_batch`` is the one map from
 unitaries to chamber coordinates: it reads them off the eigenphases of
-the Bell-basis congruence ``m = U_B^T U_B``.  The invariants of a matrix
-need no spectrum: ``makhlin_invariants`` takes them from the traces of
-the same m and det U, Makhlin's formulas, and agrees with ``g_from_c`` of
-the coordinates to about 3e-15.  ``g_from_c`` and ``c_from_g`` convert
-between coordinates and invariants.
+the Bell-basis congruence ``m = U_B^T U_B``, by LAPACK for short stacks
+and by Jacobi sweeps alone for long ones and sampler blocks.  The
+invariants of a matrix need no spectrum: ``makhlin_invariants`` takes
+them from the traces of the same m and det U, Makhlin's formulas, and
+agrees with ``g_from_c`` of the coordinates to about 3e-15.  ``g_from_c``
+and ``c_from_g`` convert between coordinates and invariants.
 """
 from __future__ import annotations
 
@@ -46,7 +47,7 @@ _MAGIC_BASIS = (1.0 / np.sqrt(2.0)) * np.array(
 #: diagonalise; irrational, so that distinct eigenvalues of m stay apart.
 _MIX = np.sqrt(2.0) - 1.0
 #: Off-diagonal of O^T m O beyond which the sweeps left a row unconverged
-#: or the mix had a tie by chance.
+#: or the mix had a tie by chance, and the row takes a closing round.
 _TIE_TOL = 1e-13
 
 #: Stacks of at least this many rows take the Jacobi route, which works on
@@ -56,9 +57,9 @@ _TIE_TOL = 1e-13
 _JACOBI_MIN_ROWS = 224
 #: Cyclic Jacobi sweeps.  Fixed, so that a row's result never depends on
 #: the rest of its stack.  Four converge every measured family and all but
-#: about 3 in 1000 Haar rows, which go to the general solver; a fifth costs
-#: a quarter more sweep time, keeps only a fifth of those rows from the
-#: solver and gains no accuracy (README, "Canonical coordinates").
+#: about 3 in 1000 Haar rows, which take a closing round; a fifth costs a
+#: quarter more sweep time, keeps only a fifth of those rows from the round
+#: and gains no accuracy (README, "Canonical coordinates").
 _JACOBI_SWEEPS = 4
 #: Row of entry (i, j) of a symmetric 4x4 matrix stored as its upper
 #: triangle, one row per entry.
@@ -165,14 +166,20 @@ def _spectral_coords(U: np.ndarray) -> np.ndarray:
     """:func:`canonical_coords_batch` of a stack already known to be unitary.
 
     Stacks of fewer than ``_JACOBI_MIN_ROWS`` rows take LAPACK's ``det``
-    and ``eigvals`` per matrix, larger ones :func:`_column_coords` of a
-    copy; the two agree to about 1e-15.
+    and ``eigvals`` per matrix, larger ones :func:`_jacobi_coords`, which
+    makes no LAPACK call; the two agree to about 1e-15.
     """
     if U.shape[0] >= _JACOBI_MIN_ROWS:
-        u = U.transpose(1, 2, 0).copy()
-        return _column_coords(u, _laplace_det(u))
+        return _jacobi_coords(U)
     det, m = _det_and_congruence(U)
     return _fold(np.linalg.eigvals(m), det)
+
+
+def _jacobi_coords(U: np.ndarray) -> np.ndarray:
+    """The Jacobi route on a unitary (n, 4, 4) stack of any length: a copy
+    in the (4, 4, n) layout, and det U by Laplace expansion."""
+    u = U.transpose(1, 2, 0).copy()
+    return _column_coords(u, _laplace_det(u))
 
 
 def _column_coords(u: np.ndarray, det) -> np.ndarray:
@@ -269,51 +276,64 @@ def _jacobi_spectrum(m: np.ndarray) -> np.ndarray:
     a = Re m + r Im m.  Cyclic Jacobi on a applies each rotation to
     b = Im m as well, so the sweeps end with a = O^T (Re m + r Im m) O and
     b = O^T Im(m) O, whose diagonals give D.  Rows whose O^T m O keeps an
-    off-diagonal entry (unconverged, or a chance tie of the mix) go to
-    ``eigvals``.
+    off-diagonal entry take a closing round: one more sweep on the mix,
+    then one on Im m - r Re m, in which a tie of the mix differs most (Im m
+    alone ties exactly where m has the eigenvalues 1 and -1).  An
+    off-diagonal E left beside an eigenvalue gap g moves D by about E^2 / g.
     """
     a = m.real + _MIX * m.imag
     b = m.imag.copy()
     for _ in range(_JACOBI_SWEEPS):
-        for pp, qq, pq, others in _JACOBI_PAIRS:
-            # t = tan(theta) of the rotation that zeroes a[pq], |theta| <= pi/4
-            # (_TINY turns 0/0 into t = 0 where a[pq] = 0 already).
-            apq = a[pq]
-            d = a[qq] - a[pp]
-            den = np.abs(d) + np.sqrt(d * d + 4.0 * apq * apq) + _TINY
-            t = np.copysign(2.0, d) * apq / den
-            c = 1.0 / np.sqrt(1.0 + t * t)
-            s = t * c
-            shift = t * apq
-            a[pp] -= shift
-            a[qq] += shift
-            a[pq] = 0.0
-            # b's (p, q) block turns by 2 theta about its mean diagonal.
-            cos2, sin2 = c * c - s * s, 2.0 * c * s
-            bpp, bqq, bpq = b[pp], b[qq], b[pq]
-            mean, half = 0.5 * (bpp + bqq), 0.5 * (bpp - bqq)
-            turned = half * cos2 - bpq * sin2
-            bpq *= cos2
-            bpq += half * sin2
-            np.add(mean, turned, out=bpp)
-            np.subtract(mean, turned, out=bqq)
-            # The other rows r turn by theta: x <- c x - s y, y <- s x + c y
-            # for (x, y) = (row (r, p), row (r, q)), of a and of b alike.
-            for rp, rq in others:
-                for x, y in ((a[rp], a[rq]), (b[rp], b[rq])):
-                    sx = s * x
-                    x *= c
-                    x -= s * y
-                    y *= c
-                    y += sx
-    tied = _largest_off_diagonal(a, b) > _TIE_TOL
+        _sweep(a, b)
     eig = np.empty((m.shape[1], 4), dtype=complex)
-    for col, k in enumerate(_SYM_DIAG):
-        eig.imag[:, col] = b[k]
-        eig.real[:, col] = a[k] - _MIX * b[k]
-    if tied.any():
-        eig[tied] = np.linalg.eigvals(m[:, tied][_SYM].transpose(2, 0, 1))
+    eig.real = (a[_SYM_DIAG] - _MIX * b[_SYM_DIAG]).T
+    eig.imag = b[_SYM_DIAG].T
+    tied = np.flatnonzero(_largest_off_diagonal(a, b) > _TIE_TOL)
+    if tied.size:
+        x, y = a[:, tied], b[:, tied]
+        _sweep(x, y)
+        x -= _MIX * y  # Re(O^T m O)
+        y -= _MIX * x
+        _sweep(y, x)
+        y += _MIX * x  # Im(O^T m O)
+        eig[tied] = (x[_SYM_DIAG] + 1j * y[_SYM_DIAG]).T
     return eig
+
+
+def _sweep(x: np.ndarray, y: np.ndarray) -> None:
+    """One cyclic Jacobi sweep on two (10, n) upper triangles, in place: its
+    rotations zero x's off-diagonal and turn y along."""
+    for pp, qq, pq, others in _JACOBI_PAIRS:
+        # t = tan(theta) of the rotation that zeroes x[pq], |theta| <= pi/4
+        # (_TINY turns 0/0 into t = 0 where x[pq] = 0 already).
+        xpq = x[pq]
+        d = x[qq] - x[pp]
+        den = np.abs(d) + np.sqrt(d * d + 4.0 * xpq * xpq) + _TINY
+        t = np.copysign(2.0, d) * xpq / den
+        c = 1.0 / np.sqrt(1.0 + t * t)
+        s = t * c
+        shift = t * xpq
+        x[pp] -= shift
+        x[qq] += shift
+        x[pq] = 0.0
+        # y's (p, q) block turns by 2 theta about its mean diagonal.
+        cos2, sin2 = c * c - s * s, 2.0 * c * s
+        ypp, yqq, ypq = y[pp], y[qq], y[pq]
+        mean, half = 0.5 * (ypp + yqq), 0.5 * (ypp - yqq)
+        turned = half * cos2 - ypq * sin2
+        ypq *= cos2
+        ypq += half * sin2
+        np.add(mean, turned, out=ypp)
+        np.subtract(mean, turned, out=yqq)
+        # The other rows r turn by theta: u <- c u - s v, v <- s u + c v
+        # for (u, v) = (row (r, p), row (r, q)), of x and of y alike.
+        for rp, rq in others:
+            for u, v in ((x[rp], x[rq]), (y[rp], y[rq])):
+                su = s * u
+                u *= c
+                u -= s * v
+                v *= c
+                v += su
 
 
 def _largest_off_diagonal(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -35,7 +35,7 @@ from .coords import in_weyl_chamber, is_perfect_entangler
 from .errors import ValidationError
 from .gates import _assemble_batch, require_unitary_stack
 from .geometry import WEYL_DENSITY_MAX, weyl_density
-from .invariants import _column_coords, _column_invariants, _laplace_det, g_from_c
+from .invariants import _column_coords, _column_invariants, _jacobi_coords, g_from_c
 
 #: Samples per deterministic stream block.
 BLOCK_SIZE = 1 << 14
@@ -436,14 +436,14 @@ def _write_csv(path, blocks) -> None:
 
 
 def _jsonl_block(gates: np.ndarray) -> tuple:
-    """A block of unitaries, (m, 4, 4), and its chamber coordinates by the
-    Jacobi route on a copy, det U by Laplace expansion."""
-    u = gates.transpose(1, 2, 0).copy()
-    return gates, _column_coords(u, _laplace_det(u))
+    """A sampled block of unitaries, (m, 4, 4), and its chamber coordinates
+    by the Jacobi route on a copy, with det U = 1, as both methods build
+    their blocks: the oracle's are its ``sample_canonical`` rows, bit for bit."""
+    return gates, _column_coords(gates.transpose(1, 2, 0).copy(), 1.0)
 
 
 def _write_jsonl(path, blocks) -> None:
-    """The JSON lines of a stream of :func:`_jsonl_block` pairs, each written as it comes."""
+    """The JSON lines of a stream of (gates, coordinates) pairs, each written as it comes."""
     with _sink(path) as fh:
         for gates, c in blocks:
             # A complex entry viewed as two floats is its [re, im] pair.
@@ -494,7 +494,7 @@ def export_jsonl(path, gates: np.ndarray) -> None:
     except ValidationError:
         require_unitary_stack(gates, "gate stack")  # raises, naming the worst row of all
         raise
-    _write_jsonl(path, map(_jsonl_block, chunks))
+    _write_jsonl(path, ((g, _jacobi_coords(g)) for g in chunks))
 
 
 def _export_stream(path, fmt: str, n, config: SamplerConfig) -> None:

@@ -72,6 +72,22 @@ def same_bits(a, b) -> bool:
     return np.array_equal(a, b, equal_nan=True) and np.array_equal(np.signbit(a), np.signbit(b))
 
 
+def lapack_calls(monkeypatch) -> list:
+    """A log of every ``eigvals``, ``eig``, ``eigh`` and ``det`` call from
+    here on, as (name, shape of the input) pairs."""
+    log = []
+
+    def spy(name, fn):
+        def call(a, *args, **kwargs):
+            log.append((name, np.shape(a)))
+            return fn(a, *args, **kwargs)
+        return call
+
+    for name in ("eigvals", "eig", "eigh", "det"):
+        monkeypatch.setattr(np.linalg, name, spy(name, getattr(np.linalg, name)))
+    return log
+
+
 def matrix_to_json_dict(U: np.ndarray) -> dict:
     """Encode a 4x4 complex matrix as ``{"matrix": [[[re, im], ...], ...]}``,
     the format ``load_matrix_json`` reads."""

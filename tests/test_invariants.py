@@ -9,6 +9,7 @@ from conftest import (
     SWAP,
     abelian_gate,
     cores,
+    lapack_calls,
     local_gate,
     random_su2_params,
     same_bits,
@@ -503,6 +504,21 @@ def both_routes(U: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return canonical_coords_batch(U), np.concatenate([canonical_coords_batch(p) for p in parts])
 
 
+def flagged_rows(monkeypatch) -> list:
+    """A log of how many rows of each Jacobi-route stack the sweeps leave
+    with an off-diagonal above ``_TIE_TOL``, for the closing round."""
+    log = []
+
+    def spy(a, b):
+        off = largest(a, b)
+        log.append(int(np.count_nonzero(off > invariants._TIE_TOL)))
+        return off
+
+    largest = invariants._largest_off_diagonal
+    monkeypatch.setattr(invariants, "_largest_off_diagonal", spy)
+    return log
+
+
 def class_distances(c: np.ndarray, true: np.ndarray) -> np.ndarray:
     """Row-wise :func:`class_distance`."""
     mirror = np.stack([np.pi - true[:, 0], true[:, 1], -true[:, 2]], axis=-1)
@@ -537,62 +553,77 @@ class TestJacobiRoute:
             assert class_distances(jacobi, true).max() <= 1e-12
             assert np.abs(jacobi - lapack).max() <= 1e-14
 
-    def test_accidental_tie_takes_general_eigensolver(self, rng, monkeypatch):
-        """The tie of TestSpectralKernel survives local dressing, so every row has it."""
-        calls = []
-        eigvals = np.linalg.eigvals
-        monkeypatch.setattr(np.linalg, "eigvals", lambda a: calls.append(a.shape) or eigvals(a))
+    def test_accidental_tie_is_split_without_lapack(self, rng, monkeypatch):
+        """The tie of TestSpectralKernel survives local dressing, so every
+        row has it, and the closing round splits it with no LAPACK call.
+        Sweeping the orthogonal mix before the mix, not after, would leave
+        these rows about 0.1 from their class."""
         c = np.array([0.7, 0.3, 0.1])
         phi = (2.0 * np.arctan(_MIX) + 2.0 * c[0]) / 4.0
         n = _JACOBI_MIN_ROWS
         U = np.exp(1j * phi) * random_locals(rng, n) @ abelian_gate(c) @ random_locals(rng, n)
+        calls, flagged = lapack_calls(monkeypatch), flagged_rows(monkeypatch)
         got = canonical_coords_batch(U)
-        assert calls == [(_JACOBI_MIN_ROWS, 4, 4)]
+        assert calls == [] and flagged == [n]
         assert np.abs(got - c).max() <= 1e-12
 
-    @pytest.mark.parametrize("sweeps,iswaps", [(1, 0), (0, 512)])
-    def test_unconverged_rows_take_general_eigensolver(self, rng, monkeypatch, sweeps, iswaps):
-        """With one sweep no bulk row converges; every one must reach ``eigvals``.
+    def test_unconverged_rows_are_finished_without_lapack(self, rng, monkeypatch):
+        """Two sweeps leave nearly every bulk row unconverged, and the closing
+        round takes them to the ``eigvals`` route's coordinates.
 
-        Dressed iSWAPs without a global phase have a real m, so before any
-        sweep only the real part of the off-diagonal shows them unconverged.
+        Dressed iSWAPs without a global phase have a real m, whose
+        eigenvalues 1 and -1 tie in Im m up to round-off.
         """
-        n = 1024  # a Jacobi-route stack, half of it iSWAPs in the second case
-        assert n >= _JACOBI_MIN_ROWS
-        calls = []
-        eigvals = np.linalg.eigvals
-        monkeypatch.setattr(np.linalg, "eigvals", lambda a: calls.append(a.shape) or eigvals(a))
-        monkeypatch.setattr(invariants, "_JACOBI_SWEEPS", sweeps)
+        n, iswaps = 1024, 512  # a Jacobi-route stack, half of it iSWAPs
         bulk = _chamber_interior_points(rng, n - iswaps, margin=0.0)
         iswap = np.tile([np.pi / 2, np.pi / 2, 0.0], (iswaps, 1))
         U = np.concatenate([
             dressed_stack(rng, cores(bulk)),
             random_locals(rng, iswaps) @ cores(iswap) @ random_locals(rng, iswaps),
         ])
+        lapack = both_routes(U)[1]
+        monkeypatch.setattr(invariants, "_JACOBI_SWEEPS", 2)
+        calls, flagged = lapack_calls(monkeypatch), flagged_rows(monkeypatch)
         got = canonical_coords_batch(U)
-        assert calls == [(n, 4, 4)]
+        assert calls == [] and flagged[0] >= (n - iswaps) * 0.9
+        assert np.abs(got - lapack).max() <= 1e-13
         assert class_distances(got, np.concatenate([bulk, iswap])).max() <= 1e-12
 
+    def test_closing_round_keeps_a_converged_row(self, rng, monkeypatch):
+        """Every row of the gate families, the real-m iSWAPs and the structured
+        gates sent through the closing round as well: it must not undo what
+        the sweeps got right.  A closing sweep chosen on Im m alone turns
+        the eigenvalues 1 and -1 of a real m into each other (measured 1.6)."""
+        family = cores(tiled(FAMILY_POINTS))
+        iswap = cores(np.tile([np.pi / 2, np.pi / 2, 0.0], (len(family), 1)))
+        U = np.concatenate([
+            dressed_stack(rng, family),
+            *(random_locals(rng, len(core)) @ core @ random_locals(rng, len(core)) for core in (family, iswap)),
+            structured_stack(),
+        ])
+        lapack = both_routes(U)[1]
+        monkeypatch.setattr(invariants, "_TIE_TOL", -1.0)
+        assert np.abs(canonical_coords_batch(U) - lapack).max() <= 1e-14
+
+    def test_face_points_lie_inside_at_tolerance_zero(self, rng):
+        """On the face c1 + c2 = pi the fold's c1 and c2 add to at most pi in
+        floating point, though pi - c1 - c2 may read -1.1e-16."""
+        w = rng.random((2000, 3))
+        c = (w / w.sum(axis=1, keepdims=True)) @ CHAMBER_VERTICES[[1, 2, 3]]
+        for got in both_routes(dressed_stack(rng, cores(c))):
+            assert in_weyl_chamber(got[:, 0], got[:, 1], got[:, 2], tol=0.0).all()
+            assert class_distances(got, c).max() <= 1e-12
+
     def test_route_follows_stack_length(self, rng, monkeypatch):
-        """At the threshold no per-matrix LAPACK call runs over the whole
-        stack (unconverged rows may still reach ``eigvals``); below it, one does."""
+        """At the threshold no LAPACK call runs; below it, one per-matrix
+        call runs over the whole stack."""
         U = dressed_stack(rng, cores(_chamber_interior_points(rng, _JACOBI_MIN_ROWS)))
         expected = canonical_coords_batch(U)
-        rows = []
-
-        def counted(solver):
-            def call(a, *args, **kwargs):
-                rows.append(len(a))
-                return solver(a, *args, **kwargs)
-            return call
-
-        for name in ("det", "eigh", "eigvals"):
-            monkeypatch.setattr(np.linalg, name, counted(getattr(np.linalg, name)))
+        calls = lapack_calls(monkeypatch)
         np.testing.assert_array_equal(canonical_coords_batch(U), expected)
-        assert max(rows, default=0) < len(U)
-        rows.clear()
+        assert calls == []
         canonical_coords_batch(U[1:])
-        assert len(U) - 1 in rows
+        assert ("eigvals", (len(U) - 1, 4, 4)) in calls
 
     @pytest.mark.parametrize("n", [1, 3, 1024])
     def test_closed_form_determinant(self, rng, n):

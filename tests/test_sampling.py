@@ -14,7 +14,7 @@ import pytest
 from click.testing import CliRunner
 from scipy.stats import ks_2samp, kstest
 
-from conftest import matrix_to_json_dict, same_bits
+from conftest import lapack_calls, matrix_to_json_dict, same_bits
 from gategeom import geometry, invariants, sampling, volumes
 from gategeom.cli import cli
 from gategeom.coords import in_weyl_chamber
@@ -290,16 +290,24 @@ class TestPrefixStability:
 
 
 #: Sampler outputs that no LAPACK or BLAS call touches, printed by a fresh
-#: process: digests of both methods' gates and invariants, then the CSV of
-#: ``gategeom sample -n 5 --seed 1``.
+#: process: digests of both methods' gates and invariants, of the oracle's
+#: coordinates and of ``gategeom sample -n 40000 --seed 1 --format jsonl``,
+#: then the CSV of ``gategeom sample -n 5 --seed 1``.  About 3 in 1000
+#: oracle rows take the Jacobi route's closing round, so 40000 rows cover it.
 BLAS_FREE_PROBE = """
-import hashlib
+import contextlib, hashlib, io
 from gategeom.cli import main
-from gategeom.sampling import SamplerConfig, sample_gates, sample_invariants
+from gategeom.sampling import SamplerConfig, sample_canonical, sample_gates, sample_invariants
 for method in ("matrix_oracle", "coordinate_density"):
     for sampler in (sample_gates, sample_invariants):
         rows = sampler(3000, SamplerConfig(seed=1, method=method))
         print(method, sampler.__name__, hashlib.sha256(rows.tobytes()).hexdigest(), flush=True)
+rows = sample_canonical(40000, SamplerConfig(seed=1))
+print("matrix_oracle sample_canonical", hashlib.sha256(rows.tobytes()).hexdigest(), flush=True)
+jsonl = io.StringIO()
+with contextlib.redirect_stdout(jsonl):
+    main(["sample", "-n", "40000", "--seed", "1", "--format", "jsonl"], standalone_mode=False)
+print("sample --format jsonl", hashlib.sha256(jsonl.getvalue().encode()).hexdigest(), flush=True)
 main(["sample", "-n", "5", "--seed", "1"])
 """
 
@@ -317,10 +325,11 @@ def run_probe(**env_changes) -> str:
 class TestEmulatedBuild:
     def test_samples_do_not_depend_on_the_openblas_kernels(self):
         """OpenBLAS's Prescott kernels, set for the child process only, print
-        the bytes of the native run: short oracle blocks take the Jacobi
-        route, not LAPACK's ``det`` and ``eigvals``."""
+        the bytes of the native run: every oracle block takes the Jacobi
+        route, which calls no LAPACK solver, not even on the rows its
+        sweeps leave with a near-tie."""
         native = run_probe()
-        assert native.count("\n") == 4 + 6
+        assert native.count("\n") == 6 + 6
         assert run_probe(OPENBLAS_CORETYPE="Prescott") == native
 
 
@@ -475,8 +484,8 @@ class TestMatrixSamples:
         assert min(su4_deviation(u.transpose(2, 0, 1))) > 1e-2
 
     def test_no_oracle_kernel_takes_a_determinant(self, monkeypatch):
-        """det U = 1 by construction: only user stacks, and the exporters,
-        which canonicalise what they write as ``export_jsonl`` does, expand one."""
+        """det U = 1 by construction: only user stacks expand one, through
+        ``canonical_coords_batch`` and ``export_jsonl``."""
         calls = []
 
         def spy(u):
@@ -484,17 +493,32 @@ class TestMatrixSamples:
             return laplace_det(u)
 
         laplace_det = invariants._laplace_det
-        for module in (invariants, sampling):
-            monkeypatch.setattr(module, "_laplace_det", spy)
+        monkeypatch.setattr(invariants, "_laplace_det", spy)
         n, config = BLOCK_SIZE + 30, SamplerConfig(seed=49, worker_count=2)
         for sampler in (sample_gates, sample_invariants, sample_canonical):
             sampler(n, config)
         _summarize_stream(n, config)
         region_volume_mc(Region("pe"), samples=n, seed=49, worker_count=2)
+        _export_stream(io.StringIO(), "jsonl", n, config)
         assert calls == []
         canonical_coords_batch(sample_gates(224, config))
         export_jsonl(io.StringIO(), sample_gates(30, config))
         assert calls == [224, 30]  # the spy sees the user-stack routes
+
+    def test_no_sampler_calls_lapack(self, monkeypatch):
+        """No ``eigvals``, ``eig``, ``eigh`` or ``det``: the Jacobi route
+        resolves its own ties, so no sampler output depends on the LAPACK
+        build.  A Jacobi-route user stack takes none either."""
+        calls = lapack_calls(monkeypatch)
+        n, config = BLOCK_SIZE + 30, SamplerConfig(seed=50, worker_count=2)
+        for sampler in (sample_gates, sample_invariants, sample_canonical):
+            sampler(n, config)
+        _summarize_stream(n, config)
+        region_volume_mc(Region("pe"), samples=n, seed=50, worker_count=2)
+        for fmt in ("csv", "jsonl"):
+            _export_stream(io.StringIO(), fmt, n, config)
+        canonical_coords_batch(sample_gates(224, config))
+        assert calls == []
 
     def test_peak_memory_is_about_one_output(self):
         """Blocks are written into the output, never gathered and concatenated."""
@@ -620,9 +644,10 @@ def csv_row_by_row(coords):
     return buf.getvalue()
 
 
-def jsonl_row_by_row(gates):
-    """The JSON-lines export built one matrix at a time."""
-    c = canonical_coords_batch(gates)
+def jsonl_row_by_row(gates, c=None):
+    """The JSON-lines export built one matrix at a time, with the given
+    coordinates or else ``canonical_coords_batch`` of the stack."""
+    c = canonical_coords_batch(gates) if c is None else c
     g, pe = g_from_c(c), is_perfect_entangler(c)
     lines = []
     for i in range(gates.shape[0]):
@@ -832,12 +857,14 @@ class TestBlockStream:
 
     @pytest.mark.parametrize("n", [2 * SHORT_BLOCK + 5, 2 * SHORT_BLOCK + 300])
     def test_exports_of_the_stream_are_the_exports_of_the_arrays(self, monkeypatch, n):
-        """Final blocks on either side of the Jacobi route's threshold for
-        the batch maps.  Short blocks keep the JSON conversion quick."""
+        """Two blocks and a final one of 5 or 300 rows, at one and two
+        workers.  The JSON lines are the sampled gates with the sampled
+        coordinates, bit for bit.  Short blocks keep the JSON conversion quick."""
         monkeypatch.setattr(sampling, "BLOCK_SIZE", SHORT_BLOCK)
         csv_want, jsonl_want = io.StringIO(), io.StringIO()
-        export_csv(csv_want, sample_canonical(n, SamplerConfig(seed=42)))
-        export_jsonl(jsonl_want, sample_gates(n, SamplerConfig(seed=42)))
+        c = sample_canonical(n, SamplerConfig(seed=42))
+        export_csv(csv_want, c)
+        sampling._write_jsonl(jsonl_want, [(sample_gates(n, SamplerConfig(seed=42)), c)])
         for w in (1, 2):
             config = SamplerConfig(seed=42, worker_count=w)
             for fmt, want in (("csv", csv_want), ("jsonl", jsonl_want)):
@@ -845,14 +872,13 @@ class TestBlockStream:
                 _export_stream(got, fmt, n, config)
                 assert got.getvalue() == want.getvalue(), (fmt, w)
 
-    def test_jsonl_lines_are_those_of_the_whole_stack(self):
-        """A 3-row final block too: every line is the conversion of the
-        whole stack at once, which takes the Jacobi route."""
-        n = BLOCK_SIZE + 3
-        gates = sample_gates(n, SamplerConfig(seed=43))
+    def test_jsonl_lines_are_the_records_of_the_samples(self):
+        """A 3-row final block too: every line is the record of its sampled
+        gate and its sampled coordinates."""
+        n, config = BLOCK_SIZE + 3, SamplerConfig(seed=43)
         got = io.StringIO()
-        _export_stream(got, "jsonl", n, SamplerConfig(seed=43))
-        assert got.getvalue() == jsonl_row_by_row(gates)
+        _export_stream(got, "jsonl", n, config)
+        assert got.getvalue() == jsonl_row_by_row(sample_gates(n, config), sample_canonical(n, config))
 
     def test_region_mass_is_the_mean_weight(self):
         """Σw / n is w.mean() bit for bit: every weight is a multiple of 1/2,
