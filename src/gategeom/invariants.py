@@ -276,10 +276,14 @@ def _jacobi_spectrum(m: np.ndarray) -> np.ndarray:
     a = Re m + r Im m.  Cyclic Jacobi on a applies each rotation to
     b = Im m as well, so the sweeps end with a = O^T (Re m + r Im m) O and
     b = O^T Im(m) O, whose diagonals give D.  Rows whose O^T m O keeps an
-    off-diagonal entry take a closing round: one more sweep on the mix,
-    then one on Im m - r Re m, in which a tie of the mix differs most (Im m
-    alone ties exactly where m has the eigenvalues 1 and -1).  An
-    off-diagonal E left beside an eigenvalue gap g moves D by about E^2 / g.
+    off-diagonal entry take a closing round of as many sweeps again on the
+    pair (a, Im m - r Re m), each rotation chosen on the member whose 2x2
+    block spreads wider.  Two eigenvalues that tie in one member differ in
+    the other; a fixed second member alone has ties of its own (Im m at
+    the eigenvalues 1 and -1), and a rotation chosen on a tied block, gap
+    and off-diagonal both round-off, would mix eigenvectors the other
+    member had separated.  An off-diagonal E left beside an eigenvalue gap
+    g moves D by about E^2 / g.
     """
     a = m.real + _MIX * m.imag
     b = m.imag.copy()
@@ -291,40 +295,51 @@ def _jacobi_spectrum(m: np.ndarray) -> np.ndarray:
     tied = np.flatnonzero(_largest_off_diagonal(a, b) > _TIE_TOL)
     if tied.size:
         x, y = a[:, tied], b[:, tied]
-        _sweep(x, y)
-        x -= _MIX * y  # Re(O^T m O)
-        y -= _MIX * x
-        _sweep(y, x)
-        y += _MIX * x  # Im(O^T m O)
-        eig[tied] = (x[_SYM_DIAG] + 1j * y[_SYM_DIAG]).T
+        w = 1.0 + _MIX * _MIX
+        y *= w
+        y -= _MIX * x  # Im m - r Re m, as wide as the mix
+        for _ in range(_JACOBI_SWEEPS):
+            _sweep(x, y, split=True)
+        xd, yd = x[_SYM_DIAG], y[_SYM_DIAG]
+        eig[tied] = ((xd - _MIX * yd) + 1j * (yd + _MIX * xd)).T / w
     return eig
 
 
-def _sweep(x: np.ndarray, y: np.ndarray) -> None:
+def _sweep(x: np.ndarray, y: np.ndarray, split: bool = False) -> None:
     """One cyclic Jacobi sweep on two (10, n) upper triangles, in place: its
-    rotations zero x's off-diagonal and turn y along."""
+    rotations zero x's off-diagonal and turn y along.  With ``split``, each
+    rotation is chosen on whichever of x's and y's 2x2 blocks spreads wider,
+    and zeroes that block's off-diagonal: a pair that one member leaves
+    tied, off-diagonal and gap both round-off, is turned by the other."""
     for pp, qq, pq, others in _JACOBI_PAIRS:
         # t = tan(theta) of the rotation that zeroes x[pq], |theta| <= pi/4
         # (_TINY turns 0/0 into t = 0 where x[pq] = 0 already).
         xpq = x[pq]
         d = x[qq] - x[pp]
+        if split:
+            ypq, dy = y[pq], y[qq] - y[pp]
+            wider = dy * dy + 4.0 * ypq * ypq > d * d + 4.0 * xpq * xpq
+            xpq, d = np.where(wider, ypq, xpq), np.where(wider, dy, d)
         den = np.abs(d) + np.sqrt(d * d + 4.0 * xpq * xpq) + _TINY
         t = np.copysign(2.0, d) * xpq / den
         c = 1.0 / np.sqrt(1.0 + t * t)
         s = t * c
-        shift = t * xpq
-        x[pp] -= shift
-        x[qq] += shift
-        x[pq] = 0.0
-        # y's (p, q) block turns by 2 theta about its mean diagonal.
+        if not split:
+            shift = t * xpq
+            x[pp] -= shift
+            x[qq] += shift
+            x[pq] = 0.0
+        # y's (p, q) block, and with split x's too, turns by 2 theta about
+        # its mean diagonal.
         cos2, sin2 = c * c - s * s, 2.0 * c * s
-        ypp, yqq, ypq = y[pp], y[qq], y[pq]
-        mean, half = 0.5 * (ypp + yqq), 0.5 * (ypp - yqq)
-        turned = half * cos2 - ypq * sin2
-        ypq *= cos2
-        ypq += half * sin2
-        np.add(mean, turned, out=ypp)
-        np.subtract(mean, turned, out=yqq)
+        for z in (x, y) if split else (y,):
+            zpp, zqq, zpq = z[pp], z[qq], z[pq]
+            mean, half = 0.5 * (zpp + zqq), 0.5 * (zpp - zqq)
+            turned = half * cos2 - zpq * sin2
+            zpq *= cos2
+            zpq += half * sin2
+            np.add(mean, turned, out=zpp)
+            np.subtract(mean, turned, out=zqq)
         # The other rows r turn by theta: u <- c u - s v, v <- s u + c v
         # for (u, v) = (row (r, p), row (r, q)), of x and of y alike.
         for rp, rq in others:

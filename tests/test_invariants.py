@@ -553,19 +553,35 @@ class TestJacobiRoute:
             assert class_distances(jacobi, true).max() <= 1e-12
             assert np.abs(jacobi - lapack).max() <= 1e-14
 
-    def test_accidental_tie_is_split_without_lapack(self, rng, monkeypatch):
-        """The tie of TestSpectralKernel survives local dressing, so every
-        row has it, and the closing round splits it with no LAPACK call.
-        Sweeping the orthogonal mix before the mix, not after, would leave
-        these rows about 0.1 from their class."""
-        c = np.array([0.7, 0.3, 0.1])
-        phi = (2.0 * np.arctan(_MIX) + 2.0 * c[0]) / 4.0
+    @pytest.mark.parametrize(
+        "c,k",
+        [
+            ((0.7, 0.3, 0.1), 0),
+            ((np.pi / 4, 0.3, 0.1), 0),
+            ((np.pi / 2, np.pi / 4, 0.0), 1),
+            ((1e-9, 1e-9, 0.0), 0),
+        ],
+        ids=["tie", "c1=pi/4", "B gate", "near identity"],
+    )
+    def test_accidental_tie_is_split_without_lapack(self, rng, monkeypatch, c, k):
+        """The tie of TestSpectralKernel, on the pair summing to
+        -2 c_k + 4 phi, survives local dressing, so every row has it, and
+        the closing round splits it with no LAPACK call.
+
+        The other pair sums to 2 c_k + 4 phi; at c_k = pi/4 it ties in
+        Im m - r Re m as well, where a rotation chosen on that member alone
+        would mix eigenvectors the mix had separated.  Near the identity all
+        four eigenvalues lie within 4e-9, the mix's within 1e-16, and one
+        closing sweep leaves them 1e-10 from their class.
+        """
+        c = np.array(c)
+        phi = (2.0 * np.arctan(_MIX) + 2.0 * c[k]) / 4.0
         n = _JACOBI_MIN_ROWS
         U = np.exp(1j * phi) * random_locals(rng, n) @ abelian_gate(c) @ random_locals(rng, n)
         calls, flagged = lapack_calls(monkeypatch), flagged_rows(monkeypatch)
         got = canonical_coords_batch(U)
         assert calls == [] and flagged == [n]
-        assert np.abs(got - c).max() <= 1e-12
+        assert class_distances(got, np.tile(c, (n, 1))).max() <= 1e-12
 
     def test_unconverged_rows_are_finished_without_lapack(self, rng, monkeypatch):
         """Two sweeps leave nearly every bulk row unconverged, and the closing

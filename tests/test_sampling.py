@@ -485,7 +485,9 @@ class TestMatrixSamples:
 
     def test_no_oracle_kernel_takes_a_determinant(self, monkeypatch):
         """det U = 1 by construction: only user stacks expand one, through
-        ``canonical_coords_batch`` and ``export_jsonl``."""
+        ``canonical_coords_batch`` and ``export_jsonl``.  And no ``eigvals``,
+        ``eig``, ``eigh`` or ``det`` runs at all: the Jacobi route resolves
+        its own ties, so no sampler output depends on the LAPACK build."""
         calls = []
 
         def spy(u):
@@ -494,31 +496,19 @@ class TestMatrixSamples:
 
         laplace_det = invariants._laplace_det
         monkeypatch.setattr(invariants, "_laplace_det", spy)
+        lapack = lapack_calls(monkeypatch)
         n, config = BLOCK_SIZE + 30, SamplerConfig(seed=49, worker_count=2)
         for sampler in (sample_gates, sample_invariants, sample_canonical):
             sampler(n, config)
         _summarize_stream(n, config)
         region_volume_mc(Region("pe"), samples=n, seed=49, worker_count=2)
-        _export_stream(io.StringIO(), "jsonl", n, config)
+        for fmt in ("csv", "jsonl"):
+            _export_stream(io.StringIO(), fmt, n, config)
         assert calls == []
         canonical_coords_batch(sample_gates(224, config))
         export_jsonl(io.StringIO(), sample_gates(30, config))
         assert calls == [224, 30]  # the spy sees the user-stack routes
-
-    def test_no_sampler_calls_lapack(self, monkeypatch):
-        """No ``eigvals``, ``eig``, ``eigh`` or ``det``: the Jacobi route
-        resolves its own ties, so no sampler output depends on the LAPACK
-        build.  A Jacobi-route user stack takes none either."""
-        calls = lapack_calls(monkeypatch)
-        n, config = BLOCK_SIZE + 30, SamplerConfig(seed=50, worker_count=2)
-        for sampler in (sample_gates, sample_invariants, sample_canonical):
-            sampler(n, config)
-        _summarize_stream(n, config)
-        region_volume_mc(Region("pe"), samples=n, seed=50, worker_count=2)
-        for fmt in ("csv", "jsonl"):
-            _export_stream(io.StringIO(), fmt, n, config)
-        canonical_coords_batch(sample_gates(224, config))
-        assert calls == []
+        assert lapack == []
 
     def test_peak_memory_is_about_one_output(self):
         """Blocks are written into the output, never gathered and concatenated."""
