@@ -17,10 +17,10 @@ import click
 import numpy as np
 
 from . import __version__
-from .coords import CanonicalCoords, in_weyl_chamber
+from .coords import in_weyl_chamber, is_perfect_entangler
 from .errors import RangeError, ValidationError
 from .gates import NAMED_GATE_POINTS, load_matrix_json, require_unitary
-from .invariants import canonical_coords, g_from_c, project_su4, validate_invariant_ranges
+from .invariants import FACE_TOL, canonical_coords, g_from_c, project_su4, validate_invariant_ranges
 from .geometry import weyl_density
 from .sampling import SamplerConfig, _export_stream, _sink, _summarize_stream
 from . import volumes as vol
@@ -150,22 +150,31 @@ def cli():
     """Invariant geometry of two-qubit gates."""
 
 
-def _class_report(c: CanonicalCoords) -> dict:
-    return {
-        "c": _snap(c.as_tuple()),
-        "g": _snap(g_from_c(c.as_array())),
-        "perfect_entangler": bool(vol.is_perfect_entangler(c.as_array())),
-        "density": float(weyl_density(c.as_array())),
-    }
-
-
-def _coords_option(coords: str) -> CanonicalCoords:
-    c = _parse_triple(coords)
-    if not in_weyl_chamber(*c):
-        raise ValidationError(
-            f"coordinates {c} lie outside the chamber; canonicalize a matrix instead"
-        )
-    return CanonicalCoords(*c)
+def _class_report(keys: tuple, matrix, coords, as_json: bool) -> None:
+    """Print ``keys`` of the class report {g, c, chi (matrix only), perfect_entangler,
+    density} of MATRIX or ``--coords``.  A ``--coords`` point on the face c3 <= FACE_TOL
+    takes the form with c1 <= pi/2, as ``canonical_coords`` returns a matrix's."""
+    if (matrix is None) == (coords is None):
+        raise click.UsageError("provide exactly one of MATRIX or --coords")
+    report = {}
+    if coords is None:
+        U = _read_matrix(matrix)
+        report["chi"] = _snap([project_su4(U)[1].chi])[0]
+        c = canonical_coords(U).as_tuple()
+    else:
+        c = _parse_triple(coords)
+        if not in_weyl_chamber(*c):
+            raise ValidationError(f"coordinates {c} lie outside the chamber; canonicalize a matrix instead")
+        if c[2] <= FACE_TOL and c[0] > np.pi / 2:
+            c = (np.pi - c[0], c[1], c[2])
+    point = np.array(c)
+    report.update(
+        c=_snap(c),
+        g=_snap(g_from_c(point)),
+        perfect_entangler=bool(is_perfect_entangler(point)),
+        density=float(weyl_density(point)),
+    )
+    _emit({k: report[k] for k in keys if k in report}, as_json)
 
 
 @cli.command()
@@ -179,17 +188,7 @@ def invariants(matrix, coords, as_json):
     phase chi, the perfect-entangler verdict and the chamber density at
     the class point.
     """
-    if (matrix is None) == (coords is None):
-        raise click.UsageError("provide exactly one of MATRIX or --coords")
-    if coords is not None:
-        report = _class_report(_coords_option(coords))
-    else:
-        U = _read_matrix(matrix)
-        _, phase = project_su4(U)
-        report = _class_report(canonical_coords(U))
-        report["chi"] = _snap([phase.chi])[0]
-    order = ("g", "c", "chi", "perfect_entangler", "density")
-    _emit({k: report[k] for k in order if k in report}, as_json)
+    _class_report(("g", "c", "chi", "perfect_entangler", "density"), matrix, coords, as_json)
 
 
 @cli.command()
@@ -197,10 +196,7 @@ def invariants(matrix, coords, as_json):
 @click.option("--json", "as_json", is_flag=True, help="emit JSON")
 def canonicalize(matrix, as_json):
     """Canonical chamber coordinates and global phase of a gate."""
-    U = _read_matrix(matrix)
-    _, phase = project_su4(U)
-    c = canonical_coords(U)
-    _emit({"c": _snap(c.as_tuple()), "chi": _snap([phase.chi])[0]}, as_json)
+    _class_report(("c", "chi"), matrix, None, as_json)
 
 
 @cli.command()
@@ -209,10 +205,7 @@ def canonicalize(matrix, as_json):
 @click.option("--json", "as_json", is_flag=True, help="emit JSON")
 def classify(matrix, coords, as_json):
     """Coordinates, invariants and perfect-entangler status of a class."""
-    if (matrix is None) == (coords is None):
-        raise click.UsageError("provide exactly one of MATRIX or --coords")
-    c = _coords_option(coords) if coords is not None else canonical_coords(_read_matrix(matrix))
-    _emit(_class_report(c), as_json)
+    _class_report(("c", "g", "perfect_entangler", "density"), matrix, coords, as_json)
 
 
 @cli.group()
@@ -392,7 +385,7 @@ _RESOLUTION = click.IntRange(min=2)
 def mesh_weyl_c(resolution, output):
     """Chamber membership grid with PE flags, CSV c1,c2,c3,is_pe."""
     pts = _chamber_grid(resolution)
-    _write_rows(output, "c1,c2,c3,is_pe", np.column_stack([pts, vol.is_perfect_entangler(pts)]))
+    _write_rows(output, "c1,c2,c3,is_pe", np.column_stack([pts, is_perfect_entangler(pts)]))
 
 
 @mesh.command("weyl-g")

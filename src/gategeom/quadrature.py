@@ -262,6 +262,15 @@ _BINS = 30
 _BIN_ORDER = 8
 
 
+def _bin_edges(shape) -> tuple:
+    """Cell edges of a bin grid of ``shape`` over [0, pi] x [0, pi/2]^2."""
+    return (
+        np.linspace(0.0, _PI, shape[0] + 1),
+        np.linspace(0.0, _PI / 2, shape[1] + 1),
+        np.linspace(0.0, _PI / 2, shape[2] + 1),
+    )
+
+
 def bin_probabilities() -> np.ndarray:
     """Exact chamber-density mass of each cell of a regular coordinate grid.
 
@@ -272,8 +281,7 @@ def bin_probabilities() -> np.ndarray:
     to cell 29 - i, so only the cells with c1 <= pi/2 are integrated.
     """
     n, half = _BINS, _BINS // 2
-    e1 = np.linspace(0.0, _PI, n + 1)
-    e2 = np.linspace(0.0, _PI / 2, n + 1)
+    e1, e2, _ = _bin_edges((n, n, n))
     rows, groups = [], []
     for i in range(half):
         for j in range(n):

@@ -499,9 +499,11 @@ def export_jsonl(path, gates: np.ndarray) -> None:
 
 def _export_stream(path, fmt: str, n, config: SamplerConfig) -> None:
     """``export_csv`` of ``sample_canonical(n, config)`` or, for ``jsonl``,
-    ``export_jsonl`` of ``sample_gates(n, config)``, each block written as
-    soon as it and every earlier block are done, jsonl blocks canonicalised
-    in their worker.  ``n`` is checked before anything is written."""
+    the JSON lines of ``sample_gates(n, config)``, each block written as
+    soon as it and every earlier block are done.  A jsonl block's
+    coordinates come from its worker by the Jacobi route with det U = 1,
+    where ``export_jsonl`` takes each matrix's Laplace determinant, so
+    their last bits can differ.  ``n`` is checked before anything is written."""
     if fmt == "jsonl":
         gates = _KERNELS["gates", config.method]
         write, kernel = _write_jsonl, lambda rng, m: _jsonl_block(gates(rng, m))

@@ -360,7 +360,7 @@ def _check_chi_square(seed, full, bin_grid):
     cfg = smp.SamplerConfig(seed=seed + 5, method="coordinate_density")
     kernel = smp._KERNELS["canonical", cfg.method]
     probabilities = bin_grid()
-    edges = _bin_edges(probabilities.shape)
+    edges = quad._bin_edges(probabilities.shape)
 
     def histogram(rng, m):
         return np.histogramdd(kernel(rng, m), bins=edges)[0]
@@ -443,15 +443,6 @@ def _gamma_q(a: float, x: float) -> float:
 
 #: Bins expecting fewer samples than this are pooled into one cell.
 _MIN_EXPECTED = 10.0
-
-
-def _bin_edges(shape) -> tuple:
-    """Cell edges of a bin grid of ``shape`` over [0, pi] x [0, pi/2]^2."""
-    return (
-        np.linspace(0.0, np.pi, shape[0] + 1),
-        np.linspace(0.0, np.pi / 2, shape[1] + 1),
-        np.linspace(0.0, np.pi / 2, shape[2] + 1),
-    )
 
 
 def _counts_pvalue(counts: np.ndarray, n: int, probabilities: np.ndarray) -> float:

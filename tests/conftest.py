@@ -5,7 +5,8 @@ import pytest
 
 from gategeom.coords import FullCoords, Su2Params
 from gategeom.gates import _assemble_batch, assemble
-from gategeom.verify import _bin_edges, _counts_pvalue
+from gategeom.quadrature import _bin_edges
+from gategeom.verify import _counts_pvalue
 
 #: The trivial rotation.
 SU2_IDENTITY = Su2Params(0.0, 0.0, 0.0)

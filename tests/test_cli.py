@@ -9,7 +9,7 @@ import pytest
 from click.testing import CliRunner
 
 import gategeom.volumes
-from conftest import CNOT, matrix_to_json_dict, write_matrix_json
+from conftest import CNOT, abelian_gate, matrix_to_json_dict, write_matrix_json
 from gategeom.cli import _FMT, cli, parse_angle
 from gategeom.coords import in_weyl_chamber
 from gategeom.gates import assemble
@@ -18,6 +18,15 @@ from gategeom.volumes import cube_volume_quadrature, is_perfect_entangler
 from gategeom.verify import _random_full_coords
 
 DATA = Path(__file__).parent / "data"
+README = Path(__file__).parents[1] / "README.md"
+#: The keys each class command prints, in its order, for a matrix.
+CLASS_KEYS = {
+    "invariants": ["g", "c", "chi", "perfect_entangler", "density"],
+    "canonicalize": ["c", "chi"],
+    "classify": ["c", "g", "perfect_entangler", "density"],
+}
+#: A point on the face c3 = 0 with c1 > pi/2: the class of (pi - 2, 0.5, 0).
+FACE_POINT = (2.0, 0.5, 0.0)
 
 
 def json_floats(obj):
@@ -211,6 +220,66 @@ class TestCanonicalizeCommand:
         got = json.loads(result.output)
         np.testing.assert_allclose(got["c"], x.c.as_tuple(), atol=1e-8)
         assert 0.0 <= got["chi"] < np.pi / 2
+
+
+class TestClassReport:
+    @pytest.mark.parametrize(
+        "source",
+        [CNOT, "pi/2,pi/4,0", abelian_gate(FACE_POINT), "2.0,0.5,0"],
+        ids=["cnot-matrix", "coords", "face-matrix", "face-coords"],
+    )
+    def test_canonicalize_and_classify_print_parts_of_invariants(self, runner, tmp_path, source):
+        from_coords = isinstance(source, str)
+        args = ["--coords", source] if from_coords else [write_matrix_json(tmp_path / "gate.json", source)]
+
+        def report(command):
+            text = runner.invoke(cli, [command, *args])
+            data = runner.invoke(cli, [command, *args, "--json"])
+            assert text.exit_code == data.exit_code == 0
+            return text.output.splitlines(), json.loads(data.output)
+
+        lines, full_json = report("invariants")
+        full = dict(line.split(" = ") for line in lines)
+        assert list(full) == [k for k in CLASS_KEYS["invariants"] if not (from_coords and k == "chi")]
+        for command in ("classify",) if from_coords else ("canonicalize", "classify"):
+            lines, payload = report(command)
+            keys = CLASS_KEYS[command]
+            assert lines == [f"{k} = {full[k]}" for k in keys]
+            assert payload == {k: full_json[k] for k in keys}
+
+    def test_face_point_prints_one_form_from_either_input(self, runner, tmp_path):
+        """``--coords 2.0,0.5,0`` printed c = 2 0.5 0, where its matrix prints pi - 2."""
+        path = write_matrix_json(tmp_path / "face.json", abelian_gate(FACE_POINT))
+        runs = [(command, [path]) for command in CLASS_KEYS]
+        runs += [(command, ["--coords", "2.0,0.5,0"]) for command in ("invariants", "classify")]
+        printed = set()
+        for command, args in runs:
+            result = runner.invoke(cli, [command, *args])
+            assert result.exit_code == 0
+            printed |= {line for line in result.output.splitlines() if line.startswith("c = ")}
+        assert printed == {"c = " + " ".join(_FMT % v for v in (np.pi - 2.0, 0.5, 0.0))}
+
+
+class TestReadmeCommandList:
+    def usages(self):
+        """The lines of README's command list, split into words."""
+        section = README.read_text().split("## Command line", 1)[1]
+        block = section.split("```text\n", 1)[1].split("```", 1)[0]
+        return [line.split() for line in block.splitlines()]
+
+    def test_names_every_command_once(self):
+        usages = self.usages()
+        assert {u[0] for u in usages} == {"gategeom"}
+        assert sorted(u[1] for u in usages) == sorted(cli.commands)
+        for group in ("volume", "mesh"):
+            (usage,) = [u for u in usages if u[1] == group]
+            assert sorted(usage[2].split("|")) == sorted(cli.commands[group].commands)
+
+    def test_lists_the_inputs_each_command_accepts(self):
+        for usage in self.usages():
+            params = {p.name for p in cli.commands[usage[1]].params}
+            assert ("MATRIX" in usage) == ("matrix" in params), usage
+            assert ("--coords" in usage) == ("coords" in params), usage
 
 
 class TestVolumeCommands:
