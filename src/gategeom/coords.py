@@ -131,14 +131,12 @@ class CanonicalCoords:
         return np.array([self.c1, self.c2, self.c3])
 
 
-def coerce_triple(c) -> tuple[float, float, float]:
-    """Accept a CanonicalCoords, sequence or array and return a plain triple."""
-    if isinstance(c, CanonicalCoords):
-        return c.as_tuple()
-    arr = np.asarray(c, dtype=float)
-    if arr.shape != (3,):
-        raise ValidationError(f"expected a coordinate triple, got shape {arr.shape}")
-    return (float(arr[0]), float(arr[1]), float(arr[2]))
+def _finite_triple(values, what: str, size: int = 3) -> np.ndarray:
+    """``values`` as an array of ``size`` (three, or two for an axis) finite floats."""
+    arr = np.asarray(values, dtype=float)
+    if arr.shape != (size,) or not np.isfinite(arr).all():
+        raise ValidationError(f"{what} must be {('two', 'three')[size - 2]} finite numbers, got {values!r}")
+    return arr
 
 
 @dataclass(frozen=True)
@@ -147,7 +145,9 @@ class FullCoords:
 
     ``a1``/``b1`` parametrise the two single-qubit factors of the left
     local operation (first/second qubit), ``a2``/``b2`` those of the right
-    one, and ``c`` the commuting core.
+    one, and ``c`` the commuting core.  Plain (alpha, theta, phi) triples
+    and any three finite numbers for ``c`` are accepted, and converted to
+    :class:`Su2Params` and :class:`CanonicalCoords`, and checked, here.
     """
 
     a1: Su2Params
@@ -156,6 +156,14 @@ class FullCoords:
     b2: Su2Params
     c: CanonicalCoords
 
+    def __post_init__(self):
+        for name in ("a1", "b1", "a2", "b2"):
+            v = getattr(self, name)
+            if not isinstance(v, Su2Params):
+                object.__setattr__(self, name, Su2Params(*_finite_triple(v, name).tolist()))
+        if not isinstance(self.c, CanonicalCoords):
+            object.__setattr__(self, "c", CanonicalCoords(*_finite_triple(self.c, "c").tolist()))
+
     def as_array(self) -> np.ndarray:
         """Flatten to the canonical 15-vector ordering."""
         return np.array(
@@ -163,5 +171,6 @@ class FullCoords:
             + self.b1.as_tuple()
             + self.a2.as_tuple()
             + self.b2.as_tuple()
-            + self.c.as_tuple()
+            + self.c.as_tuple(),
+            dtype=float,
         )

@@ -13,7 +13,7 @@ from typing import IO
 
 import numpy as np
 
-from .coords import FullCoords, Su2Params, coerce_triple
+from .coords import FullCoords
 from .errors import ValidationError
 
 #: Tolerance when validating externally supplied matrices.
@@ -128,18 +128,13 @@ def _su2_matrix(alpha, theta, phi):
     return u
 
 
-def _su2_params(v) -> Su2Params:
-    return v if isinstance(v, Su2Params) else Su2Params(*v)
-
-
 def assemble(x: FullCoords) -> np.ndarray:
     """Build the gate ``k1 . A(c) . k2`` from its fifteen coordinates.
 
-    One row of :func:`_assemble_batch`.  The factors may be plain
-    (alpha, theta, phi) triples and ``c`` any length-3 sequence.
+    One row of :func:`_assemble_batch`, read from ``x.as_array()``;
+    :class:`FullCoords` has already converted and checked each field.
     """
-    row = [t for v in (x.a1, x.b1, x.a2, x.b2) for t in _su2_params(v).as_tuple()]
-    return _assemble_batch(np.array([row + list(coerce_triple(x.c))]))[:, :, 0]
+    return _assemble_batch(x.as_array()[None])[:, :, 0]
 
 
 def _assemble_batch(params: np.ndarray) -> np.ndarray:

@@ -28,7 +28,8 @@ INVARIANT_RANGE_TOL = 1e-9
 #: to their size; invariants further from those of any gate are rejected.
 CLAMP_BUDGET = 1e-12
 #: On the face c3 <= FACE_TOL, (c1, c2, c3) and (pi - c1, c2, c3) are taken
-#: as one class, and the form with c1 <= pi/2 is returned.
+#: as one class, and the form with c1 <= pi/2 is returned: by
+#: ``canonical_coords``, by ``c_from_g`` and for the Monte-Carlo points.
 FACE_TOL = 1e-13
 
 #: Computational-basis to Bell-basis change of basis.  Columns are the
@@ -469,7 +470,8 @@ def _c_from_g_batch(g: np.ndarray) -> np.ndarray:
     np.clip(c, -1.0, 1.0, out=c)
     np.arccos(c, out=c)
     c /= 2.0
-    np.subtract(np.pi, c[:, 0], out=c[:, 0], where=g2 < 0.0)
+    # g2 < 0 means c1 > pi/2, except on the face, which keeps c1 <= pi/2 as ``_fold`` does.
+    np.subtract(np.pi, c[:, 0], out=c[:, 0], where=(g2 < 0.0) & (c[:, 2] > FACE_TOL))
     return c
 
 
@@ -479,7 +481,8 @@ def c_from_g(g1: float, g2: float, g3: float) -> CanonicalCoords:
     Raises :class:`InvalidInvariantsError` when no such point exists
     (beyond the round-off budget ``CLAMP_BUDGET``) and
     :class:`ConsistencyError` if the recovered point unexpectedly misses
-    the chamber.
+    the chamber.  On the face c3 <= ``FACE_TOL`` the point takes the form
+    with c1 <= pi/2, as :func:`canonical_coords` returns it.
 
     Accuracy is that of the cubic's roots, measured on ``g_from_c`` of
     chamber points.  Most of the bulk comes back to about 1e-15, but not

@@ -24,7 +24,7 @@ from . import invariants as inv
 from . import quadrature as quad
 from . import sampling as smp
 from . import volumes as vol
-from .coords import CanonicalCoords, FullCoords, Su2Params, in_weyl_chamber
+from .coords import FullCoords, in_weyl_chamber
 
 
 @dataclass(frozen=True)
@@ -84,11 +84,7 @@ def _random_full_coords(rng, margin: float = 0.25) -> FullCoords:
         alpha = float(rng.uniform(margin, 4 * np.pi - 3 * margin))
         if alpha > 2 * np.pi - margin:  # skip the band around 2 pi
             alpha += 2 * margin
-        return Su2Params(
-            alpha,
-            float(rng.uniform(margin, np.pi - margin)),
-            float(rng.uniform(0.0, 2 * np.pi)),
-        )
+        return (alpha, float(rng.uniform(margin, np.pi - margin)), float(rng.uniform(0.0, 2 * np.pi)))
 
     while True:
         c = np.sort(rng.uniform(0.1, np.pi / 2 - 0.05, 3))[::-1]
@@ -103,9 +99,7 @@ def _random_full_coords(rng, margin: float = 0.25) -> FullCoords:
             break
     if flip:
         c[0] = np.pi - c[0]
-    return FullCoords(
-        su2(), su2(), su2(), su2(), CanonicalCoords(float(c[0]), float(c[1]), float(c[2]))
-    )
+    return FullCoords(su2(), su2(), su2(), su2(), c)
 
 
 def _chamber_interior_points(rng, n: int, margin: float = 0.02) -> np.ndarray:
@@ -491,8 +485,8 @@ def run_checks(level: str = "quick", seed: int = 0, names=None) -> list[CheckRes
     """Run the verification battery and return one result per check.
 
     ``names``, when given, keeps only checks whose name contains one of
-    the provided substrings.  A bad ``level`` or ``seed`` raises before
-    any check runs.
+    the provided substrings; a single str is one substring.  A bad
+    ``level`` or ``seed`` raises before any check runs.
     """
     if level not in ("quick", "full"):
         raise ValueError(f"unknown level {level!r}; use quick or full")
@@ -500,7 +494,7 @@ def run_checks(level: str = "quick", seed: int = 0, names=None) -> list[CheckRes
     full = level == "full"
     selected = _CHECKS
     if names:
-        wanted = [w.lower() for w in names]
+        wanted = [w.lower() for w in ((names,) if isinstance(names, str) else names)]
         selected = [(n, f) for n, f in _CHECKS if any(w in n for w in wanted)]
     # Built on first use, once per run, from the module as it is now.
     bin_grid = functools.cache(quad.bin_probabilities)

@@ -24,7 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .coords import is_perfect_entangler
+from .coords import _finite_triple, is_perfect_entangler
 from .errors import ConsistencyError, RangeError, ValidationError
 from .geometry import weyl_density
 from .invariants import _c_from_g_batch, g_from_c
@@ -157,14 +157,6 @@ def _length(value, what: str, positive: bool = False) -> float:
     return v
 
 
-def _center(center, what: str, size: int = 3) -> np.ndarray:
-    """``center`` as an array of ``size`` (three, or two for an axis) finite floats."""
-    ctr = np.asarray(center, dtype=float)
-    if ctr.shape != (size,) or not np.isfinite(ctr).all():
-        raise ValidationError(f"{what} must be {('two', 'three')[size - 2]} finite numbers, got {center!r}")
-    return ctr
-
-
 _PI_TAIL = math.sin(math.pi)  # pi less its nearest double
 
 
@@ -203,7 +195,7 @@ def cube_volume_closed(center, side: float) -> float:
     plane c_i +- c_j = k pi (b-gate among them), inside the chamber or
     not.  Elsewhere a :class:`RangeError` points to the quadrature route.
     """
-    center = _center(center, "cube center")
+    center = _finite_triple(center, "cube center")
     a = _length(side, "cube side", positive=True)
     c = _reduce(center)
     for point, (series, a_max) in _POINT_FORMS.items():
@@ -231,7 +223,7 @@ def cube_volume_quadrature(center, side: float, clip: str = "unclipped") -> floa
     inside the fundamental cell, as :class:`Region` spells them.  Either
     mode is converged to round-off.
     """
-    center = _center(center, "cube center")
+    center = _finite_triple(center, "cube center")
     a = _length(side, "cube side", positive=True)
     lo, hi = center - a / 2.0, center + a / 2.0
     if clip == "unclipped":
@@ -302,7 +294,7 @@ def cylinder_volume_g(center, radius: float, height: float) -> float:
     it matches the quadrature route everywhere and the sampled mass only
     where the cylinder stays inside the attainable set.
     """
-    g1, g2 = _center(center, "center", 2).tolist()
+    g1, g2 = _finite_triple(center, "center", 2).tolist()
     R, h = _length(radius, "radius"), _length(height, "height")
     rho = _length(math.hypot(g1, g2), "the center's distance from the g3 axis")
     if rho == 0.0:
@@ -326,7 +318,7 @@ def cylinder_volume_quadrature(center, radius: float, height: float) -> float:
     ray grazes the circle; both are written in the angle's distance u
     from that point and integrated on the graded line rule.
     """
-    g1, g2 = _center(center, "center", 2).tolist()
+    g1, g2 = _finite_triple(center, "center", 2).tolist()
     R, h = _length(radius, "radius"), _length(height, "height")
     rho = _length(math.hypot(g1, g2), "the center's distance from the g3 axis")
     if R == 0.0 or h == 0.0:
@@ -423,7 +415,7 @@ class Region:
         if self.clip == "unclipped" and self.kind != "cube_c":
             raise ValidationError("unclipped counting applies only to coordinate cubes")
         if self.kind != "pe":
-            _center(self.center, "region center")
+            _finite_triple(self.center, "region center")
             what = "cube side" if self.kind.startswith("cube") else "radius"
             _length(self.size, what, positive=self.kind == "cube_c")
         if self.kind == "cylinder_g":

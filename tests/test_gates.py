@@ -16,8 +16,9 @@ from conftest import (
     random_su2_params,
     write_matrix_json,
 )
-from gategeom.coords import FullCoords, Su2Params
+from gategeom.coords import CanonicalCoords, FullCoords, Su2Params
 from gategeom.errors import ValidationError
+from gategeom.geometry import det_g_closed, frame_finite_difference, metric_tensor
 from gategeom.gates import (
     GENERATOR_LABELS,
     NAMED_GATE_POINTS,
@@ -189,6 +190,28 @@ class TestAssemble:
         xs[0] = FullCoords(x.a1, x.b1.as_tuple(), x.a2, x.b2, x.c.as_tuple())
         for x, row in zip(xs, batch):
             np.testing.assert_array_equal(assemble(x), row)
+
+
+class TestFullCoords:
+    @pytest.mark.parametrize("name", ["a1", "b1", "a2", "b2", "c"])
+    @pytest.mark.parametrize("bad", [(np.nan, 0.0, 0.0), (np.inf, 0.0, 0.0), (0.0, -np.inf, 0.0), (0.0, 0.0)])
+    def test_each_field_must_be_three_finite_numbers(self, name, bad):
+        fields = dict.fromkeys(["a1", "b1", "a2", "b2", "c"], (0.0, 0.0, 0.0)) | {name: bad}
+        with pytest.raises(ValidationError, match=rf"^{name} must be three finite numbers"):
+            FullCoords(**fields)
+
+    def test_plain_triples_are_the_typed_coordinates(self, rng):
+        """Triples are converted at construction, so every consumer reads the
+        same fields, bit for bit, as from the typed containers."""
+        for _ in range(5):
+            x = _random_full_coords(rng)
+            triples = [v.as_tuple() for v in (x.a1, x.b1, x.a2, x.b2, x.c)]
+            plain = FullCoords(*triples[:4], np.array(triples[4]))
+            typed = FullCoords(*(Su2Params(*t) for t in triples[:4]), CanonicalCoords(*triples[4]))
+            assert plain == typed
+            for f in (FullCoords.as_array, assemble, metric_tensor, frame_finite_difference):
+                np.testing.assert_array_equal(f(plain), f(typed))
+            assert det_g_closed(plain) == det_g_closed(typed)
 
 
 class TestMagicBasis:

@@ -26,6 +26,7 @@ from gategeom.invariants import (
     _JACOBI_MIN_ROWS,
     _MIX,
     _SYM_OFF,
+    _c_from_g_batch,
     _column_invariants,
     _det_and_congruence,
     _laplace_det,
@@ -809,3 +810,21 @@ class TestInverseMapOnBoundary:
         got = c_from_g(*g_from_c(c))
         assert in_weyl_chamber(*got.as_tuple(), tol=1e-8)
         assert class_distance(got.as_tuple(), c) <= 1e-2
+
+    def test_face_points_take_the_face_form(self):
+        """On the face c3 <= FACE_TOL the cubic returns c1 <= pi/2, as the
+        fold does: (c1, c2, c3) and (pi - c1, c2, c3) are one class there.
+        The last point lies 1e-12 off the face, but the cubic returns c3 = 0."""
+        c1 = np.linspace(0.05, np.pi - 0.05, 41)
+        pts = np.array([
+            (a, f * min(a, np.pi - a), c3)
+            for a in c1 for f in (0.0, 0.3, 0.7, 1.0) for c3 in (0.0, 1e-15, 1e-14, FACE_TOL)
+        ] + [(2.0, 0.5, 1e-14), (1.9, 1.2, 1e-12)])
+        c = _c_from_g_batch(g_from_c(pts))
+        face = c[:, 2] <= FACE_TOL
+        assert (face & (pts[:, 0] > np.pi / 2)).sum() > 100  # both sides are probed
+        wrong = face & (c[:, 0] > np.pi / 2)
+        assert not wrong.any(), pts[wrong]
+        assert class_distances(c, pts).max() <= 1e-3  # edges lose 3e-4, see c_from_g
+        for point in pts[-2:]:
+            assert c_from_g(*g_from_c(point)).c1 <= np.pi / 2

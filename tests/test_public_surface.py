@@ -174,6 +174,15 @@ def test_readme_documents_every_public_name():
     assert set(PUBLIC_NAMES) <= documented, sorted(set(PUBLIC_NAMES) - documented)
 
 
+def test_readme_install_line_names_every_test_extra():
+    """The "Tests" install line lists what the ``test`` extra installs."""
+    root = Path(__file__).parents[1]
+    extra = re.search(r"^test = \[(.*)\]$", (root / "pyproject.toml").read_text(), re.M)
+    packages = re.findall(r'"([A-Za-z0-9_.-]+)', extra.group(1))
+    line = next(x for x in (root / "README.md").read_text().splitlines() if ".[test]" in x)
+    assert packages and all(p in line for p in packages), (packages, line)
+
+
 BENCH = Path(__file__).parents[1] / "bench"
 
 

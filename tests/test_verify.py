@@ -57,8 +57,9 @@ class TestRunChecks:
         assert all(isinstance(r, CheckResult) and r.duration >= 0 for r in results)
         assert all(r.detail for r in results)
 
-    def test_name_filter_selects_substrings(self):
-        results = run_checks("quick", names=["elliptic"])
+    @pytest.mark.parametrize("names", [["elliptic"], "elliptic"])
+    def test_name_filter_selects_substrings(self, names):
+        results = run_checks("quick", names=names)
         assert [r.name for r in results] == ["elliptic-integrals"]
         assert results[0].passed
 
