@@ -5,11 +5,12 @@ The three real invariants (g1, g2, g3) classify gates up to single-qubit
 rotations on either side.  ``canonical_coords_batch`` is the one map from
 unitaries to chamber coordinates: it reads them off the eigenphases of
 the Bell-basis congruence ``m = U_B^T U_B``, by LAPACK for short stacks
-and by Jacobi sweeps alone for long ones and sampler blocks.  The
-invariants of a matrix need no spectrum: ``makhlin_invariants`` takes
-them from the traces of the same m and det U, Makhlin's formulas, and
-agrees with ``g_from_c`` of the coordinates to about 3e-15.  ``g_from_c``
-and ``c_from_g`` convert between coordinates and invariants.
+and by Jacobi sweeps alone, with det U by Laplace expansion, for long ones
+and sampler blocks.  The invariants of a matrix need no spectrum:
+``makhlin_invariants`` takes them from the traces of the same m and
+det U, Makhlin's formulas, and agrees with ``g_from_c`` of the
+coordinates to about 3e-15.  ``g_from_c`` and ``c_from_g`` convert
+between coordinates and invariants.
 """
 from __future__ import annotations
 
@@ -177,15 +178,16 @@ def _spectral_coords(U: np.ndarray) -> np.ndarray:
 
 
 def _jacobi_coords(U: np.ndarray) -> np.ndarray:
-    """The Jacobi route on a unitary (n, 4, 4) stack of any length: a copy
-    in the (4, 4, n) layout, and det U by Laplace expansion."""
-    u = U.transpose(1, 2, 0).copy()
-    return _column_coords(u, _laplace_det(u))
+    """The Jacobi route on a unitary (n, 4, 4) stack of any length, given a
+    copy in the (4, 4, n) layout."""
+    return _column_coords(U.transpose(1, 2, 0).copy())
 
 
-def _column_coords(u: np.ndarray, det) -> np.ndarray:
+def _column_coords(u: np.ndarray) -> np.ndarray:
     """The Jacobi route on a (4, 4, n) unitary stack, which the caller gives
-    up, and its det U: ``u`` becomes V = U B and is released before the sweeps."""
+    up: det U by Laplace expansion, whatever the caller, then ``u`` becomes
+    V = U B and is released before the sweeps."""
+    det = _laplace_det(u)
     m = _upper_congruence(u)
     del u
     return _fold(_jacobi_spectrum(m), det)
@@ -219,8 +221,9 @@ def _det_and_congruence(U: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _column_invariants(u: np.ndarray, det) -> np.ndarray:
-    """The trace formulas on a stack and det U taken as :func:`_column_coords`
-    takes them; each off-diagonal entry of m's upper triangle stands for two."""
+    """The trace formulas on a (4, 4, n) stack given up as to :func:`_column_coords`,
+    and det U, which the oracle's blocks pass as 1: they are special unitary by
+    construction.  Each off-diagonal entry of m's upper triangle stands for two."""
     m = _upper_congruence(u)
     del u
     tr = sum(m[k] for k in _SYM_DIAG)

@@ -34,7 +34,6 @@ import numpy as np
 from .coords import in_weyl_chamber, is_perfect_entangler
 from .errors import ValidationError
 from .gates import _assemble_batch, require_unitary_stack
-from .geometry import WEYL_DENSITY_MAX, weyl_density
 from .invariants import _column_coords, _column_invariants, _jacobi_coords, g_from_c
 
 #: Samples per deterministic stream block.
@@ -114,7 +113,8 @@ def _chamber_block(rng: np.random.Generator, m: int) -> np.ndarray:
     Proposals are uniform on the chamber: descending-sorted uniforms fill
     the half-cell with c1 <= pi/2, and a fair coin reflects c1 across
     pi/2 (the density is symmetric under that reflection).  Acceptance is
-    the density over its known maximum.  The rows are the first m accepted
+    the density, (6/pi) |V(cos 2c)| with V the Vandermonde product, over
+    its maximum 12/pi: 2u < |V|.  The rows are the first m accepted
     proposals of the stream; each draw is what the rest of the block needs
     at the acceptance rate, with a margin, at most ``_CHUNK`` proposals.
     """
@@ -135,7 +135,8 @@ def _chamber_block(rng: np.random.Generator, m: int) -> np.ndarray:
         np.minimum(mid, lo, out=c[2])
         c *= np.pi / 2
         np.subtract(np.pi, c[0], out=c[0], where=draw[:, 3] < 0.5)
-        accepted = c[:, draw[:, 4] * WEYL_DENSITY_MAX < weyl_density(c.T)]
+        a = np.cos(2.0 * c)
+        accepted = c[:, 2.0 * draw[:, 4] < np.abs((a[0] - a[1]) * (a[0] - a[2]) * (a[1] - a[2]))]
         take = min(m - have, accepted.shape[1])
         out[:, have : have + take] = accepted[:, :take]
         have += take
@@ -216,8 +217,9 @@ def _assembled_block(rng: np.random.Generator, m: int) -> np.ndarray:
 
 def _oracle_coords_block(rng: np.random.Generator, m: int) -> np.ndarray:
     """Chamber coordinates of one block of Haar unitaries, shape (m, 3), by
-    the kernel's Jacobi route, which takes the block uncopied."""
-    return _column_coords(_haar_columns(rng, m), 1.0)
+    the kernel's Jacobi route, which takes the block uncopied: bit for bit
+    ``canonical_coords_batch`` of the same gates in a stack of 224 or more."""
+    return _column_coords(_haar_columns(rng, m))
 
 
 def _oracle_invariants_block(rng: np.random.Generator, m: int) -> np.ndarray:
@@ -435,13 +437,6 @@ def _write_csv(path, blocks) -> None:
             _write_rows(fh, _CSV_ROW, is_perfect_entangler(coords), coords, g_from_c(coords))
 
 
-def _jsonl_block(gates: np.ndarray) -> tuple:
-    """A sampled block of unitaries, (m, 4, 4), and its chamber coordinates
-    by the Jacobi route on a copy, with det U = 1, as both methods build
-    their blocks: the oracle's are its ``sample_canonical`` rows, bit for bit."""
-    return gates, _column_coords(gates.transpose(1, 2, 0).copy(), 1.0)
-
-
 def _write_jsonl(path, blocks) -> None:
     """The JSON lines of a stream of (gates, coordinates) pairs, each written as it comes."""
     with _sink(path) as fh:
@@ -501,12 +496,12 @@ def _export_stream(path, fmt: str, n, config: SamplerConfig) -> None:
     """``export_csv`` of ``sample_canonical(n, config)`` or, for ``jsonl``,
     the JSON lines of ``sample_gates(n, config)``, each block written as
     soon as it and every earlier block are done.  A jsonl block's
-    coordinates come from its worker by the Jacobi route with det U = 1,
-    where ``export_jsonl`` takes each matrix's Laplace determinant, so
-    their last bits can differ.  ``n`` is checked before anything is written."""
+    coordinates come from its worker by the route ``export_jsonl`` takes,
+    so the lines are ``export_jsonl(path, sample_gates(n, config))``, byte
+    for byte.  ``n`` is checked before anything is written."""
     if fmt == "jsonl":
         gates = _KERNELS["gates", config.method]
-        write, kernel = _write_jsonl, lambda rng, m: _jsonl_block(gates(rng, m))
+        write, kernel = _write_jsonl, lambda rng, m: ((g := gates(rng, m)), _jacobi_coords(g))
     else:
         write, kernel = _write_csv, _KERNELS["canonical", config.method]
     write(path, (block for _, block in _blocks(n, config, kernel)))

@@ -241,6 +241,14 @@ class TestDeterminism:
             sample_canonical(n, cfg), canonical_coords_batch(sample_gates(n, cfg)), atol=1e-13
         )
 
+    @pytest.mark.parametrize("n", [224, 300, 2 * BLOCK_SIZE + 77])
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_oracle_coordinates_are_the_batch_map_of_its_gates(self, n, workers):
+        """Bit for bit from the batch map's Jacobi threshold on: both take
+        det U by Laplace expansion on the same route."""
+        cfg = SamplerConfig(seed=19, worker_count=workers)
+        assert same_bits(sample_canonical(n, cfg), canonical_coords_batch(sample_gates(n, cfg)))
+
     def test_coordinate_method_invariants_share_the_stream(self):
         cfg = SamplerConfig(seed=23, method="coordinate_density")
         np.testing.assert_array_equal(
@@ -416,6 +424,16 @@ class TestBlockKernels:
         assert used == rounds
         np.testing.assert_array_equal(_chamber_block(_block_rng(seed, 0), m), expected)
 
+    @pytest.mark.parametrize("seed", [0, 5])
+    def test_vandermonde_acceptance_takes_the_sine_product_rows(self, seed):
+        """2^18 rows: the kernel's 2u < |V(cos 2c)| accepts the proposals
+        that u WEYL_DENSITY_MAX < weyl_density(c), the sine product, does."""
+        n = 1 << 18
+        got = sample_canonical(n, SamplerConfig(seed=seed, worker_count=2, method="coordinate_density"))
+        for start in range(0, n, BLOCK_SIZE):
+            want, _ = chamber_block_whole_rounds(_block_rng(seed, start // BLOCK_SIZE), BLOCK_SIZE)
+            np.testing.assert_array_equal(got[start : start + BLOCK_SIZE], want)
+
     @pytest.mark.parametrize("m", [1, 1000, BLOCK_SIZE])
     def test_chamber_draws_nothing_once_its_block_is_full(self, m):
         """The block fills during its last draw: no draw follows the one
@@ -483,31 +501,40 @@ class TestMatrixSamples:
         np.conjugate(u[:, 3], out=u[:, 3])
         assert min(su4_deviation(u.transpose(2, 0, 1))) > 1e-2
 
-    def test_no_oracle_kernel_takes_a_determinant(self, monkeypatch):
-        """det U = 1 by construction: only user stacks expand one, through
-        ``canonical_coords_batch`` and ``export_jsonl``.  And no ``eigvals``,
-        ``eig``, ``eigh`` or ``det`` runs at all: the Jacobi route resolves
-        its own ties, so no sampler output depends on the LAPACK build."""
+    def test_one_determinant_per_coordinate_block(self, monkeypatch):
+        """det U = 1 by construction, but the Jacobi route's coordinates take
+        the Laplace determinant whatever their stack: one per oracle
+        coordinate block and per JSON-lines block, none for the gates, the
+        invariants or the Monte-Carlo masses.  And no ``eigvals``, ``eig``,
+        ``eigh`` or ``det`` runs at all: the Jacobi route resolves its own
+        ties, so no sampler output depends on the LAPACK build."""
         calls = []
 
         def spy(u):
             calls.append(u.shape[2])
             return laplace_det(u)
 
+        def dets(run):
+            calls.clear()
+            run()
+            return sorted(calls)
+
         laplace_det = invariants._laplace_det
         monkeypatch.setattr(invariants, "_laplace_det", spy)
         lapack = lapack_calls(monkeypatch)
         n, config = BLOCK_SIZE + 30, SamplerConfig(seed=49, worker_count=2)
-        for sampler in (sample_gates, sample_invariants, sample_canonical):
-            sampler(n, config)
-        _summarize_stream(n, config)
-        region_volume_mc(Region("pe"), samples=n, seed=49, worker_count=2)
-        for fmt in ("csv", "jsonl"):
-            _export_stream(io.StringIO(), fmt, n, config)
-        assert calls == []
-        canonical_coords_batch(sample_gates(224, config))
-        export_jsonl(io.StringIO(), sample_gates(30, config))
-        assert calls == [224, 30]  # the spy sees the user-stack routes
+        coordinate = SamplerConfig(seed=49, worker_count=2, method="coordinate_density")
+        for run in (lambda: sample_gates(n, config), lambda: sample_invariants(n, config),
+                    lambda: region_volume_mc(Region("pe"), samples=n, seed=49, worker_count=2),
+                    lambda: _export_stream(io.StringIO(), "csv", n, coordinate)):
+            assert dets(run) == []
+        for run in (lambda: sample_canonical(n, config), lambda: _summarize_stream(n, config),
+                    lambda: _export_stream(io.StringIO(), "csv", n, config),
+                    lambda: _export_stream(io.StringIO(), "jsonl", n, config),
+                    lambda: _export_stream(io.StringIO(), "jsonl", n, coordinate)):
+            assert dets(run) == [30, BLOCK_SIZE]
+        assert dets(lambda: canonical_coords_batch(sample_gates(224, config))) == [224]
+        assert dets(lambda: export_jsonl(io.StringIO(), sample_gates(30, config))) == [30]
         assert lapack == []
 
     def test_peak_memory_is_about_one_output(self):
@@ -870,6 +897,20 @@ class TestBlockStream:
         _export_stream(got, "jsonl", n, config)
         assert got.getvalue() == jsonl_row_by_row(sample_gates(n, config), sample_canonical(n, config))
 
+    @pytest.mark.parametrize("method", ["matrix_oracle", "coordinate_density"])
+    def test_jsonl_stream_is_export_jsonl_of_the_sampled_gates(self, monkeypatch, method):
+        """Byte for byte, a final block of 3 rows included, at one and two
+        workers: each block's coordinates are taken by the route
+        ``export_jsonl`` takes.  Short blocks keep the JSON conversion quick."""
+        monkeypatch.setattr(sampling, "BLOCK_SIZE", SHORT_BLOCK)
+        n = sampling.BLOCK_SIZE + 3
+        want = io.StringIO()
+        export_jsonl(want, sample_gates(n, SamplerConfig(seed=43, method=method)))
+        for w in (1, 2):
+            got = io.StringIO()
+            _export_stream(got, "jsonl", n, SamplerConfig(seed=43, worker_count=w, method=method))
+            assert got.getvalue() == want.getvalue(), w
+
     def test_region_mass_is_the_mean_weight(self):
         """Σw / n is w.mean() bit for bit: every weight is a multiple of 1/2,
         and a side-10 cube's, up to 1536, stays within the exactness bound."""
@@ -963,13 +1004,13 @@ class TestMonteCarloRoute:
         for module, name in ((invariants, "_spectral_coords"), (invariants, "_column_coords"),
                              (sampling, "_column_coords"), (invariants, "_jacobi_spectrum"),
                              (np.linalg, "eigvals"), (geometry, "weyl_density"),
-                             (sampling, "weyl_density"), (volumes, "weyl_density")):
+                             (volumes, "weyl_density")):
             monkeypatch.setattr(module, name, spy(name, getattr(module, name)))
         for region in MC_REGIONS:
             region_volume_mc(region, samples=BLOCK_SIZE + 30, seed=32, worker_count=2)
         assert calls == []
         sample_canonical(30, SamplerConfig(seed=32))
-        sample_canonical(30, SamplerConfig(seed=32, method="coordinate_density"))
+        volumes.cube_volume_closed((1.0, 0.5, 0.2), 0.1)  # crosses no crease, so reads the density
         assert set(calls) >= {"_column_coords", "_jacobi_spectrum", "weyl_density"}  # the spies see them
 
     @pytest.mark.parametrize("seed", [46, 47])
